@@ -83,6 +83,11 @@ def _ground_from(cfg: RunConfig, grid=None):
         a_tol=cfg["ground.a_tol"])
 
 
+def _spectrum_from(cfg: RunConfig, ops):
+    return lin.compute_spectrum(ops, dense_nodes=cfg["spectrum.dense_nodes"],
+                                refine_tol=cfg["spectrum.refine_tol"])
+
+
 def _evolver_config(cfg: RunConfig, **overrides) -> EvolverConfig:
     base = dict(
         dt=cfg["evolve.dt"], t_end=cfg["evolve.t_end"],
@@ -149,8 +154,7 @@ def _cmd_ground(cfg: RunConfig, out: Path, man: RunManifest) -> int:
 def _cmd_spectrum(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     gp = _ground_from(cfg)
     ops = lin.assemble(gp)
-    spec = lin.compute_spectrum(ops, dense_nodes=cfg["spectrum.dense_nodes"],
-                                refine_tol=cfg["spectrum.refine_tol"])
+    spec = _spectrum_from(cfg, ops)
     write_field_csv(spec.Y1, out / "Y1.csv")
     write_field_csv(spec.Y2, out / "Y2.csv")
     co_g = lin.coercivity_min(ops, spec, "Gperp")
@@ -183,7 +187,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, man: RunManifest) -> int:
 def _cmd_construct(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     gp = _ground_from(cfg)
     ops = lin.assemble(gp)
-    spec = lin.compute_spectrum(ops, dense_nodes=cfg["spectrum.dense_nodes"])
+    spec = _spectrum_from(cfg, ops)
     sol = ap.build_Vk(cfg["experiment.A"], cfg["experiment.k"], spec, ops)
     for j in range(1, sol.k + 1):
         write_field_csv(sol.Z[j], out / f"Z{j}.csv")
@@ -214,7 +218,7 @@ def _cmd_evolve(cfg: RunConfig, out: Path, man: RunManifest, args) -> int:
     series, snaps = run_evolution(u0, args.t0, ecfg, gp.p, reference=gp)
     _write_series(out / "series.csv", series)
     _write_snapshots(out / "snapshots", snaps)
-    verdict = classify_run(series, ecfg)
+    verdict = classify_run(series)
     _write_kv(out / "verdict.txt", {
         "verdict": verdict.kind,
         "t_star": verdict.t_star if verdict.t_star is not None else "none",
@@ -229,7 +233,7 @@ def _cmd_evolve(cfg: RunConfig, out: Path, man: RunManifest, args) -> int:
 def _cmd_special(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     gp = _ground_from(cfg)
     ops = lin.assemble(gp)
-    spec = lin.compute_spectrum(ops, dense_nodes=cfg["spectrum.dense_nodes"])
+    spec = _spectrum_from(cfg, ops)
     sol = ap.build_Vk(cfg["experiment.A"], cfg["experiment.k"], spec, ops)
     rspec = xp.SpecialRunSpec(
         A=cfg["experiment.A"], k=cfg["experiment.k"],
@@ -361,7 +365,7 @@ def _cmd_check(cfg: RunConfig, out: Path, man: RunManifest) -> int:
                      anti <= 1e-7 * (norms(f).h1 * norms(g).h1))
 
     # --- spectrum certification
-    spec = lin.compute_spectrum(ops, dense_nodes=cfg["spectrum.dense_nodes"])
+    spec = _spectrum_from(cfg, ops)
     tol = cfg["check.spectrum_tol"]
     man.record("e0", _fmt(spec.e0))
     man.record_check("eigen_residuals",
@@ -476,8 +480,7 @@ def cli_dispatch(argv) -> int:
 
     out = Path(args.out) if args.out else Path(f"nlslab_{args.command}_out")
     out.mkdir(parents=True, exist_ok=True)
-    config_echo = cfg.raw_text if cfg.raw_text else cfg.render()
-    man = RunManifest(out, args.command, config_echo)
+    man = RunManifest(out, args.command, cfg.render())
     man.write_pre()
 
     try:

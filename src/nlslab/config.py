@@ -55,7 +55,6 @@ DEFAULTS: dict[str, tuple[type, object]] = {
     "check.rate_margin": (float, 0.95),
     "check.identity_n": (int, 0),
     "run.seed": (int, 12345),
-    "run.deterministic": (bool, True),
 }
 
 ALIASES = {"N": "model.N", "p": "model.p"}
@@ -63,10 +62,9 @@ ALIASES = {"N": "model.N", "p": "model.p"}
 
 @dataclass
 class RunConfig:
-    """Effective configuration: every key present, plus the source text."""
+    """Effective configuration: every key present."""
 
     values: dict
-    raw_text: str
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -176,7 +174,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             if val is not None:
                 values[key] = val
     _validate(values)
-    return RunConfig(values=values, raw_text=text)
+    return RunConfig(values=values)
 
 
 def default_config(**overrides) -> RunConfig:

@@ -3,10 +3,10 @@
 Strang splitting: a half-step of the exact nonlinear phase
 u <- u exp(i dt/2 |u|^{p-1}), a full Crank-Nicolson step of the linear
 part (with the optional absorbing layer entering as a complex potential
-that damps mass on the outer shell), and a second half phase.  For N <= 3
-the discrete Laplacian satisfies exact detailed balance with respect to
-the radial quadrature weights, so the sponge-free Crank-Nicolson step is
-unitary in the discrete L2 norm to solver roundoff, and the full step is
+that damps mass on the outer shell), and a second half phase.  The
+Laplacian is ``grid.radial_operator``, which is symmetric under its
+weights rho, so the sponge-free Crank-Nicolson step is unitary in the
+rho-weighted L2 norm to solver roundoff, and the full step is
 time-reversible.
 
 ``order = 4`` composes the Strang step by the standard triple jump
@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from .banded import Tridiag
 from .errors import InstabilityError, InvalidParameterError
-from .grid import Field, RadialGrid, gradient_values, laplacian_bands
+from .grid import Field, RadialGrid, fill_origin, gradient_values, radial_operator
 from .ground import GroundProfile
 
 __all__ = [
@@ -114,68 +114,54 @@ class Verdict:
 
 
 class Evolver:
-    """Caches the Crank-Nicolson factorizations for a (grid, p, config)."""
+    """Caches the Crank-Nicolson matrix pairs for a (grid, p, config).
+
+    The linear step acts on the rows of ``radial_operator``; a slaved
+    origin node is refilled by regularity after each step.
+    """
 
     def __init__(self, grid: RadialGrid, p: float, cfg: EvolverConfig):
         self.grid = grid
         self.p = float(p)
         self.cfg = cfg
         n = grid.n
-        self.n = n
-        if grid.N <= 3:
-            self.lo, self.di, self.up = laplacian_bands(grid)
-            self.slave0 = False
-        else:
-            # flux form on 1..n-1 keeps exact symmetry in any dimension;
-            # node 0 is slaved to the regularity interpolation
-            from .linearized import _flux_bands
-            lo, di, up = _flux_bands(grid, idx0=1)
-            self.lo = np.concatenate([[0.0], lo])
-            self.di = np.concatenate([[0.0], di])
-            self.up = np.concatenate([[0.0], up])
-            self.slave0 = True
+        op = radial_operator(grid)
+        self.lap = op.lap
+        self.first = op.first
         rs = grid.rmax * (1.0 - cfg.sponge_width)
         sig = np.zeros(n)
         if cfg.sponge:
             mask = grid.r[:n] > rs
             sig[mask] = cfg.sponge_strength * ((grid.r[:n][mask] - rs)
                                                / (grid.rmax - rs)) ** 2
-        self.sigma = sig
-        self._cn_cache: dict[float, np.ndarray] = {}
+        self.sigma = sig[self.first:]
+        self._cn_cache: dict[float, tuple[Tridiag, Tridiag]] = {}
 
-    def _cn_bands(self, dt: float) -> np.ndarray:
-        ab = self._cn_cache.get(dt)
-        if ab is None:
+    def _cn(self, dt: float) -> tuple[Tridiag, Tridiag]:
+        """(1 - i dt/2 Lap + |dt|/2 sigma, 1 + i dt/2 Lap - |dt|/2 sigma)."""
+        pair = self._cn_cache.get(dt)
+        if pair is None:
+            lap = self.lap
             # the absorbing term is non-Hamiltonian: it must damp along the
             # direction of integration, hence |dt|
-            ab = np.zeros((3, self.n), dtype=complex)
-            ab[0, 1:] = -1j * dt / 2 * self.up[:-1]
-            ab[1, :] = 1.0 - 1j * dt / 2 * self.di + abs(dt) / 2 * self.sigma
-            ab[2, :-1] = -1j * dt / 2 * self.lo[1:]
-            if self.slave0:
-                ab[1, 0] = 1.0
-            self._cn_cache[dt] = ab
-        return ab
-
-    def _cn_rhs(self, u, dt):
-        n = self.n
-        out = np.empty(n, dtype=complex)
-        diag = 1.0 + 1j * dt / 2 * self.di - abs(dt) / 2 * self.sigma
-        out[0] = diag[0] * u[0] + 1j * dt / 2 * self.up[0] * u[1]
-        out[1:n - 1] = (1j * dt / 2 * self.lo[1:n - 1] * u[0:n - 2]
-                        + diag[1:n - 1] * u[1:n - 1]
-                        + 1j * dt / 2 * self.up[1:n - 1] * u[2:n])
-        out[n - 1] = 1j * dt / 2 * self.lo[n - 1] * u[n - 2] + diag[n - 1] * u[n - 1]
-        if self.slave0:
-            out[0] = u[0]
-        return out
+            damp = abs(dt) / 2 * self.sigma
+            lhs = Tridiag(-1j * dt / 2 * lap.sub,
+                          1.0 - 1j * dt / 2 * lap.diag + damp,
+                          -1j * dt / 2 * lap.sup)
+            rhs = Tridiag(1j * dt / 2 * lap.sub,
+                          1.0 + 1j * dt / 2 * lap.diag - damp,
+                          1j * dt / 2 * lap.sup)
+            pair = self._cn_cache[dt] = (lhs, rhs)
+        return pair
 
     def _strang(self, u, dt):
+        lhs, rhs = self._cn(dt)
+        k = self.first
         v = u * np.exp(1j * (dt / 2) * np.abs(u) ** (self.p - 1))
-        v = solve_banded((1, 1), self._cn_bands(dt), self._cn_rhs(v, dt))
+        v[k:] = lhs.solve(rhs.apply(v[k:]))
         v *= np.exp(1j * (dt / 2) * np.abs(v) ** (self.p - 1))
-        if self.slave0:
-            v[0] = (4.0 * v[1] - v[2]) / 3.0
+        if k:
+            fill_origin(v)
         return v
 
     def step_values(self, u, dt):
@@ -356,7 +342,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     return series, snaps
 
 
-def classify_run(series: TimeSeries, cfg: EvolverConfig) -> Verdict:
+def classify_run(series: TimeSeries) -> Verdict:
     """Blow-up / scatter / converge-to-Q trichotomy on a finished series.
 
     BlowUp: the run terminated on the gradient-tripling criterion (or the

@@ -141,7 +141,7 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
     t_back = spec.t_back if spec.t_back is not None else t0 + 5.0
     bwd_cfg = replace(spec.cfg, sponge=True, t_end=t0 - t_back)
     bseries, _ = evolve(u0, t0, bwd_cfg, gp.p, reference=gp)
-    verdict = classify_run(bseries, bwd_cfg)
+    verdict = classify_run(bseries)
 
     return ThresholdReport(
         A=spec.A, k=spec.k, delta=spec.delta, t0=t0,
@@ -239,10 +239,10 @@ def threshold_sweep(family, cfg: EvolverConfig, gp: GroundProfile):
                                                 * math.sqrt(grad2_q))
         fs, _ = evolve(fld, 0.0, replace(cfg, t_end=abs(cfg.t_end)), gp.p,
                        reference=gp)
-        vf = classify_run(fs, cfg)
+        vf = classify_run(fs)
         bs, _ = evolve(fld, 0.0, replace(cfg, t_end=-abs(cfg.t_end)), gp.p,
                        reference=gp)
-        vb = classify_run(bs, cfg)
+        vb = classify_run(bs)
         out.append({"label": label, "me": me, "mg": mg,
                     "verdict_forward": vf, "verdict_backward": vb})
     return out

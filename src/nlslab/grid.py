@@ -11,17 +11,8 @@ trapezoid weights of the radial measure,
 
     w_i = omega_N r_i^{N-1} h,   halved at i = 0 and i = n.
 
-The discrete Laplacian is the second-order centered stencil
-
-    (Lap f)_i = f''_i + (N-1)/r_i f'_i
-             ~= (f_{i+1} - 2 f_i + f_{i-1})/h^2 + (N-1)/r_i (f_{i+1} - f_{i-1})/(2h)
-
-with the regular-origin limit Lap f(0) = N f''(0) ~= 2N (f_1 - f_0)/h^2
-and a homogeneous Dirichlet value at r = rmax.  For N <= 3 this stencil
-satisfies an exact detailed-balance relation with respect to the weights
-rho_i ~ r_i^{N-1}:  rho_i T_{i,i+1} = rho_{i+1} T_{i+1,i}, so the operator
-is exactly symmetrizable by the similarity sqrt(rho); matrix assembly in
-the linearized/evolution modules relies on this.
+The discrete Laplacian of each dimension is defined once, by
+``radial_operator``; every module takes its bands from there.
 """
 
 from __future__ import annotations
@@ -32,13 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .banded import Tridiag
 from .errors import GridMismatchError, InvalidParameterError
 
 __all__ = [
     "RadialGrid",
+    "RadialOperator",
     "Field",
     "Norms",
     "make_grid",
+    "radial_operator",
     "integrate",
     "laplacian_apply",
     "norms",
@@ -104,7 +98,6 @@ def make_grid(N: int, rmax: float, n: int) -> RadialGrid:
 class Field:
     """Complex-valued radial function sampled on a RadialGrid.
 
-    ``regular_origin``: first derivative vanishes at r = 0.
     ``decaying``: the value at r = rmax is pinned to 0.
     ``real``: the field is flagged real; the imaginary part must vanish.
     """
@@ -112,7 +105,6 @@ class Field:
     grid: RadialGrid
     values: NDArray[np.complex128]
     real: bool = False
-    regular_origin: bool = True
     decaying: bool = True
 
     def __post_init__(self):
@@ -125,12 +117,9 @@ class Field:
         if self.real and np.any(self.values.imag != 0.0):
             raise InvalidParameterError("field flagged real has nonzero imaginary part")
 
-    def real_values(self) -> NDArray[np.float64]:
-        return self.values.real
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy(), real=self.real,
-                     regular_origin=self.regular_origin, decaying=self.decaying)
+                     decaying=self.decaying)
 
 
 def integrate(f: Field, integrand=None) -> float:
@@ -144,42 +133,95 @@ def integrate(f: Field, integrand=None) -> float:
     return float(np.dot(f.grid.w, g))
 
 
-def laplacian_bands(grid: RadialGrid):
-    """Stencil bands (lo, di, up) of the radial Laplacian on nodes 0..n-1.
+def fill_origin(v) -> None:
+    """Fill a slaved node 0 from f'(0) = 0 to second order (in place)."""
+    v[0] = (4.0 * v[1] - v[2]) / 3.0
 
-    Row i couples to nodes i-1, i, i+1 through lo[i], di[i], up[i];
-    node n is the pinned Dirichlet value.  Row 0 is the regular-origin
-    rule 2N (f_1 - f_0)/h^2.
+
+@dataclass(frozen=True, eq=False)
+class RadialOperator:
+    """The discrete radial Laplacian of one grid.
+
+    ``lap`` holds the rows of nodes ``first``..n-1; node n carries the
+    homogeneous Dirichlet value.  When ``first`` is 1, node 0 has no row of
+    its own and is slaved to its neighbours by ``fill_origin``.  ``rho``
+    are the weights on nodes ``idx0``..n-1 under which the operator is
+    exactly symmetric, rho_i T_{i,i+1} = rho_{i+1} T_{i+1,i}; ``block`` is
+    the Laplacian on those nodes.
+    """
+
+    grid: RadialGrid
+    lap: Tridiag
+    first: int
+    idx0: int
+    rho: NDArray[np.float64]
+
+    @property
+    def block(self) -> Tridiag:
+        k = self.idx0 - self.first
+        if k == 0:
+            return self.lap
+        return Tridiag(self.lap.sub[k:], self.lap.diag[k:], self.lap.sup[k:])
+
+    def apply(self, v: NDArray) -> NDArray:
+        """Delta_h v on all n + 1 nodes (0 at node n, slaved node 0 filled)."""
+        n = self.grid.n
+        out = np.zeros(n + 1, dtype=v.dtype)
+        out[self.first:n] = self.lap.apply(v[self.first:n])
+        if self.first:
+            fill_origin(out)
+        return out
+
+
+def radial_operator(grid: RadialGrid) -> RadialOperator:
+    """Delta_h = d^2/dr^2 + (N-1)/r d/dr for the grid's dimension.
+
+    N <= 3: the second-order centered stencil on nodes 0..n-1,
+
+        (f_{i+1} - 2 f_i + f_{i-1})/h^2 + (N-1)/r_i (f_{i+1} - f_{i-1})/(2h),
+
+    with the regular-origin row Delta f(0) = N f''(0) ~= 2N (f_1 - f_0)/h^2.
+    It satisfies detailed balance with rho_i = omega_N r_i^{N-1} h for
+    i >= 1 and rho_0 = omega_N h^N (3-N)/(4N).  For N = 3, rho_0 = 0 and
+    the node-1 row has no origin term, so the symmetric block starts at
+    node 1.
+
+    N >= 4: the stencil above is not symmetrizable, so the flux
+    (Sturm-Liouville) form
+
+        (r_{i+1/2}^{N-1} (f_{i+1} - f_i) - r_{i-1/2}^{N-1} (f_i - f_{i-1}))
+            / (h^2 r_i^{N-1})
+
+    is used on nodes 1..n-1, with zero flux through the inner face r = h/2.
+    It is exactly symmetric under rho_i = omega_N r_i^{N-1} h; node 0 is
+    slaved by ``fill_origin``.
     """
     N, h, n = grid.N, grid.h, grid.n
-    ri = grid.r[1:n]
-    lo = np.zeros(n)
-    di = np.zeros(n)
-    up = np.zeros(n)
-    di[0] = -2.0 * N / h**2
-    up[0] = 2.0 * N / h**2
-    lo[1:] = 1.0 / h**2 - (N - 1) / (2.0 * h * ri)
-    di[1:] = -2.0 / h**2
-    up[1:] = 1.0 / h**2 + (N - 1) / (2.0 * h * ri)
-    return lo, di, up
-
-
-def laplacian_apply_values(grid: RadialGrid, v: NDArray) -> NDArray:
-    """Apply the discrete radial Laplacian to a full node-value array."""
-    n = grid.n
-    lo, di, up = laplacian_bands(grid)
-    out = np.zeros(n + 1, dtype=v.dtype)
-    out[0] = di[0] * v[0] + up[0] * v[1]
-    out[1:n] = lo[1:] * v[0:n - 1] + di[1:] * v[1:n] + up[1:] * v[2:n + 1]
-    # node n stays 0 (Dirichlet)
-    return out
+    if N <= 3:
+        ri = grid.r[1:n]
+        lo = 1.0 / h**2 - (N - 1) / (2.0 * h * ri)
+        di = np.full(n, -2.0 / h**2)
+        up = 1.0 / h**2 + (N - 1) / (2.0 * h * ri)
+        di[0] = -2.0 * N / h**2
+        lap = Tridiag(lo, di, np.concatenate([[2.0 * N / h**2], up[:-1]]))
+        first = 0
+    else:
+        i = np.arange(1, n, dtype=float)
+        lo = ((i - 0.5) * h) ** (N - 1) / (h**2 * (i * h) ** (N - 1))
+        up = ((i + 0.5) * h) ** (N - 1) / (h**2 * (i * h) ** (N - 1))
+        lo[0] = 0.0
+        lap = Tridiag(lo[1:], -(lo + up), up[:-1])
+        first = 1
+    idx0 = 0 if N <= 2 else 1
+    rho = omega_n(N) * grid.r[idx0:n] ** (N - 1) * h
+    if idx0 == 0:
+        rho[0] = omega_n(N) * h**N * (3.0 - N) / (4.0 * N)
+    return RadialOperator(grid=grid, lap=lap, first=first, idx0=idx0, rho=rho)
 
 
 def laplacian_apply(f: Field) -> Field:
     """Discrete Delta f with regular origin and Dirichlet 0 at rmax."""
-    out = laplacian_apply_values(f.grid, f.values)
-    return Field(f.grid, out, real=False, regular_origin=f.regular_origin,
-                 decaying=True)
+    return Field(f.grid, radial_operator(f.grid).apply(f.values))
 
 
 def gradient_values(grid: RadialGrid, v: NDArray) -> NDArray:

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from .banded import Tridiag
 from .errors import (
     CertificationError,
     DimensionError,
@@ -30,13 +30,7 @@ from .errors import (
     NoBracketError,
     NonConvergenceError,
 )
-from .grid import (
-    Field,
-    RadialGrid,
-    gradient_values,
-    laplacian_apply_values,
-    laplacian_bands,
-)
+from .grid import Field, RadialGrid, fill_origin, gradient_values, radial_operator
 
 __all__ = [
     "GroundProfile",
@@ -51,6 +45,7 @@ __all__ = [
 
 MATCH_LEVEL = 1e-6       # Q-level at which the asymptotic tail takes over
 OVERSHOOT_CAP = 1e3      # |Q| beyond this counts as overshoot (bisection only)
+A_CAP = 0.5 * OVERSHOOT_CAP  # bracket widening stops here: shots clip at the cap
 
 
 def critical_exponent(N: int) -> float:
@@ -135,9 +130,17 @@ def _bisect_shooting(p, N, h_sub, r_stop, bracket, a_tol, max_iter=220):
     ev_lo, _ = _shoot(lo, p, N, h_sub, r_stop)
     ev_hi, _ = _shoot(hi, p, N, h_sub, r_stop)
     # a clean decay to rmax without events means a is within event
-    # resolution of the ground state value; treat it as the low side
+    # resolution of the ground state value; treat it as the side it ends
     if ev_lo == "end":
         ev_lo = "under"
+    # Q(0) above the configured bracket: double hi while it undershoots
+    while ev_lo == "under" and ev_hi == "under":
+        if hi >= A_CAP:
+            raise NoBracketError(
+                f"Q(0) exceeds {A_CAP:g}: shots clip the nonlinearity at "
+                f"|Q| = {OVERSHOOT_CAP:g}, so no wider bracket is tried")
+        lo, hi = hi, min(2.0 * hi, A_CAP)
+        ev_hi, _ = _shoot(hi, p, N, h_sub, r_stop)
     if ev_hi == "end":
         ev_hi = "over"
     if not (ev_lo == "under" and ev_hi == "over"):
@@ -157,35 +160,31 @@ def _bisect_shooting(p, N, h_sub, r_stop, bracket, a_tol, max_iter=220):
         f"shooting bisection did not reach a_tol={a_tol} in {max_iter} iterations")
 
 
+def _residual(lap: Tridiag, q, p: float):
+    """Lap_h Q - Q + Q^p on the operator's rows."""
+    return lap.apply(q) - q + np.abs(q) ** (p - 1) * q
+
+
 def _newton_polish(grid: RadialGrid, p: float, q_init, max_iter=25):
-    """Solve Lap_h Q - Q + Q^p = 0 on nodes 0..n-1 (Dirichlet at n)."""
-    n, h = grid.n, grid.h
-    lo, di, up = laplacian_bands(grid)
-
-    def residual(q):
-        out = np.empty(n)
-        out[0] = di[0] * q[0] + up[0] * q[1]
-        out[1:n - 1] = lo[1:n - 1] * q[0:n - 2] + di[1:n - 1] * q[1:n - 1] \
-            + up[1:n - 1] * q[2:n]
-        out[n - 1] = lo[n - 1] * q[n - 2] + di[n - 1] * q[n - 1]
-        return out - q + np.abs(q) ** (p - 1) * q
-
-    q = q_init[:n].copy()
+    """Solve Lap_h Q - Q + Q^p = 0 on the rows of ``radial_operator``."""
+    op = radial_operator(grid)
+    lap = op.lap
+    q = q_init[op.first:grid.n].copy()
     best = math.inf
     # residual floor scales like eps/h^2 * |Q|^p; stop on stagnation
     for _ in range(max_iter):
-        F = residual(q)
+        F = _residual(lap, q, p)
         rnorm = float(np.max(np.abs(F)))
         if rnorm >= 0.5 * best:
             break
         best = rnorm
-        ab = np.zeros((3, n))
-        ab[0, 1:] = up[:n - 1]
-        ab[1, :] = di - 1.0 + p * np.abs(q) ** (p - 1)
-        ab[2, :n - 1] = lo[1:]
-        q += solve_banded((1, 1), ab, -F)
-    full = np.concatenate([q, [0.0]])
-    return full, float(np.max(np.abs(residual(q))))
+        jac = Tridiag(lap.sub, lap.diag - 1.0 + p * np.abs(q) ** (p - 1), lap.sup)
+        q += jac.solve(-F)
+    full = np.zeros(grid.n + 1)
+    full[op.first:grid.n] = q
+    if op.first:
+        fill_origin(full)
+    return full, float(np.max(np.abs(_residual(lap, q, p))))
 
 
 def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
@@ -195,7 +194,8 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
     The RK4 substep is min(h, 0.02)/4 but never below 1.25e-3: the
     shooting value ``a`` is already resolved to ~1e-11 there, and the
     Newton polish owns the grid-level accuracy, so refining the substep
-    with the grid would only slow the bisection down.
+    with the grid would only slow the bisection down.  A ``bracket`` whose
+    top still undershoots is widened by doubling, up to ``A_CAP``.
     """
     N = grid.N
     validate_intercritical(N, p)
@@ -232,9 +232,8 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
         if q[i_fit] > 0:
             c_q = q[i_fit] * rf ** ((N - 1) / 2.0) * math.exp(rf)
     else:
-        resid = float(np.max(np.abs(
-            laplacian_apply_values(grid, q)[:grid.n]
-            - q[:grid.n] + np.abs(q[:grid.n]) ** (p - 1) * q[:grid.n])))
+        op = radial_operator(grid)
+        resid = float(np.max(np.abs(_residual(op.lap, q[op.first:grid.n], p))))
 
     gp = GroundProfile(
         Q=Field(grid, q.astype(complex), real=True),
@@ -368,7 +367,7 @@ def check_identities(gp: GroundProfile, pohozaev_tol: float = 1e-6,
     q = gp.Q.values.real
     P = float(np.dot(w, q ** (p + 1)))
     M = float(np.dot(w, q ** 2))
-    G = -float(np.dot(w, q * laplacian_apply_values(grid, q).real))
+    G = -float(np.dot(w, q * radial_operator(grid).apply(q)))
 
     t_poh = 2.0 * (p + 1) / (N * (p - 1))
     t_mass = (2.0 * (p + 1) - N * (p - 1)) / (N * (p - 1))

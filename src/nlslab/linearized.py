@@ -33,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, solve_banded
 
+from .banded import Tridiag
 from .errors import (
     GridMismatchError,
     NonConvergenceError,
     SingularSystemError,
     SpectralFailureError,
 )
-from .grid import Field, RadialGrid, gradient_values, laplacian_bands, omega_n
+from .grid import Field, RadialGrid, fill_origin, gradient_values, radial_operator
 from .ground import GroundProfile
 
 __all__ = [
@@ -60,15 +61,11 @@ Q_FLOOR = 1e-10  # relative floor below which Q-ratios are not trusted
 
 @dataclass
 class LinearizedOps:
-    """Banded L_+/L_- with their exact symmetrization weights.
+    """L_+/L_- on the rho-symmetric nodes idx0..n-1 of ``radial_operator``.
 
-    Active nodes are 1..n-1 for N >= 3 (the node-1 stencil decouples from
-    the origin there) and 0..n-1 for N <= 2, where the origin row carries
-    the detailed-balance weight rho_0 = omega_N h^N (3-N)/(4N).  ``sym``
-    is sqrt(rho); the symmetrized tridiagonal matrices are exactly
-    symmetric for N <= 3.  For N >= 4 the interior rows switch to the
-    flux (Sturm-Liouville) form, which is exactly symmetric with respect
-    to rho = omega_N r^{N-1} h for every N.
+    ``lap`` is the Laplacian there, ``rho`` its symmetrizing weights and
+    ``sym`` = sqrt(rho); node 0, when outside the block, is filled by
+    regularity in ``extend``.
     """
 
     grid: RadialGrid
@@ -79,51 +76,33 @@ class LinearizedOps:
     idx0: int                    # first active node
     rho: np.ndarray              # detailed-balance weights on active nodes
     sym: np.ndarray              # sqrt(rho)
-    lap_lo: np.ndarray           # Laplacian bands on active nodes
-    lap_di: np.ndarray
-    lap_up: np.ndarray
+    lap: Tridiag                 # Laplacian on active nodes
 
     @property
     def m(self) -> int:
-        return self.lap_di.size
+        return self.lap.m
 
-    # ---- band applications (active-node vectors) ----
-
-    def apply_lap(self, v):
-        out = np.empty_like(v)
-        out[0] = self.lap_di[0] * v[0] + self.lap_up[0] * v[1]
-        out[1:-1] = (self.lap_lo[1:-1] * v[:-2] + self.lap_di[1:-1] * v[1:-1]
-                     + self.lap_up[1:-1] * v[2:])
-        out[-1] = self.lap_lo[-1] * v[-2] + self.lap_di[-1] * v[-1]
-        return out
+    # ---- applications (active-node vectors) ----
 
     def apply_lplus(self, v):
-        return self.const * v - self.apply_lap(v) - self.p * self.potential * v
+        return self.const * v - self.lap.apply(v) - self.p * self.potential * v
 
     def apply_lminus(self, v):
-        return self.const * v - self.apply_lap(v) - self.potential * v
+        return self.const * v - self.lap.apply(v) - self.potential * v
 
     def apply_script_l(self, g):
         """script_L g = -L_- g_2 + i L_+ g_1 on active-node complex vectors."""
         return -self.apply_lminus(g.imag) + 1j * self.apply_lplus(g.real)
 
-    # ---- band triples (sub, diag, sup) of L_+ / L_- ----
+    # ---- L_+ / L_- as matrices ----
 
-    def bands_lplus(self):
-        return (-self.lap_lo[1:],
-                self.const - self.lap_di - self.p * self.potential,
-                -self.lap_up[:-1])
+    def lplus(self) -> Tridiag:
+        return Tridiag(-self.lap.sub, self.const - self.lap.diag
+                       - self.p * self.potential, -self.lap.sup)
 
-    def bands_lminus(self):
-        return (-self.lap_lo[1:],
-                self.const - self.lap_di - self.potential,
-                -self.lap_up[:-1])
-
-    def sym_tridiag(self, bands):
-        """Symmetrized (diagonal, offdiagonal) of a band triple."""
-        sub, dia, sup = bands
-        off = sup * self.sym[:-1] / self.sym[1:]
-        return dia, off
+    def lminus(self) -> Tridiag:
+        return Tridiag(-self.lap.sub, self.const - self.lap.diag
+                       - self.potential, -self.lap.sup)
 
     # ---- field <-> active-vector helpers ----
 
@@ -137,24 +116,11 @@ class LinearizedOps:
         full = np.zeros(self.grid.n + 1, dtype=complex)
         full[self.idx0:self.grid.n] = v
         if self.idx0 == 1:
-            full[0] = (4.0 * full[1] - full[2]) / 3.0  # f'(0) = 0, 2nd order
+            fill_origin(full)
         fld = Field(self.grid, full)
         if real:
             fld = Field(self.grid, full.real.astype(complex), real=True)
         return fld
-
-
-def _flux_bands(grid: RadialGrid, idx0: int):
-    """Divergence-form bands on nodes idx0..n-1, exactly rho-symmetric."""
-    N, h, n = grid.N, grid.h, grid.n
-    i = np.arange(idx0, n, dtype=float)
-    rm = (i - 0.5) * h
-    rp = (i + 0.5) * h
-    ri = np.maximum(i * h, 1e-300)
-    lo = rm ** (N - 1) / (h**2 * ri ** (N - 1))
-    up = rp ** (N - 1) / (h**2 * ri ** (N - 1))
-    lo[0] = 0.0  # zero flux through the inner face
-    return lo, -(lo + up), up
 
 
 def assemble(gp: GroundProfile) -> LinearizedOps:
@@ -174,25 +140,12 @@ def assemble_critical(W: Field) -> LinearizedOps:
 
 def _assemble(grid: RadialGrid, profile, p: float, const: float,
               gp: GroundProfile | None) -> LinearizedOps:
-    N, n, h = grid.N, grid.n, grid.h
-    idx0 = 0 if N <= 2 else 1
-    if N <= 3:
-        lo, di, up = laplacian_bands(grid)
-        lo, di, up = lo[idx0:n].copy(), di[idx0:n].copy(), up[idx0:n].copy()
-        if idx0 == 1:
-            lo[0] = 0.0  # exact for N = 3: the node-1 row has no origin term
-    else:
-        lo, di, up = _flux_bands(grid, idx0=1)
-        idx0 = 1
-    rho = omega_n(N) * grid.r[idx0:n] ** (N - 1) * h
-    if idx0 == 0:
-        # detailed balance for the origin row: rho_0 T_01 = rho_1 T_10
-        rho[0] = omega_n(N) * h**N * (3.0 - N) / (4.0 * N)
+    op = radial_operator(grid)
+    idx0 = op.idx0
     return LinearizedOps(
         grid=grid, gp=gp, p=float(p), const=float(const),
-        potential=profile[idx0:n] ** (p - 1.0), idx0=idx0,
-        rho=rho, sym=np.sqrt(rho),
-        lap_lo=lo, lap_di=di, lap_up=up,
+        potential=profile[idx0:grid.n] ** (p - 1.0), idx0=idx0,
+        rho=op.rho, sym=np.sqrt(op.rho), lap=op.block,
     )
 
 
@@ -276,18 +229,8 @@ class SpectrumData:
 def _dense_bottom(ops: LinearizedOps, qvec):
     """Dense path: A = (P L~_- P)^{1/2}, S = A L~_+ A, bottom of S on {Q}^perp."""
     m = ops.m
-    dp, off_p = ops.sym_tridiag(ops.bands_lplus())
-    dm, off_m = ops.sym_tridiag(ops.bands_lminus())
-
-    def dense_mat(d, o):
-        M = np.diag(d)
-        k = np.arange(m - 1)
-        M[k, k + 1] = o
-        M[k + 1, k] = o
-        return M
-
-    Lp = dense_mat(dp, off_p)
-    Lm = dense_mat(dm, off_m)
+    Lp = ops.lplus().symmetrize(ops.sym).to_dense()
+    Lm = ops.lminus().symmetrize(ops.sym).to_dense()
     qt = ops.sym * qvec
     qt = qt / np.linalg.norm(qt)
     P = np.eye(m) - np.outer(qt, qt)
@@ -305,43 +248,19 @@ def _refine_inverse_iteration(ops: LinearizedOps, e0_guess: float, y_guess,
     Finds the unique negative eigenvalue -e0^2 (eigenvector = symmetrized
     Y1) with a directly controlled residual; O(n) per iteration.
     """
-    m = ops.m
-    dp, op_ = ops.sym_tridiag(ops.bands_lplus())
-    dm, om_ = ops.sym_tridiag(ops.bands_lminus())
-
-    def product_bands(shift):
-        # C = L~_- L~_+ + shift, pentadiagonal (both factors symmetric tri)
-        c0 = dm * dp + shift
-        c0[1:] += om_ * op_
-        c0[:-1] += om_ * op_
-        ab = np.zeros((5, m))
-        ab[0, 2:] = om_[:-1] * op_[1:]              # C[i, i+2]
-        ab[1, 1:] = dm[:-1] * op_ + om_ * dp[1:]    # C[i, i+1]
-        ab[2, :] = c0
-        ab[3, :-1] = om_ * dp[:-1] + dm[1:] * op_   # C[i+1, i]
-        ab[4, :-2] = om_[1:] * op_[:-1]             # C[i+2, i]
-        return ab
-
-    def apply_prod(x):
-        # L~_- (L~_+ x)
-        y = dp * x
-        y[:-1] += op_ * x[1:]
-        y[1:] += op_ * x[:-1]
-        z = dm * y
-        z[:-1] += om_ * y[1:]
-        z[1:] += om_ * y[:-1]
-        return z
+    Lp = ops.lplus().symmetrize(ops.sym)
+    Lm = ops.lminus().symmetrize(ops.sym)
 
     mu = -e0_guess**2
     x = y_guess / np.linalg.norm(y_guess)
     shift = -1.05 * mu  # sits below -e0^2, far from the 0 mode
-    ab = product_bands(shift)
+    ab = Lm.product(Lp, shift)
     best = math.inf
     stall = 0
     for it in range(max_iter):
         x_new = solve_banded((2, 2), ab, x)
         x_new /= np.linalg.norm(x_new)
-        Ax = apply_prod(x_new)
+        Ax = Lm.apply(Lp.apply(x_new))
         mu = float(np.dot(x_new, Ax))
         res = float(np.linalg.norm(Ax - mu * x_new))
         x = x_new
@@ -355,7 +274,7 @@ def _refine_inverse_iteration(ops: LinearizedOps, e0_guess: float, y_guess,
             break
         if it == max_iter // 2:  # one shift update keeps convergence fast
             shift = -mu * 1.02
-            ab = product_bands(shift)
+            ab = Lm.product(Lp, shift)
     if res <= 1e-5 * max(abs(mu), 1.0):
         return mu, x, res
     raise NonConvergenceError(
@@ -480,38 +399,18 @@ def resolvent_solve(c: float, F: Field, ops: LinearizedOps,
     if c == 0.0:
         raise SingularSystemError("c = 0 lies in the spectrum of script_L")
     fv = ops.restrict(F)
-    m = ops.m
-    dp, op_ = ops.sym_tridiag(ops.bands_lplus())
-    dm, om_ = ops.sym_tridiag(ops.bands_lminus())
+    Lp = ops.lplus().symmetrize(ops.sym)
+    Lm = ops.lminus().symmetrize(ops.sym)
     s = ops.sym
 
     f1 = s * fv.real
     f2 = s * fv.imag
-
-    def apply_sym(d, o, x):
-        y = d * x
-        y[:-1] += o * x[1:]
-        y[1:] += o * x[:-1]
-        return y
-
-    rhs = c * f2 - apply_sym(dp, op_, f1)
-    # pentadiagonal bands of L~_+ L~_- + c^2
-    c0 = dp * dm + c * c
-    c0[1:] += op_ * om_
-    c0[:-1] += op_ * om_
-    c1u = dp[:-1] * om_ + op_ * dm[1:]
-    c1l = op_ * dm[:-1] + dp[1:] * om_
-    ab = np.zeros((5, m))
-    ab[0, 2:] = op_[:-1] * om_[1:]
-    ab[1, 1:] = c1u
-    ab[2, :] = c0
-    ab[3, :-1] = c1l
-    ab[4, :-2] = op_[1:] * om_[:-1]
+    rhs = c * f2 - Lp.apply(f1)
     try:
-        g2 = solve_banded((2, 2), ab, rhs)
+        g2 = solve_banded((2, 2), Lp.product(Lm, c * c), rhs)
     except Exception as exc:  # singular to machine precision
         raise SingularSystemError(f"banded resolvent solve failed: {exc}") from exc
-    g1 = (f1 + apply_sym(dm, om_, g2)) / c
+    g1 = (f1 + Lm.apply(g2)) / c
 
     gsym = g1 + 1j * g2
     gv = gsym / s
@@ -551,25 +450,16 @@ def coercivity_min(ops: LinearizedOps, spectrum: SpectrumData,
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
 
-    val1 = _sector_min(ops, ops.bands_lplus(), cons1)
-    val2 = _sector_min(ops, ops.bands_lminus(), cons2)
+    val1 = _sector_min(ops, ops.lplus(), cons1)
+    val2 = _sector_min(ops, ops.lminus(), cons2)
     return min(val1, val2)
 
 
-def _sector_min(ops: LinearizedOps, bands, constraints) -> float:
-    m = ops.m
-    d, off = ops.sym_tridiag(bands)
-    dlap, offlap = ops.sym_tridiag((ops.lap_lo[1:], ops.lap_di, ops.lap_up[:-1]))
-
-    def dense_mat(dg, od):
-        M = np.diag(dg)
-        k = np.arange(m - 1)
-        M[k, k + 1] = od
-        M[k + 1, k] = od
-        return M
-
-    K = 0.5 * dense_mat(d, off)                    # 1/2 (L f, f)
-    H = dense_mat(1.0 - dlap, -offlap)             # ||f||^2 + ||grad f||^2 form
+def _sector_min(ops: LinearizedOps, op: Tridiag, constraints) -> float:
+    lap = ops.lap
+    K = 0.5 * op.symmetrize(ops.sym).to_dense()   # 1/2 (L f, f)
+    # ||f||^2 + ||grad f||^2 form
+    H = Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup).symmetrize(ops.sym).to_dense()
     # constraint (c, v)_rho = (s c, s v): rows live in symmetrized coordinates
     C = np.array([ops.sym * c for c in constraints])
     # orthonormal basis of the constraint null space

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nlslab.cli import cli_dispatch
@@ -116,6 +118,41 @@ def test_ground_command_determinism(tmp_path):
                         "--out", str(out)]) == 0
         outs.append((out / "Q.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_manifest_records_effective_config(tmp_path):
+    """Flags given beside --config reach the manifest's config echo."""
+    f = tmp_path / "run.cfg"
+    f.write_text("N = 1\np = 7.0\ngrid.rmax = 20.0\n")
+    out = tmp_path / "g"
+    assert run_cli(["ground", "--config", str(f), "--n", "1000",
+                    "--out", str(out)]) == 0
+    block = (out / "manifest.txt").read_text().split("--- config ---")[1]
+    assert "grid.n = 1000" in block
+    assert "model.N = 1" in block
+
+
+# sha256 of the criterion-13 outputs; a change of discretization or of
+# the order of floating-point operations on these paths shows up here
+STORED_SHA256 = {
+    "Q.csv": "57e5207aca57efe5035c51d0e0ea03562df8955583b1b34532e3196da6432ab1",
+    "series.csv": "250b607d099339b868c2f86335dab8105a5bfc151673560ce722390ed760de6e",
+    "snap_00000.csv": "e7158d3ae9efec203f0434570a6a384488fc780394f34cce74ad2ad0218b2d6a",
+}
+
+
+def test_outputs_match_stored_hashes(tmp_path):
+    g, e = tmp_path / "g", tmp_path / "e"
+    assert run_cli(["ground", "--N", "3", "--p", "3", "--n", "1500",
+                    "--out", str(g)]) == 0
+    assert run_cli(["evolve", "--N", "1", "--p", "5.2", "--n", "1500",
+                    "--initial", "ground", "--t-end", "0.1",
+                    "--out", str(e)]) == 0
+    files = {"Q.csv": g / "Q.csv", "series.csv": e / "series.csv",
+             "snap_00000.csv": e / "snapshots" / "snap_00000.csv"}
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for name, path in files.items()}
+    assert got == STORED_SHA256
 
 
 def test_evolve_command_and_snapshot_roundtrip(tmp_path):

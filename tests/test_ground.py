@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nlslab.errors import DimensionError, InvalidParameterError
+import nlslab.ground
+from nlslab.errors import DimensionError, InvalidParameterError, NoBracketError
 from nlslab.grid import integrate, make_grid
 from nlslab.ground import (check_identities, closed_form_1d, closed_form_W,
                            gn_quotient, solve_ground, validate_intercritical)
@@ -29,6 +30,13 @@ def test_solve_ground_rejects_coarse_grid():
     g = make_grid(3, 30.0, 100)  # h = 0.3 > 0.02
     with pytest.raises(InvalidParameterError):
         solve_ground(g, 3.0)
+
+
+def test_bracket_widening_stops_at_cap(monkeypatch):
+    # Q(0) = 4.34 lies above both the bracket and the lowered cap
+    monkeypatch.setattr(nlslab.ground, "A_CAP", 3.0)
+    with pytest.raises(NoBracketError, match="exceeds 3"):
+        solve_ground(make_grid(3, 20.0, 1000), 3.0, bracket=(1.0, 2.0))
 
 
 def test_1d_p7_against_closed_form():

@@ -23,11 +23,10 @@ def smooth(grid, rng, width=2.0):
 # ---------------------------------------------------------------- assembly
 
 def test_symmetrized_matrices_are_symmetric(ops33):
-    for bands in (ops33.bands_lplus(), ops33.bands_lminus()):
-        sub, dia, sup = bands
-        _, off = ops33.sym_tridiag(bands)
-        off_from_below = sub * ops33.sym[1:] / ops33.sym[:-1]
-        assert np.max(np.abs(off - off_from_below)) < 1e-9 * np.max(np.abs(dia))
+    for op in (ops33.lplus(), ops33.lminus()):
+        off = op.symmetrize(ops33.sym).sup
+        off_from_below = op.sub * ops33.sym[1:] / ops33.sym[:-1]
+        assert np.max(np.abs(off - off_from_below)) < 1e-9 * np.max(np.abs(op.diag))
 
 
 def test_kernel_relation_lminus_q(gp33, ops33):
@@ -167,12 +166,13 @@ def test_e0_against_independent_linearized_flow(gp33, spec33):
     reproduces e0 (the growing mode is Y-)."""
     g = make_grid(3, 12.0, 600)  # truncating the box at 12 shifts e0 by ~e^{-24}
     gp = solve_ground(g, 3.0)
-    from nlslab.grid import laplacian_apply_values
+    from nlslab.grid import radial_operator
+    lap = radial_operator(g)
     q = gp.Q.values.real
     p = gp.p
 
     def rhs(v):
-        return 1j * (laplacian_apply_values(g, v) - v
+        return 1j * (lap.apply(v) - v
                      + p * q ** (p - 1) * v.real + 1j * q ** (p - 1) * v.imag)
 
     rng = np.random.default_rng(0)

@@ -9,9 +9,11 @@ from .grid import Field, RadialGrid, integrate, laplacian_apply, make_grid, norm
 from .ground import (
     GroundProfile,
     IdentityReport,
+    Observables,
     check_identities,
     closed_form_1d,
     closed_form_W,
+    observables,
     solve_ground,
 )
 from .linearized import (

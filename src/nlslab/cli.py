@@ -384,8 +384,7 @@ def _cmd_check(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     # --- Phi(Q) and the negative direction (fine grid)
     ops_f = lin.assemble(gp_f)
     phi_q = lin.linearized_energy_phi(gp_f.Q, ops_f)
-    target_phi = (1 - gp_f.p) / 2.0 * float(
-        np.dot(grid_f.w, gp_f.Q.values.real ** (gp_f.p + 1)))
+    target_phi = (1 - gp_f.p) / 2.0 * gp_f.obs.potential
     man.record_check("phi_Q_value", abs(phi_q / target_phi - 1.0) <= 1e-6)
     lam_f = lin.scaling_generator(gp_f)
     qv = ops_f.restrict(gp_f.Q).real
@@ -394,8 +393,7 @@ def _cmd_check(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     z = lamv - c * qv
     lpz = float(np.dot(ops_f.rho, ops_f.apply_lplus(z) * z))
     N, p = gp_f.N, gp_f.p
-    pred = -(N**2 * (p - 1) / (4 * (p + 1))) * (p - 1 - 4.0 / N) * float(
-        np.dot(grid_f.w, gp_f.Q.values.real ** (p + 1)))
+    pred = -(N**2 * (p - 1) / (4 * (p + 1))) * (p - 1 - 4.0 / N) * gp_f.obs.potential
     man.record("negative_direction", _fmt(lpz))
     man.record_check("negative_direction_value", abs(lpz / pred - 1.0) <= 1e-4)
 

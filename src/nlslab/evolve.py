@@ -24,8 +24,9 @@ import numpy as np
 
 from .banded import Tridiag
 from .errors import InstabilityError, InvalidParameterError
-from .grid import Field, RadialGrid, fill_origin, gradient_values, radial_operator
-from .ground import GroundProfile
+from .grid import (Field, RadialGrid, fill_origin, gradient_values, norms,
+                   radial_operator)
+from .ground import GroundProfile, observables
 
 __all__ = [
     "EvolverConfig",
@@ -216,12 +217,9 @@ def diagnostics(u: Field, t: float, p: float,
     NaN when no ground profile is attached."""
     grid = u.grid
     w = grid.w
+    obs = observables(u, p)
     a2 = np.abs(u.values) ** 2
-    mass = float(np.dot(w, a2))
     du = gradient_values(grid, u.values)
-    grad2 = float(np.dot(w, np.abs(du) ** 2))
-    pot = float(np.dot(w, np.abs(u.values) ** (p + 1)))
-    energy = 0.5 * grad2 - pot / (p + 1)
     momentum = float(np.dot(w, (np.conj(u.values) * du).imag))
     linf = float(np.max(np.abs(u.values)))
 
@@ -231,28 +229,15 @@ def diagnostics(u: Field, t: float, p: float,
     frp = 2.0 * float(np.dot(w, R * _phi_cutoff_prime(s)
                              * (du * np.conj(u.values)).imag))
 
-    out = dict(t=t, mass=mass, energy=energy, momentum=momentum,
-               grad=math.sqrt(grad2), linf=linf, potential=pot,
-               variance=variance(u), variance_rate=variance_rate(u),
+    out = dict(t=t, mass=obs.mass, energy=obs.energy, momentum=momentum,
+               grad=obs.grad, linf=linf, potential=obs.potential,
                fr=fr, frp=frp,
                d=math.nan, me=math.nan, mg=math.nan, dist_q=math.nan)
     if reference is not None:
-        q = reference.Q.values.real
-        gq = gradient_values(reference.grid, q)
-        grad_q = math.sqrt(float(np.dot(w, gq**2)))
-        mass_q = float(np.dot(w, q**2))
-        pot_q = float(np.dot(w, q ** (p + 1)))
-        energy_q = 0.5 * grad_q**2 - pot_q / (p + 1)
-        s_c = reference.s_c
-        sig = (1.0 - s_c) / s_c
-        out["d"] = abs(math.sqrt(grad2) - grad_q)
-        out["me"] = (mass ** sig * energy) / (mass_q ** sig * energy_q)
-        out["mg"] = (mass ** (sig / 2.0) * math.sqrt(grad2)) / (
-            mass_q ** (sig / 2.0) * grad_q)
-        diff = u.values - np.exp(1j * t) * q
-        dist = math.sqrt(float(np.dot(w, np.abs(diff) ** 2)))
-        gdiff = gradient_values(grid, diff)
-        out["dist_q"] = dist + math.sqrt(float(np.dot(w, np.abs(gdiff) ** 2)))
+        out["d"] = abs(obs.grad - reference.obs.grad)
+        out["me"], out["mg"] = reference.me_mg(obs)
+        diff = u.values - np.exp(1j * t) * reference.Q.values.real
+        out["dist_q"] = norms(Field(grid, diff)).h1
     return out
 
 
@@ -278,15 +263,16 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     meta = {"p": p, "N": grid.N, "terminated_blowup": False,
             "dt_final": abs(dt), "t0": t0}
     if reference is not None:
-        q = reference.Q.values.real
-        gq = gradient_values(reference.grid, q)
-        meta["ref_grad"] = math.sqrt(float(np.dot(grid.w, gq**2)))
-        meta["ref_potential"] = float(np.dot(grid.w, q ** (p + 1)))
-        meta["ref_mass"] = float(np.dot(grid.w, q**2))
-        meta["ref_h1"] = math.sqrt(float(np.dot(grid.w, q**2))) + meta["ref_grad"]
+        ref = reference.obs
+        meta["ref_grad"] = ref.grad
+        meta["ref_potential"] = ref.potential
+        meta["ref_h1"] = math.sqrt(ref.mass) + ref.grad
 
     def sample():
-        rows.append(diagnostics(Field(grid, u), t, p, reference, cfg.virial_R))
+        row = diagnostics(Field(grid, u), t, p, reference, cfg.virial_R)
+        if not (math.isfinite(row["mass"]) and math.isfinite(row["grad"])):
+            raise InstabilityError(f"the state is not finite at t = {t:.6g}")
+        rows.append(row)
 
     sample()
     mass0 = rows[0]["mass"]
@@ -337,7 +323,6 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
             ("t", "mass", "energy", "momentum", "grad", "d", "me", "mg",
              "linf", "fr", "frp", "dist_q")}
     series = TimeSeries(meta=meta, **cols)
-    series.meta["potential_final"] = rows[-1]["potential"]
     series.meta["potential_series"] = np.array([r["potential"] for r in rows])
     return series, snaps
 

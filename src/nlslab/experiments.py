@@ -21,8 +21,8 @@ import numpy as np
 from .approx import ApproxSolution, eval_V
 from .errors import InvalidParameterError, NewtonFailureError, ValidityError
 from .evolve import EvolverConfig, TimeSeries, Verdict, classify_run, evolve
-from .grid import Field, gradient_values
-from .ground import GroundProfile, ground_energy
+from .grid import Field
+from .ground import GroundProfile, observables
 from .linearized import SpectrumData
 from .modulation import aligned_distance
 
@@ -108,20 +108,9 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
     """
     u0, t0 = synthesize_UA(spec, approx, gp)
     e0 = spectrum.e0
-    grid = gp.grid
-    w = grid.w
-
-    mass = float(np.dot(w, np.abs(u0.values) ** 2))
-    du = gradient_values(grid, u0.values)
-    grad2 = float(np.dot(w, np.abs(du) ** 2))
-    pot = float(np.dot(w, np.abs(u0.values) ** (gp.p + 1)))
-    energy = 0.5 * grad2 - pot / (gp.p + 1)
-    mass_q, energy_q, grad2_q = ground_energy(gp)
-    sig = (1.0 - gp.s_c) / gp.s_c
-    me = (mass ** sig * energy) / (mass_q ** sig * energy_q)
-    mg = (mass ** (sig / 2) * math.sqrt(grad2)) / (
-        mass_q ** (sig / 2) * math.sqrt(grad2_q))
-    d0_sign = int(math.copysign(1.0, math.sqrt(grad2) - math.sqrt(grad2_q)))
+    obs, ref = observables(u0, gp.p), gp.obs
+    me, mg = gp.me_mg(obs)
+    d0_sign = int(math.copysign(1.0, obs.grad - ref.grad))
 
     span = spec.forward_span if spec.forward_span is not None else 3.0 / e0
     fwd_cfg = replace(spec.cfg, sponge=False, t_end=t0 + span,
@@ -145,10 +134,10 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
 
     return ThresholdReport(
         A=spec.A, k=spec.k, delta=spec.delta, t0=t0,
-        mass=mass, energy=energy, me=me, mg=mg, d0_sign=d0_sign,
+        mass=obs.mass, energy=obs.energy, me=me, mg=mg, d0_sign=d0_sign,
         forward_rate=forward_rate, backward_verdict=verdict,
-        mass_mismatch=abs(mass / mass_q - 1.0),
-        energy_mismatch=abs((energy - energy_q) / energy_q),
+        mass_mismatch=abs(obs.mass / ref.mass - 1.0),
+        energy_mismatch=abs((obs.energy - ref.energy) / ref.energy),
         forward_series=fseries, backward_series=bseries,
     )
 
@@ -164,16 +153,11 @@ def threshold_family(gp: GroundProfile, eps_list=(-0.1, 0.1)):
     manifold.  Each member returns with its measured MG.
     """
     grid = gp.grid
-    mass_q, _, grad2_q = ground_energy(gp)
-    sig = (1.0 - gp.s_c) / gp.s_c
     out = [("Q", Field(grid, gp.Q.values.copy()), 1.0)]
     for eps in eps_list:
         seed = Field(grid, gp.Q.values + eps * gp.q0 * np.exp(-grid.r**2))
         fld = match_mass_energy(gp, seed)
-        M = float(np.dot(grid.w, np.abs(fld.values) ** 2))
-        G = float(np.dot(grid.w, np.abs(gradient_values(grid, fld.values)) ** 2))
-        mg = (M ** (sig / 2) * math.sqrt(G)) / (mass_q ** (sig / 2)
-                                                * math.sqrt(grad2_q))
+        _, mg = gp.me_mg(observables(fld, gp.p))
         out.append((f"eps={eps:+g}", fld, mg))
     return out
 
@@ -185,29 +169,23 @@ def match_mass_energy(gp: GroundProfile, seed: Field,
     Used to place virial test data exactly on the threshold manifold.
     """
     grid = gp.grid
-    mass_q, energy_q, _ = ground_energy(gp)
-    p = gp.p
+    mass_q, energy_q = gp.obs.mass, gp.obs.energy
 
-    def observables(a, b):
-        rq = grid.r * b
-        vals = a * np.interp(rq, grid.r, seed.values, right=0.0)
-        fld = Field(grid, vals)
-        M = float(np.dot(grid.w, np.abs(vals) ** 2))
-        du = gradient_values(grid, vals)
-        G = float(np.dot(grid.w, np.abs(du) ** 2))
-        P = float(np.dot(grid.w, np.abs(vals) ** (p + 1)))
-        return fld, M, 0.5 * G - P / (p + 1)
+    def rescaled(a, b):
+        fld = Field(grid, a * np.interp(grid.r * b, grid.r, seed.values, right=0.0))
+        obs = observables(fld, gp.p)
+        return fld, obs.mass, obs.energy
 
     a, b = 1.0, 1.0
     for _ in range(max_iter):
-        fld, M, E = observables(a, b)
+        fld, M, E = rescaled(a, b)
         f1 = M / mass_q - 1.0
         f2 = E / energy_q - 1.0
         if abs(f1) < tol and abs(f2) < tol:
             return fld
         eps = 1e-7
-        _, M_a, E_a = observables(a + eps, b)
-        _, M_b, E_b = observables(a, b + eps)
+        _, M_a, E_a = rescaled(a + eps, b)
+        _, M_b, E_b = rescaled(a, b + eps)
         J = np.array([[(M_a - M) / eps / mass_q, (M_b - M) / eps / mass_q],
                       [(E_a - E) / eps / energy_q, (E_b - E) / eps / energy_q]])
         try:
@@ -225,18 +203,9 @@ def threshold_sweep(family, cfg: EvolverConfig, gp: GroundProfile):
     Returns a list of dicts {label, me, mg, verdict_forward,
     verdict_backward}, merged deterministically in label order.
     """
-    mass_q, energy_q, grad2_q = ground_energy(gp)
-    sig = (1.0 - gp.s_c) / gp.s_c
     out = []
     for label, fld in sorted(family, key=lambda kv: kv[0]):
-        w = gp.grid.w
-        M = float(np.dot(w, np.abs(fld.values) ** 2))
-        G = float(np.dot(w, np.abs(gradient_values(gp.grid, fld.values)) ** 2))
-        P = float(np.dot(w, np.abs(fld.values) ** (gp.p + 1)))
-        E = 0.5 * G - P / (gp.p + 1)
-        me = M ** sig * E / (mass_q ** sig * energy_q)
-        mg = (M ** (sig / 2) * math.sqrt(G)) / (mass_q ** (sig / 2)
-                                                * math.sqrt(grad2_q))
+        me, mg = gp.me_mg(observables(fld, gp.p))
         fs, _ = evolve(fld, 0.0, replace(cfg, t_end=abs(cfg.t_end)), gp.p,
                        reference=gp)
         vf = classify_run(fs)

@@ -9,7 +9,13 @@ surface measure of the unit sphere,
 Nodes are r_i = i h, i = 0..n, h = rmax/n.  Quadrature weights are the
 trapezoid weights of the radial measure,
 
-    w_i = omega_N r_i^{N-1} h,   halved at i = 0 and i = n.
+    w_i = omega_N r_i^{N-1} h,   halved at i = n,
+
+and at the origin w_0 = omega_N h^N (3-N)/(4N) for N <= 3: h for N = 1
+(the halved trapezoid weight), pi h^2/4 for N = 2 (the disk of radius
+h/2) and 0 for N >= 3.  These are the weights under which the discrete
+Laplacian is symmetric, so every integral, the identity checks and the
+mass that Crank-Nicolson conserves share one measure.
 
 The discrete Laplacian of each dimension is defined once, by
 ``radial_operator``; every module takes its bands from there.
@@ -89,7 +95,7 @@ def make_grid(N: int, rmax: float, n: int) -> RadialGrid:
     h = rmax / n
     r = np.arange(n + 1, dtype=float) * h
     w = omega_n(N) * r ** (N - 1) * h
-    w[0] *= 0.5
+    w[0] = omega_n(N) * h**N * (3.0 - N) / (4.0 * N) if N <= 3 else 0.0
     w[-1] *= 0.5
     return RadialGrid(N=N, rmax=rmax, n=n, h=h, r=r, w=w)
 
@@ -181,10 +187,9 @@ def radial_operator(grid: RadialGrid) -> RadialOperator:
         (f_{i+1} - 2 f_i + f_{i-1})/h^2 + (N-1)/r_i (f_{i+1} - f_{i-1})/(2h),
 
     with the regular-origin row Delta f(0) = N f''(0) ~= 2N (f_1 - f_0)/h^2.
-    It satisfies detailed balance with rho_i = omega_N r_i^{N-1} h for
-    i >= 1 and rho_0 = omega_N h^N (3-N)/(4N).  For N = 3, rho_0 = 0 and
-    the node-1 row has no origin term, so the symmetric block starts at
-    node 1.
+    It satisfies detailed balance with rho = ``grid.w`` (including its
+    origin weight w_0).  For N = 3, w_0 = 0 and the node-1 row has no
+    origin term, so the symmetric block starts at node 1.
 
     N >= 4: the stencil above is not symmetrizable, so the flux
     (Sturm-Liouville) form
@@ -193,8 +198,8 @@ def radial_operator(grid: RadialGrid) -> RadialOperator:
             / (h^2 r_i^{N-1})
 
     is used on nodes 1..n-1, with zero flux through the inner face r = h/2.
-    It is exactly symmetric under rho_i = omega_N r_i^{N-1} h; node 0 is
-    slaved by ``fill_origin``.
+    It is exactly symmetric under rho = ``grid.w`` on nodes 1..n-1; node 0
+    is slaved by ``fill_origin``.
     """
     N, h, n = grid.N, grid.h, grid.n
     if N <= 3:
@@ -213,9 +218,7 @@ def radial_operator(grid: RadialGrid) -> RadialOperator:
         lap = Tridiag(lo[1:], -(lo + up), up[:-1])
         first = 1
     idx0 = 0 if N <= 2 else 1
-    rho = omega_n(N) * grid.r[idx0:n] ** (N - 1) * h
-    if idx0 == 0:
-        rho[0] = omega_n(N) * h**N * (3.0 - N) / (4.0 * N)
+    rho = grid.w[idx0:n]
     return RadialOperator(grid=grid, lap=lap, first=first, idx0=idx0, rho=rho)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .grid import Field, RadialGrid, fill_origin, gradient_values, radial_operat
 
 __all__ = [
     "GroundProfile",
+    "Observables",
+    "observables",
     "IdentityReport",
     "solve_ground",
     "closed_form_1d",
@@ -87,6 +90,57 @@ class GroundProfile:
     @property
     def grid(self) -> RadialGrid:
         return self.Q.grid
+
+    @cached_property
+    def obs(self) -> Observables:
+        """M, E and the gradient of Q: the normalisation of ME and MG."""
+        return observables(self.Q, self.p)
+
+    def me_mg(self, obs: Observables) -> tuple[float, float]:
+        """(ME, MG) of a state relative to Q, sigma = (1 - s_c)/s_c:
+
+            ME = M^sigma E / (M(Q)^sigma E(Q)),
+            MG = M^{sigma/2} ||grad u|| / (M(Q)^{sigma/2} ||grad Q||).
+        """
+        q = self.obs
+        sig = (1.0 - self.s_c) / self.s_c
+        me = (obs.mass ** sig * obs.energy) / (q.mass ** sig * q.energy)
+        mg = (obs.mass ** (sig / 2) * obs.grad) / (q.mass ** (sig / 2) * q.grad)
+        return me, mg
+
+
+@dataclass(frozen=True)
+class Observables:
+    """The threshold functionals of one state under the grid quadrature.
+
+    mass = int |u|^2, grad2 = int |grad u|^2 (centered differences),
+    potential = int |u|^{p+1}, energy = grad2/2 - potential/(p+1).
+    """
+
+    mass: float
+    grad2: float
+    potential: float
+    energy: float
+
+    @property
+    def grad(self) -> float:
+        return math.sqrt(self.grad2)
+
+
+def observables(u: Field, p: float) -> Observables:
+    """Observables of ``u`` under ``grid.w`` with ``gradient_values``.
+
+    A field flagged real is integrated through its real part.
+    """
+    grid = u.grid
+    w = grid.w
+    v = u.values.real if u.real else u.values
+    a = np.abs(v)
+    mass = float(np.dot(w, a ** 2))
+    grad2 = float(np.dot(w, np.abs(gradient_values(grid, v)) ** 2))
+    potential = float(np.dot(w, a ** (p + 1)))
+    return Observables(mass=mass, grad2=grad2, potential=potential,
+                       energy=0.5 * grad2 - potential / (p + 1))
 
 
 def _shoot(a: float, p: float, N: int, h_sub: float, r_stop: float):
@@ -401,12 +455,3 @@ def check_identities(gp: GroundProfile, pohozaev_tol: float = 1e-6,
         c_q=gp.c_q, tail_deviation=tail_dev, passes=passes,
     )
 
-
-def ground_energy(gp: GroundProfile) -> tuple[float, float, float]:
-    """(mass, energy, grad^2) of Q under the grid quadrature."""
-    q = gp.Q.values.real
-    w = gp.grid.w
-    M = float(np.dot(w, q**2))
-    G = float(np.dot(w, gradient_values(gp.grid, q) ** 2))
-    P = float(np.dot(w, q ** (gp.p + 1)))
-    return M, 0.5 * G - P / (gp.p + 1), G

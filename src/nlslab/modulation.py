@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonFailureError, OutOfWindowError
-from .grid import Field, gradient_values, norms
-from .ground import GroundProfile
+from .grid import Field, norms
+from .ground import GroundProfile, observables
 
 __all__ = ["ModulationFrame", "fit_parameters", "track", "aligned_distance"]
 
@@ -43,12 +43,6 @@ class ModulationFrame:
     dist: float         # || e^{-i theta - i t} u - Q ||_{H1} = || alpha Q + h ||_{H1}
 
 
-def _grad_norm(gp: GroundProfile) -> float:
-    q = gp.Q.values.real
-    g = gradient_values(gp.grid, q)
-    return math.sqrt(float(np.dot(gp.grid.w, g**2)))
-
-
 def fit_parameters(u: Field, t: float, gp: GroundProfile,
                    window: float = DEFAULT_WINDOW,
                    theta_seed: float | None = None,
@@ -61,9 +55,8 @@ def fit_parameters(u: Field, t: float, gp: GroundProfile,
     grid = u.grid
     w = grid.w
     q = gp.Q.values.real
-    gq = _grad_norm(gp)
-    du = gradient_values(grid, u.values)
-    d = abs(math.sqrt(float(np.dot(w, np.abs(du) ** 2))) - gq)
+    gq = gp.obs.grad
+    d = abs(observables(u, gp.p).grad - gq)
     if d > window * gq:
         raise OutOfWindowError(
             f"d(u) = {d:.4f} exceeds the modulation window {window * gq:.4f}")
@@ -85,8 +78,7 @@ def fit_parameters(u: Field, t: float, gp: GroundProfile,
     theta = float(math.remainder(theta, 2 * math.pi))
 
     rot = u.values * np.exp(-1j * t - 1j * theta)
-    pp1 = float(np.dot(w, q ** (gp.p + 1)))
-    alpha = float(np.dot(w, q ** gp.p * rot.real)) / pp1 - 1.0
+    alpha = float(np.dot(w, q ** gp.p * rot.real)) / gp.obs.potential - 1.0
     h_vals = rot - (1.0 + alpha) * q
     h = Field(grid, h_vals)
     res_iq = abs(float(np.dot(w, q * h_vals.imag)))
@@ -121,7 +113,7 @@ def track(snapshots, gp: GroundProfile, window: float = DEFAULT_WINDOW):
             frames.append(frame)
         except OutOfWindowError:
             frames.append(None)
-    gq = _grad_norm(gp)
+    gq = gp.obs.grad
     w = gp.grid.w
     q = gp.Q.values.real
 

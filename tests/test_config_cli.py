@@ -1,10 +1,12 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from nlslab.cli import cli_dispatch
 from nlslab.config import ENV_PREFIX, default_config, load_config
 from nlslab.errors import ConfigError
+from nlslab.grid import Field, make_grid, write_field_csv
 
 
 def test_minimal_config_fills_defaults(tmp_path):
@@ -136,9 +138,20 @@ def test_manifest_records_effective_config(tmp_path):
 # the order of floating-point operations on these paths shows up here
 STORED_SHA256 = {
     "Q.csv": "57e5207aca57efe5035c51d0e0ea03562df8955583b1b34532e3196da6432ab1",
-    "series.csv": "250b607d099339b868c2f86335dab8105a5bfc151673560ce722390ed760de6e",
+    "series.csv": "698164d5d909215e97cd4abaf288fd33b2006c10205691e711898edd8d243bd2",
     "snap_00000.csv": "e7158d3ae9efec203f0434570a6a384488fc780394f34cce74ad2ad0218b2d6a",
 }
+
+# sha256 of the outputs that read mass, energy, ME and MG
+ROUNDTRIP_SHA256 = {
+    "series.csv": "4cf30352219002089707323bc30032684590a40d4a7935fafef71bcc6fd80189",
+    "frames.csv": "9cebf67674e767391def1d3fc37b228ad70326f43defd83fdd130b60597f73c3",
+}
+SWEEP_SHA256 = "0b7999962c239b41cb02df4d785d53892a367dfa7b4f1ace3a66a1555a6bb76b"
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_outputs_match_stored_hashes(tmp_path):
@@ -150,8 +163,7 @@ def test_outputs_match_stored_hashes(tmp_path):
                     "--out", str(e)]) == 0
     files = {"Q.csv": g / "Q.csv", "series.csv": e / "series.csv",
              "snap_00000.csv": e / "snapshots" / "snap_00000.csv"}
-    got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for name, path in files.items()}
+    got = {name: sha256_of(path) for name, path in files.items()}
     assert got == STORED_SHA256
 
 
@@ -174,6 +186,22 @@ def test_evolve_command_and_snapshot_roundtrip(tmp_path):
     frames = (out2 / "frames.csv").read_text().splitlines()
     assert frames[0] == "t,theta,alpha,hnorm,d,res1,res2"
     assert len(frames) > 2
+    assert {"series.csv": sha256_of(out / "series.csv"),
+            "frames.csv": sha256_of(out2 / "frames.csv")} == ROUNDTRIP_SHA256
+
+
+def test_evolve_non_finite_initial_data_is_numerical_failure(tmp_path):
+    grid = make_grid(1, 20.0, 1000)
+    vals = np.exp(-grid.r**2)
+    vals[10] = np.nan
+    bad = tmp_path / "bad.csv"
+    write_field_csv(Field(grid, vals), bad)
+    out = tmp_path / "e"
+    rc = run_cli(["evolve", "--N", "1", "--p", "5.2", "--rmax", "20",
+                  "--n", "1000", "--initial", str(bad), "--t-end", "0.01",
+                  "--out", str(out)])
+    assert rc == 3
+    assert "status = numerical-failure" in (out / "manifest.txt").read_text()
 
 
 def test_modulate_requires_snapshots(tmp_path):
@@ -220,3 +248,4 @@ def test_classify_command_trichotomy(tmp_path):
     body = "\n".join(rows[1:])
     assert "ConvergeToQ" in body and "BlowUp" in body and "Scatter" in body
     assert "False" not in body
+    assert sha256_of(out / "sweep_report.csv") == SWEEP_SHA256

@@ -50,6 +50,23 @@ def test_linear_step_is_unitary(gentle):
     assert abs(m1 / m0 - 1) < 1e-12
 
 
+@pytest.mark.parametrize("N, p", [(1, 7.0), (2, 4.0), (3, 3.0), (4, 2.5),
+                                  (5, 2.2)])
+def test_step_conserves_quadrature_mass(N, p):
+    """One sponge-off step of rough data near the origin keeps the mass
+    under grid.w, the weights the Crank-Nicolson step is unitary in."""
+    g = make_grid(N, 20.0, 800)
+    rng = np.random.default_rng(5)
+    vals = (rng.standard_normal(g.n + 1) + 1j * rng.standard_normal(g.n + 1)) \
+        * np.exp(-g.r)
+    vals[-1] = 0.0
+    u = Field(g, vals)
+    out = step(u, 1e-3, EvolverConfig(dt=1e-3), p)
+    m0 = integrate(u, lambda v: np.abs(v) ** 2)
+    m1 = integrate(out, lambda v: np.abs(v) ** 2)
+    assert abs(m1 / m0 - 1) <= 1e-12
+
+
 def test_one_step_tracks_standing_wave(gentle):
     """One step vs e^{i dt} Q: the Strang error is third order in dt
     (measured constant ~2e1 for this pair) and the composed order-4 step
@@ -145,8 +162,27 @@ def test_diagnostics_on_rotated_ground_state(gp33):
     assert d["d"] == pytest.approx(0.0, abs=1e-12)
     assert d["me"] == pytest.approx(1.0, rel=1e-12)
     assert d["mg"] == pytest.approx(1.0, rel=1e-12)
-    assert abs(d["variance_rate"]) <= 1e-10
+    assert abs(variance_rate(u)) <= 1e-10
     assert abs(d["momentum"]) <= 1e-12
+
+
+def test_ground_state_sits_at_the_threshold(gp33, gentle):
+    """The series normalises ME and MG by the same Q observables as the
+    experiments, so Q itself reads ME = MG = 1 and d = 0 exactly."""
+    for gp in (gp33, gentle):
+        d = diagnostics(gp.Q, 0.0, gp.p, reference=gp)
+        assert (d["me"], d["mg"], d["d"]) == (1.0, 1.0, 0.0)
+        assert gp.me_mg(gp.obs) == (1.0, 1.0)
+
+
+def test_non_finite_state_is_an_instability(gentle):
+    g = gentle.grid
+    vals = gentle.Q.values.copy()
+    vals[7] = math.nan
+    cfg = EvolverConfig(dt=1e-3, t_end=0.05)
+    for reference in (None, gentle):
+        with pytest.raises(InstabilityError, match="not finite"):
+            evolve(Field(g, vals), 0.0, cfg, gentle.p, reference=reference)
 
 
 def test_quadratic_phase_gives_positive_variance_rate(gp33):

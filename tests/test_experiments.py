@@ -9,7 +9,6 @@ from nlslab.evolve import EvolverConfig
 from nlslab.experiments import (SpecialRunSpec, match_mass_energy, run_special,
                                 synthesize_UA, threshold_family, threshold_sweep)
 from nlslab.grid import Field, gradient_values, integrate, norms
-from nlslab.ground import ground_energy
 
 
 def test_spec_validation():
@@ -48,7 +47,7 @@ def test_gradient_sign_tracks_amplitude(gp33, spec33, ops33, sol33):
     solm = build_Vk(-1.0, 3, spec33, ops33)
     specm = SpecialRunSpec(A=-1.0, k=3, delta=0.1)
     u0m, _ = synthesize_UA(specm, solm, gp33)
-    _, _, grad2_q = ground_energy(gp33)
+    grad2_q = gp33.obs.grad2
     for u0, sign in ((u0p, 1.0), (u0m, -1.0)):
         g2 = float(np.dot(gp33.grid.w,
                           np.abs(gradient_values(gp33.grid, u0.values)) ** 2))
@@ -66,7 +65,7 @@ def test_validity_window_guard(gp33, sol33):
 def test_conservation_transfer(gp33, spec33, sol33):
     spec = SpecialRunSpec(A=1.0, k=3, delta=0.1)
     u0, _ = synthesize_UA(spec, sol33, gp33)
-    mass_q, energy_q, _ = ground_energy(gp33)
+    mass_q, energy_q = gp33.obs.mass, gp33.obs.energy
     M = integrate(u0, lambda v: np.abs(v) ** 2)
     assert abs(M / mass_q - 1) <= 0.1  # delta^2 * 10
     du = gradient_values(gp33.grid, u0.values)
@@ -97,7 +96,7 @@ def test_match_mass_energy(gp33):
     seed = Field(gp33.grid,
                  gp33.Q.values + 0.1 * gp33.q0 * np.exp(-gp33.grid.r**2))
     matched = match_mass_energy(gp33, seed)
-    mass_q, energy_q, _ = ground_energy(gp33)
+    mass_q, energy_q = gp33.obs.mass, gp33.obs.energy
     M = integrate(matched, lambda v: np.abs(v) ** 2)
     du = gradient_values(gp33.grid, matched.values)
     G = float(np.dot(gp33.grid.w, np.abs(du) ** 2))

@@ -94,9 +94,7 @@ def test_laplacian_refinement_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
-# N = 2 is symmetric under the origin weight rho_0 of radial_operator,
-# not under the trapezoid weight w_0 = 0 that integrate uses
-@pytest.mark.parametrize("N", [1, 3, 4, 5])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_laplacian_self_adjoint_under_radial_measure(N):
     g = make_grid(N, 20.0, 800)
     f = Field(g, np.exp(-g.r**2) * (1 + g.r))

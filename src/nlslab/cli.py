@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from . import linearized as lin
 from . import modulation as mo
 from .evolve import EvolverConfig, TimeSeries, classify_run
 from .evolve import evolve as run_evolution
-from .config import RunConfig, load_config
+from .config import DEFAULTS, RunConfig, load_config, parse_eps
 from .errors import ConfigError, NlslabError, UsageError
 from .grid import (FLOAT_FMT, Field, make_grid, norms, read_field_csv,
                    write_field_csv)
@@ -62,160 +64,188 @@ def _read_snapshots(path: Path, grid):
     idx_file = path / "index.csv"
     if not idx_file.exists():
         raise UsageError(f"snapshot directory {path} has no index.csv")
-    out = []
-    for line in idx_file.read_text().splitlines()[1:]:
-        if not line.strip():
-            continue
-        _, t, name = line.split(",")
-        out.append((float(t), read_field_csv(path / name, grid)))
-    return out
+    rows = [line.split(",") for line in idx_file.read_text().splitlines()[1:]
+            if line.strip()]
+    return [(float(t), read_field_csv(path / name, grid)) for _, t, name in rows]
 
 
-def _grid_from(cfg: RunConfig):
-    return make_grid(cfg["model.N"], cfg["grid.rmax"], cfg["grid.n"])
+# ---------------------------------------------------------------- pipeline
+
+STAGES = ("ground", "spectrum", "coercivity", "approx")
 
 
-def _ground_from(cfg: RunConfig, grid=None):
-    grid = grid if grid is not None else _grid_from(cfg)
-    return solve_ground(
-        grid, cfg["model.p"], polish=cfg["ground.polish"],
-        bracket=(cfg["ground.bracket_lo"], cfg["ground.bracket_hi"]),
-        a_tol=cfg["ground.a_tol"])
-
-
-def _spectrum_from(cfg: RunConfig, ops):
-    return lin.compute_spectrum(ops, dense_nodes=cfg["spectrum.dense_nodes"],
-                                refine_tol=cfg["spectrum.refine_tol"])
-
-
-def _evolver_config(cfg: RunConfig, **overrides) -> EvolverConfig:
-    base = dict(
-        dt=cfg["evolve.dt"], t_end=cfg["evolve.t_end"],
-        sponge=cfg["evolve.sponge"],
-        sponge_strength=cfg["evolve.sponge_strength"],
-        sponge_width=cfg["evolve.sponge_width"],
-        adapt_trigger=cfg["evolve.adapt_trigger"],
-        dt_min=cfg["evolve.dt_min"] or None,
-        sample_every=cfg["evolve.sample_every"],
-        snapshot_every=cfg["evolve.snapshot_every"],
-        order=cfg["evolve.order"], mass_guard=cfg["evolve.mass_guard"])
-    base.update(overrides)
-    return EvolverConfig(**base)
-
-
-def identity_grid_n(cfg: RunConfig, target_tol: float = 2e-7) -> int:
-    """Pick the identity-check resolution by one coarse probe.
-
-    The ratio errors scale as C h^2 with a (N, p)-dependent constant, so
-    one solve at a moderate h measures C and a second solve at
-    h* = h sqrt(target/δ) certifies the ratios.  ``check.identity_n``
-    overrides the automatic choice.
+class Pipeline:
+    """The chain every command walks a prefix of: ground state, linearized
+    operators, spectrum, approximate solutions.  Stages are lazy and
+    memoized; this is the one place where config keys become solver
+    arguments.  Each stage sums its wall time into the manifest line
+    ``stage.<name>_s`` (the linearized operators count as ``spectrum``).
     """
-    if cfg["check.identity_n"]:
-        return cfg["check.identity_n"]
-    rmax = cfg["grid.rmax"]
-    n0 = int(math.ceil(rmax / 0.004))
-    grid = make_grid(cfg["model.N"], rmax, n0)
-    gp = solve_ground(grid, cfg["model.p"])
-    rep = check_identities(gp)
-    delta = abs(rep.ratio_mass / rep.target_mass - 1.0)
-    if delta <= 0.2 * target_tol:
-        return n0
-    n_star = int(math.ceil(n0 * math.sqrt(delta / (0.2 * target_tol))))
-    return min(n_star, 700_000)
+
+    def __init__(self, cfg: RunConfig, man: RunManifest):
+        self.cfg, self.man = cfg, man
+        self._memo: dict = {}
+        self._stage_s = dict.fromkeys(STAGES, 0.0)
+        for name in STAGES:
+            man.record(f"stage.{name}_s", "0.000")
+
+    @contextmanager
+    def stage(self, name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._stage_s[name] += time.perf_counter() - t0
+            self.man.record(f"stage.{name}_s", f"{self._stage_s[name]:.3f}")
+
+    def _once(self, key, stage: str, make):
+        if key not in self._memo:
+            with self.stage(stage):
+                self._memo[key] = make()
+        return self._memo[key]
+
+    def ground(self, n: int | None = None):
+        """Ground profile on the working grid, or on ``n`` nodes."""
+        cfg = self.cfg
+        n = n or cfg["grid.n"]
+        return self._once(("ground", n), "ground", lambda: solve_ground(
+            make_grid(cfg["model.N"], cfg["grid.rmax"], n), cfg["model.p"],
+            polish=cfg["ground.polish"], a_tol=cfg["ground.a_tol"],
+            bracket=(cfg["ground.bracket_lo"], cfg["ground.bracket_hi"])))
+
+    def ops(self, n: int | None = None):
+        gp = self.ground(n)
+        return self._once(("ops", gp.grid.n), "spectrum", lambda: lin.assemble(gp))
+
+    @property
+    def spectrum(self):
+        ops, cfg = self.ops(), self.cfg
+        return self._once("spectrum", "spectrum", lambda: lin.compute_spectrum(
+            ops, dense_nodes=cfg["spectrum.dense_nodes"],
+            refine_tol=cfg["spectrum.refine_tol"]))
+
+    def approx(self, A: float, k: int):
+        spec, ops = self.spectrum, self.ops()
+        return self._once(("approx", A, k), "approx",
+                          lambda: ap.build_Vk(A, k, spec, ops))
+
+    def evolver_config(self, **overrides) -> EvolverConfig:
+        """EvolverConfig from the ``evolve.*`` keys, which share its field names."""
+        fields = {key.split(".", 1)[1]: v for key, v in self.cfg.values.items()
+                  if key.startswith("evolve.")}
+        return EvolverConfig(**{**fields, "dt_min": fields["dt_min"] or None,
+                                **overrides})
+
+    def identity_n(self) -> int:
+        """``check.identity_n``, or the grid on which the identity ratio error
+        C h^2 falls to a fifth of 2e-7, C measured by a probe at h = 0.004."""
+        if self.cfg["check.identity_n"]:
+            return self.cfg["check.identity_n"]
+        n0 = int(math.ceil(self.cfg["grid.rmax"] / 0.004))
+        rep = check_identities(self.ground(n0))
+        delta = abs(rep.ratio_mass / rep.target_mass - 1.0)
+        n_star = int(math.ceil(n0 * math.sqrt(delta / (0.2 * 2e-7))))
+        return min(max(n0, n_star), 700_000)
+
+    def identities(self, n: int | None = None):
+        """The ground state's identities; each pass/fail goes to the ledger."""
+        cfg = self.cfg
+        rep = check_identities(
+            self.ground(n), pohozaev_tol=cfg["check.pohozaev_tol"],
+            mass_tol=cfg["check.mass_tol"], gn_tol=cfg["check.gn_tol"],
+            tail_tol=cfg["check.tail_tol"])
+        for name, ok in rep.passes.items():
+            self.man.record_check(f"identity_{name}", ok)
+        return rep
+
+    def certify_spectrum(self) -> dict:
+        """e0, B(Y+, Y-), Φ(Y+) and more; records the ``eigen_residuals`` check."""
+        spec, ops, grid = self.spectrum, self.ops(), self.ground().grid
+        yp = Field(grid, spec.y_plus_values())
+        ym = Field(grid, np.conj(spec.y_plus_values()))
+        tol = self.cfg["check.spectrum_tol"]
+        self.man.record_check("eigen_residuals", spec.residual_plus <= tol
+                              and spec.residual_minus <= tol)
+        return {
+            "e0": spec.e0, "residual_plus": spec.residual_plus,
+            "residual_minus": spec.residual_minus,
+            "B_yplus_yminus": lin.bilinear_B(yp, ym, ops),
+            "phi_yplus": lin.linearized_energy_phi(yp, ops),
+            "y1_y2_l2": float(np.dot(grid.w, spec.Y1.values.real * spec.Y2.values.real)),
+            "q_y1_overlap": spec.q_overlap, "decay_eta": spec.decay_eta,
+            "mu_second": spec.mu_second}
+
+    def certify_coercivity(self) -> dict:
+        """Minimal Φ on G⊥ and G̃⊥; records the ``coercivity_positive`` check."""
+        spec, ops = self.spectrum, self.ops()
+        with self.stage("coercivity"):
+            co_g = lin.coercivity_min(ops, spec, "Gperp")
+            co_t = lin.coercivity_min(ops, spec, "Gtildeperp")
+        self.man.record_check("coercivity_positive", co_g > 0 and co_t > 0)
+        return {"coercivity_Gperp": co_g, "coercivity_Gtildeperp": co_t}
+
+    def residual_order(self, A: float, k: int, check: str) -> float:
+        """Fitted decay rate of the V_k^A residual, checked against -(k+1) e0."""
+        sol, e0 = self.approx(A, k), self.spectrum.e0
+        times = [sol.t_min + (1.0 + 0.25 * i) / e0 for i in range(6)]
+        rate = ap.residual_rate(sol, times)
+        self.man.record_check(
+            check, rate <= -(k + 1) * e0 * self.cfg["check.rate_margin"])
+        return rate
+
+
+def _report(pipe: Pipeline, path: Path, entries: dict) -> None:
+    """Write a key = value report and copy its entries into the manifest."""
+    _write_kv(path, entries)
+    for k, v in entries.items():
+        pipe.man.record(k, _fmt(v))
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_ground(cfg: RunConfig, out: Path, man: RunManifest) -> int:
-    gp = _ground_from(cfg)
+def _cmd_ground(pipe: Pipeline, out: Path, inputs: dict):
+    gp = pipe.ground()
     write_field_csv(gp.Q, out / "Q.csv")
-    rep = check_identities(
-        gp, pohozaev_tol=cfg["check.pohozaev_tol"], mass_tol=cfg["check.mass_tol"],
-        gn_tol=cfg["check.gn_tol"], tail_tol=cfg["check.tail_tol"])
+    rep = pipe.identities()
     _write_kv(out / "identity_report.txt", {
-        "q0": gp.q0, "c_q": gp.c_q, "s_c": gp.s_c,
-        "ode_residual": gp.ode_residual,
-        "ratio_pohozaev": rep.ratio_pohozaev,
-        "target_pohozaev": rep.target_pohozaev,
+        "q0": gp.q0, "c_q": gp.c_q, "s_c": gp.s_c, "ode_residual": gp.ode_residual,
+        "ratio_pohozaev": rep.ratio_pohozaev, "target_pohozaev": rep.target_pohozaev,
         "ratio_mass": rep.ratio_mass, "target_mass": rep.target_mass,
-        "gn_constant": rep.gn_constant,
-        "gn_constant_derived": rep.gn_constant_derived,
+        "gn_constant": rep.gn_constant, "gn_constant_derived": rep.gn_constant_derived,
         "energy": rep.energy, "energy_target": rep.energy_target,
-        "tail_deviation": rep.tail_deviation,
-    })
-    man.record("q0", _fmt(gp.q0))
-    man.record("ode_residual", _fmt(gp.ode_residual))
-    for name, ok in rep.passes.items():
-        man.record_check(f"identity_{name}", ok)
-    return 0
+        "tail_deviation": rep.tail_deviation})
+    pipe.man.record("q0", _fmt(gp.q0))
+    pipe.man.record("ode_residual", _fmt(gp.ode_residual))
 
 
-def _cmd_spectrum(cfg: RunConfig, out: Path, man: RunManifest) -> int:
-    gp = _ground_from(cfg)
-    ops = lin.assemble(gp)
-    spec = _spectrum_from(cfg, ops)
+def _cmd_spectrum(pipe: Pipeline, out: Path, inputs: dict):
+    spec = pipe.spectrum
     write_field_csv(spec.Y1, out / "Y1.csv")
     write_field_csv(spec.Y2, out / "Y2.csv")
-    co_g = lin.coercivity_min(ops, spec, "Gperp")
-    co_t = lin.coercivity_min(ops, spec, "Gtildeperp")
-    yp = Field(gp.grid, spec.y_plus_values())
-    ym = Field(gp.grid, np.conj(spec.y_plus_values()))
-    entries = {
-        "e0": spec.e0,
-        "residual_plus": spec.residual_plus,
-        "residual_minus": spec.residual_minus,
-        "B_yplus_yminus": lin.bilinear_B(yp, ym, ops),
-        "phi_yplus": lin.linearized_energy_phi(yp, ops),
-        "y1_y2_l2": float(np.dot(gp.grid.w, spec.Y1.values.real * spec.Y2.values.real)),
-        "q_y1_overlap": spec.q_overlap,
-        "decay_eta": spec.decay_eta,
-        "mu_second": spec.mu_second,
-        "coercivity_Gperp": co_g,
-        "coercivity_Gtildeperp": co_t,
-    }
-    _write_kv(out / "spectrum_report.txt", entries)
-    for k, v in entries.items():
-        man.record(k, _fmt(v))
-    tol = cfg["check.spectrum_tol"]
-    man.record_check("eigen_residuals", spec.residual_plus <= tol
-                     and spec.residual_minus <= tol)
-    man.record_check("coercivity_positive", co_g > 0 and co_t > 0)
-    return 0
+    entries = {**pipe.certify_spectrum(), **pipe.certify_coercivity()}
+    _report(pipe, out / "spectrum_report.txt", entries)
 
 
-def _cmd_construct(cfg: RunConfig, out: Path, man: RunManifest) -> int:
-    gp = _ground_from(cfg)
-    ops = lin.assemble(gp)
-    spec = _spectrum_from(cfg, ops)
-    sol = ap.build_Vk(cfg["experiment.A"], cfg["experiment.k"], spec, ops)
+def _cmd_construct(pipe: Pipeline, out: Path, inputs: dict):
+    A, k = pipe.cfg["experiment.A"], pipe.cfg["experiment.k"]
+    sol = pipe.approx(A, k)
     for j in range(1, sol.k + 1):
         write_field_csv(sol.Z[j], out / f"Z{j}.csv")
-    e0 = spec.e0
-    times = [sol.t_min + (1.0 + 0.25 * i) / e0 for i in range(6)]
-    rate = ap.residual_rate(sol, times)
-    entries = {"A": sol.A, "k": sol.k, "e0": e0, "t_min": sol.t_min,
-               "residual_rate": rate, "expected_rate": -(sol.k + 1) * e0}
-    _write_kv(out / "construct_report.txt", entries)
-    for k, v in entries.items():
-        man.record(k, _fmt(v))
-    man.record_check(
-        "residual_order",
-        rate <= -(sol.k + 1) * e0 * cfg["check.rate_margin"])
-    return 0
+    rate = pipe.residual_order(A, k, "residual_order")
+    entries = {"A": sol.A, "k": sol.k, "e0": sol.e0, "t_min": sol.t_min,
+               "residual_rate": rate, "expected_rate": -(sol.k + 1) * sol.e0}
+    _report(pipe, out / "construct_report.txt", entries)
 
 
-def _cmd_evolve(cfg: RunConfig, out: Path, man: RunManifest, args) -> int:
-    if not args.initial:
+def _cmd_evolve(pipe: Pipeline, out: Path, inputs: dict):
+    initial = inputs["input.initial"]
+    if not initial:
         raise UsageError("evolve requires --initial (ground | path/to/field.csv)")
-    grid = _grid_from(cfg)
-    gp = _ground_from(cfg, grid)
-    if args.initial == "ground":
-        u0 = Field(grid, gp.Q.values.copy())
-    else:
-        u0 = read_field_csv(args.initial, grid)
-    ecfg = _evolver_config(cfg, snapshot_every=cfg["evolve.snapshot_every"] or 10)
-    series, snaps = run_evolution(u0, args.t0, ecfg, gp.p, reference=gp)
+    gp = pipe.ground()
+    u0 = (Field(gp.grid, gp.Q.values.copy()) if initial == "ground"
+          else read_field_csv(initial, gp.grid))
+    ecfg = pipe.evolver_config(snapshot_every=pipe.cfg["evolve.snapshot_every"] or 10)
+    series, snaps = run_evolution(u0, inputs["input.t0"], ecfg, gp.p, reference=gp)
     _write_series(out / "series.csv", series)
     _write_snapshots(out / "snapshots", snaps)
     verdict = classify_run(series)
@@ -225,53 +255,42 @@ def _cmd_evolve(cfg: RunConfig, out: Path, man: RunManifest, args) -> int:
         "rate": verdict.rate if verdict.rate is not None else "none",
         **{f"evidence.{k}": v for k, v in verdict.evidence.items()},
     })
-    man.record("verdict", verdict.kind)
-    man.record("steps_sampled", series.t.size)
-    return 0
+    pipe.man.record("verdict", verdict.kind)
+    pipe.man.record("steps_sampled", series.t.size)
 
 
-def _cmd_special(cfg: RunConfig, out: Path, man: RunManifest) -> int:
-    gp = _ground_from(cfg)
-    ops = lin.assemble(gp)
-    spec = _spectrum_from(cfg, ops)
-    sol = ap.build_Vk(cfg["experiment.A"], cfg["experiment.k"], spec, ops)
+def _cmd_special(pipe: Pipeline, out: Path, inputs: dict):
+    cfg = pipe.cfg
     rspec = xp.SpecialRunSpec(
         A=cfg["experiment.A"], k=cfg["experiment.k"],
         delta=cfg["experiment.delta"],
         t_back=cfg["experiment.t_back"] or None,
-        cfg=_evolver_config(cfg))
-    rep = xp.run_special(rspec, sol, gp, spec)
+        cfg=pipe.evolver_config())
+    spec = pipe.spectrum
+    rep = xp.run_special(rspec, pipe.approx(rspec.A, rspec.k), pipe.ground(), spec)
     _write_series(out / "forward_series.csv", rep.forward_series)
     _write_series(out / "backward_series.csv", rep.backward_series)
-    u0, t0 = xp.synthesize_UA(rspec, sol, gp)
-    write_field_csv(u0, out / "initial.csv")
+    write_field_csv(rep.initial, out / "initial.csv")
     entries = {
         "A": rep.A, "k": rep.k, "delta": rep.delta, "t0": rep.t0,
         "e0": spec.e0, "mass": rep.mass, "energy": rep.energy,
         "me": rep.me, "mg": rep.mg, "d0_sign": rep.d0_sign,
-        "forward_rate": rep.forward_rate,
-        "backward_verdict": rep.backward_verdict.kind,
-        "mass_mismatch": rep.mass_mismatch,
-        "energy_mismatch": rep.energy_mismatch,
-    }
-    _write_kv(out / "report.txt", entries)
+        "forward_rate": rep.forward_rate, "backward_verdict": rep.backward_verdict.kind,
+        "mass_mismatch": rep.mass_mismatch, "energy_mismatch": rep.energy_mismatch}
+    _report(pipe, out / "report.txt", entries)
     _write_kv(out / "verdict.txt", {"verdict": rep.backward_verdict.kind})
-    for k, v in entries.items():
-        man.record(k, _fmt(v))
-    man.record_check("sign_matches_A", rep.d0_sign == int(math.copysign(1, rep.A)))
-    man.record_check("forward_rate_within_10pct",
-                     abs(rep.forward_rate / (-spec.e0) - 1.0) <= 0.10)
-    return 0
+    pipe.man.record_check("sign_matches_A", rep.d0_sign == int(math.copysign(1, rep.A)))
+    pipe.man.record_check("forward_rate_within_10pct",
+                          abs(rep.forward_rate / (-spec.e0) - 1.0) <= 0.10)
 
 
-def _cmd_classify(cfg: RunConfig, out: Path, man: RunManifest, args) -> int:
-    gp = _ground_from(cfg)
-    eps_text = args.eps_values or cfg["experiment.sweep_eps"]
-    eps = [float(x) for x in eps_text.split(",") if x.strip()]
+def _cmd_classify(pipe: Pipeline, out: Path, inputs: dict):
+    gp = pipe.ground()
+    eps = parse_eps(pipe.cfg["experiment.sweep_eps"])
     family = [(label, fld) for label, fld, _ in xp.threshold_family(gp, eps)]
     # verdict-quality path: the composed step keeps the Q member pinned to
     # the standing wave over the sweep horizon at stiff (N, p)
-    ecfg = _evolver_config(cfg, sponge=True, order=4)
+    ecfg = pipe.evolver_config(sponge=True, order=4)
     results = xp.threshold_sweep(family, ecfg, gp)
     lines = ["label,me,mg,verdict_forward,verdict_backward,mg_prediction_ok"]
     all_ok = True
@@ -287,51 +306,37 @@ def _cmd_classify(cfg: RunConfig, out: Path, man: RunManifest, args) -> int:
         all_ok = all_ok and ok
         lines.append(f"{res['label']},{_fmt(res['me'])},{_fmt(mg)},{vf},{vb},{ok}")
     (out / "sweep_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    man.record_check("mg_sign_predictions", all_ok)
-    return 0
+    pipe.man.record_check("mg_sign_predictions", all_ok)
 
 
-def _cmd_modulate(cfg: RunConfig, out: Path, man: RunManifest, args) -> int:
-    if not args.snapshots:
+def _cmd_modulate(pipe: Pipeline, out: Path, inputs: dict):
+    if not inputs["input.snapshots"]:
         raise UsageError("modulate requires --snapshots DIR")
-    grid = _grid_from(cfg)
-    gp = _ground_from(cfg, grid)
-    snaps = _read_snapshots(Path(args.snapshots), grid)
+    gp = pipe.ground()
+    snaps = _read_snapshots(Path(inputs["input.snapshots"]), gp.grid)
     frames, _ratios = mo.track(snaps, gp)
-    rows = ["t,theta,alpha,hnorm,d,res1,res2"]
-    for frame in frames:
-        if frame is None:
-            continue
-        rows.append(",".join(_fmt(v) for v in (
-            frame.t, frame.theta, frame.alpha, frame.h_norm, frame.d,
-            frame.res_iq, frame.res_qp)))
+    fitted = [f for f in frames if f is not None]
+    rows = ["t,theta,alpha,hnorm,d,res1,res2"] + [",".join(_fmt(v) for v in (
+        f.t, f.theta, f.alpha, f.h_norm, f.d, f.res_iq, f.res_qp)) for f in fitted]
     (out / "frames.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    man.record("frames", len([f for f in frames if f is not None]))
-    man.record("gaps", len([f for f in frames if f is None]))
-    return 0
+    pipe.man.record("frames", len(fitted))
+    pipe.man.record("gaps", len(frames) - len(fitted))
 
 
-def _cmd_check(cfg: RunConfig, out: Path, man: RunManifest) -> int:
+def _cmd_check(pipe: Pipeline, out: Path, inputs: dict) -> int:
     """Full identity suite; every line feeds the manifest check ledger."""
-    rng = np.random.default_rng(cfg["run.seed"])
+    man = pipe.man
+    rng = np.random.default_rng(pipe.cfg["run.seed"])
 
     # --- static identities on the auto-refined grid
-    n_id = identity_grid_n(cfg)
-    grid_f = make_grid(cfg["model.N"], cfg["grid.rmax"], n_id)
-    gp_f = solve_ground(grid_f, cfg["model.p"])
-    rep = check_identities(
-        gp_f, pohozaev_tol=cfg["check.pohozaev_tol"],
-        mass_tol=cfg["check.mass_tol"], gn_tol=cfg["check.gn_tol"],
-        tail_tol=cfg["check.tail_tol"])
-    for name, ok in rep.passes.items():
-        man.record_check(f"identity_{name}", ok)
+    n_id = pipe.identity_n()
+    rep = pipe.identities(n_id)
     man.record("identity_n", n_id)
     man.record("ratio_pohozaev", _fmt(rep.ratio_pohozaev))
     man.record("ratio_mass", _fmt(rep.ratio_mass))
 
     # --- kernel relations and B properties on the working grid
-    gp = _ground_from(cfg)
-    ops = lin.assemble(gp)
+    gp, ops = pipe.ground(), pipe.ops()
     q = gp.Q
     scale = float(np.max(np.abs(q.values.real))) ** gp.p
     lm_q = ops.apply_lminus(ops.restrict(q).real)
@@ -365,24 +370,17 @@ def _cmd_check(cfg: RunConfig, out: Path, man: RunManifest) -> int:
                      anti <= 1e-7 * (norms(f).h1 * norms(g).h1))
 
     # --- spectrum certification
-    spec = _spectrum_from(cfg, ops)
-    tol = cfg["check.spectrum_tol"]
-    man.record("e0", _fmt(spec.e0))
-    man.record_check("eigen_residuals",
-                     spec.residual_plus <= tol and spec.residual_minus <= tol)
-    man.record_check("q_y1_orthogonal", spec.q_overlap <= 1e-8)
-    yp = Field(gp.grid, spec.y_plus_values())
-    ym = Field(gp.grid, np.conj(spec.y_plus_values()))
-    bpm = lin.bilinear_B(yp, ym, ops)
-    man.record("B_yplus_yminus", _fmt(bpm))
-    man.record_check("B_normalization", abs(abs(bpm) - 1.0) <= 1e-8)
-    man.record_check("phi_yplus_zero",
-                     abs(lin.linearized_energy_phi(yp, ops)) <= 1e-8)
-    man.record_check("decay_margin_positive", spec.decay_eta > 0)
-    man.record_check("simplicity_proxy", spec.mu_second >= -1e-6)
+    spec = pipe.certify_spectrum()
+    man.record("e0", _fmt(spec["e0"]))
+    man.record_check("q_y1_orthogonal", spec["q_y1_overlap"] <= 1e-8)
+    man.record("B_yplus_yminus", _fmt(spec["B_yplus_yminus"]))
+    man.record_check("B_normalization", abs(abs(spec["B_yplus_yminus"]) - 1.0) <= 1e-8)
+    man.record_check("phi_yplus_zero", abs(spec["phi_yplus"]) <= 1e-8)
+    man.record_check("decay_margin_positive", spec["decay_eta"] > 0)
+    man.record_check("simplicity_proxy", spec["mu_second"] >= -1e-6)
 
     # --- Phi(Q) and the negative direction (fine grid)
-    ops_f = lin.assemble(gp_f)
+    gp_f, ops_f = pipe.ground(n_id), pipe.ops(n_id)
     phi_q = lin.linearized_energy_phi(gp_f.Q, ops_f)
     target_phi = (1 - gp_f.p) / 2.0 * gp_f.obs.potential
     man.record_check("phi_Q_value", abs(phi_q / target_phi - 1.0) <= 1e-6)
@@ -398,19 +396,12 @@ def _cmd_check(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     man.record_check("negative_direction_value", abs(lpz / pred - 1.0) <= 1e-4)
 
     # --- coercivity
-    co_g = lin.coercivity_min(ops, spec, "Gperp")
-    co_t = lin.coercivity_min(ops, spec, "Gtildeperp")
-    man.record("coercivity_Gperp", _fmt(co_g))
-    man.record("coercivity_Gtildeperp", _fmt(co_t))
-    man.record_check("coercivity_positive", co_g > 0 and co_t > 0)
+    for k, v in pipe.certify_coercivity().items():
+        man.record(k, _fmt(v))
 
     # --- residual order k = 1
-    sol = ap.build_Vk(1.0, 1, spec, ops)
-    times = [sol.t_min + (1.0 + 0.25 * i) / spec.e0 for i in range(6)]
-    rate = ap.residual_rate(sol, times)
+    rate = pipe.residual_order(1.0, 1, "residual_order_k1")
     man.record("residual_rate_k1", _fmt(rate))
-    man.record_check("residual_order_k1",
-                     rate <= -2.0 * spec.e0 * cfg["check.rate_margin"])
 
     _write_kv(out / "check_report.txt",
               {name: ("pass" if ok else "FAIL") for name, ok in man.checks.items()})
@@ -419,99 +410,83 @@ def _cmd_check(cfg: RunConfig, out: Path, man: RunManifest) -> int:
 
 # ---------------------------------------------------------------- dispatch
 
+# name -> body; a body returns its exit code, or None for 0
+COMMANDS = {"ground": _cmd_ground, "spectrum": _cmd_spectrum,
+            "construct": _cmd_construct, "evolve": _cmd_evolve,
+            "special": _cmd_special, "classify": _cmd_classify,
+            "modulate": _cmd_modulate, "check": _cmd_check}
+
+# flag -> (config key, or input.* manifest key for inputs that are not
+# config keys; type; commands that take it)
+ALL = tuple(COMMANDS)
+FLAGS = {
+    "--N": ("model.N", int, ALL), "--p": ("model.p", float, ALL),
+    "--rmax": ("grid.rmax", float, ALL), "--n": ("grid.n", int, ALL),
+    "--t-end": ("evolve.t_end", float, ALL), "--dt": ("evolve.dt", float, ALL),
+    "--A": ("experiment.A", float, ("construct", "special")),
+    "--k": ("experiment.k", int, ("construct", "special")),
+    "--delta": ("experiment.delta", float, ("construct", "special")),
+    "--eps-values": ("experiment.sweep_eps", str, ("classify",)),
+    "--initial": ("input.initial", str, ("evolve",)),
+    "--t0": ("input.t0", float, ("evolve",)),
+    "--snapshots": ("input.snapshots", str, ("modulate",)),
+}
+INPUT_DEFAULTS = {"input.t0": 0.0}
+
+# error class -> (message, manifest status, exit code); the first match wins
+FAILURES = {UsageError: ("usage error", "usage-error", 2),
+            ConfigError: ("config error", "config-error", 2),
+            NlslabError: ("numerical failure", "numerical-failure", 3)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ps = argparse.ArgumentParser(prog="nlslab", description=__doc__)
     sub = ps.add_subparsers(dest="command")
-    for name in ("ground", "spectrum", "construct", "evolve", "special",
-                 "classify", "modulate", "check"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--N", type=int, default=None)
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--rmax", type=float, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-        sp.add_argument("--dt", type=float, default=None)
-        if name in ("construct", "special"):
-            sp.add_argument("--A", type=float, default=None)
-            sp.add_argument("--k", type=int, default=None)
-            sp.add_argument("--delta", type=float, default=None)
-        if name == "evolve":
-            sp.add_argument("--initial", default=None)
-            sp.add_argument("--t0", type=float, default=0.0)
-        if name == "classify":
-            sp.add_argument("--eps-values", dest="eps_values", default=None)
-        if name == "modulate":
-            sp.add_argument("--snapshots", default=None)
+        for flag, (key, typ, commands) in FLAGS.items():
+            if name in commands:
+                sp.add_argument(flag, dest=key, type=typ,
+                                default=INPUT_DEFAULTS.get(key))
     return ps
 
 
 def cli_dispatch(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not args.command:
+    command = args["command"]
+    if not command:
         parser.print_usage(sys.stderr)
         return 2
 
-    overrides = {"model.N": args.N, "model.p": args.p,
-                 "grid.rmax": args.rmax, "grid.n": args.n}
-    if getattr(args, "A", None) is not None:
-        overrides["experiment.A"] = args.A
-    if getattr(args, "k", None) is not None:
-        overrides["experiment.k"] = args.k
-    if getattr(args, "delta", None) is not None:
-        overrides["experiment.delta"] = args.delta
-    if getattr(args, "t_end", None) is not None:
-        overrides["evolve.t_end"] = args.t_end
-    if getattr(args, "dt", None) is not None:
-        overrides["evolve.dt"] = args.dt
-
     try:
-        cfg = load_config(args.config, overrides=overrides)
+        cfg = load_config(args["config"], overrides={
+            k: v for k, v in args.items() if k in DEFAULTS})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(args.out) if args.out else Path(f"nlslab_{args.command}_out")
-    out.mkdir(parents=True, exist_ok=True)
-    man = RunManifest(out, args.command, cfg.render())
+    out = Path(args["out"]) if args["out"] else Path(f"nlslab_{command}_out")
+    man = RunManifest(out, command, cfg.render())
+    pipe = Pipeline(cfg, man)
+    inputs = {k: v for k, v in args.items() if k.startswith("input.")}
+    for k, v in inputs.items():
+        if v is not None:
+            man.record(k, _fmt(v))
     man.write_pre()
 
     try:
-        if args.command == "ground":
-            rc = _cmd_ground(cfg, out, man)
-        elif args.command == "spectrum":
-            rc = _cmd_spectrum(cfg, out, man)
-        elif args.command == "construct":
-            rc = _cmd_construct(cfg, out, man)
-        elif args.command == "evolve":
-            rc = _cmd_evolve(cfg, out, man, args)
-        elif args.command == "special":
-            rc = _cmd_special(cfg, out, man)
-        elif args.command == "classify":
-            rc = _cmd_classify(cfg, out, man, args)
-        elif args.command == "modulate":
-            rc = _cmd_modulate(cfg, out, man, args)
-        elif args.command == "check":
-            rc = _cmd_check(cfg, out, man)
-        else:  # unreachable with argparse
-            raise UsageError(f"unknown subcommand {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        man.finalize("usage-error")
-        return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        man.finalize("config-error")
-        return 2
+        rc = COMMANDS[command](pipe, out, inputs) or 0
     except NlslabError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        man.finalize("numerical-failure")
-        return 3
+        what, status, code = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
+        print(f"{what}: {exc}", file=sys.stderr)
+        man.finalize(status)
+        return code
 
     man.finalize("done" if rc == 0 else "check-failure")
     return rc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .ground import validate_intercritical
 
-__all__ = ["RunConfig", "load_config", "default_config", "ENV_PREFIX"]
+__all__ = ["RunConfig", "load_config", "default_config", "parse_eps", "ENV_PREFIX"]
 
 ENV_PREFIX = "NLSLAB_"
 
@@ -69,9 +69,6 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
     def render(self) -> str:
         """Canonical echo: every effective key, sorted, one per line."""
         lines = []
@@ -106,6 +103,17 @@ def _coerce(key: str, text: str, line_no: int):
     return v
 
 
+def parse_eps(text: str) -> list[float]:
+    """The ``experiment.sweep_eps`` list: comma-separated floats, at least one."""
+    items = [x for x in text.split(",") if x.strip()]
+    if not items:
+        raise ConfigError(f"experiment.sweep_eps has no values: {text!r}")
+    try:
+        return [float(x) for x in items]
+    except ValueError as exc:
+        raise ConfigError(f"experiment.sweep_eps: {exc}") from exc
+
+
 def _validate(values: dict) -> None:
     N, p = values["model.N"], values["model.p"]
     try:
@@ -125,6 +133,7 @@ def _validate(values: dict) -> None:
             f"experiment.delta must lie in (0, 0.2], got {values['experiment.delta']}")
     if values["experiment.k"] < 1:
         raise ConfigError(f"experiment.k must be >= 1, got {values['experiment.k']}")
+    parse_eps(values["experiment.sweep_eps"])
 
 
 def _parse_text(text: str) -> dict:

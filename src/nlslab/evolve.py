@@ -26,7 +26,7 @@ from .banded import Tridiag
 from .errors import InstabilityError, InvalidParameterError
 from .grid import (Field, RadialGrid, fill_origin, gradient_values, norms,
                    radial_operator)
-from .ground import GroundProfile, observables
+from .ground import GroundProfile, Observables
 
 __all__ = [
     "EvolverConfig",
@@ -217,11 +217,12 @@ def diagnostics(u: Field, t: float, p: float,
     NaN when no ground profile is attached."""
     grid = u.grid
     w = grid.w
-    obs = observables(u, p)
-    a2 = np.abs(u.values) ** 2
+    a = np.abs(u.values)
     du = gradient_values(grid, u.values)
+    obs = Observables.integrate(w, a, du, p)
+    a2 = a ** 2
     momentum = float(np.dot(w, (np.conj(u.values) * du).imag))
-    linf = float(np.max(np.abs(u.values)))
+    linf = float(np.max(a))
 
     R = virial_R if virial_R is not None else grid.rmax / 4.0
     s = grid.r / R

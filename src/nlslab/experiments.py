@@ -74,6 +74,7 @@ class ThresholdReport:
     energy_mismatch: float
     forward_series: TimeSeries
     backward_series: TimeSeries
+    initial: Field                  # the synthesized u(t0) both legs start from
 
 
 def synthesize_UA(spec: SpecialRunSpec, approx: ApproxSolution,
@@ -138,7 +139,7 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
         forward_rate=forward_rate, backward_verdict=verdict,
         mass_mismatch=abs(obs.mass / ref.mass - 1.0),
         energy_mismatch=abs((obs.energy - ref.energy) / ref.energy),
-        forward_series=fseries, backward_series=bseries,
+        forward_series=fseries, backward_series=bseries, initial=u0,
     )
 
 

@@ -126,6 +126,15 @@ class Observables:
     def grad(self) -> float:
         return math.sqrt(self.grad2)
 
+    @classmethod
+    def integrate(cls, w, a, du, p: float) -> "Observables":
+        """From the modulus ``a`` = |u| and the gradient ``du`` under weights ``w``."""
+        mass = float(np.dot(w, a ** 2))
+        grad2 = float(np.dot(w, np.abs(du) ** 2))
+        potential = float(np.dot(w, a ** (p + 1)))
+        return cls(mass=mass, grad2=grad2, potential=potential,
+                   energy=0.5 * grad2 - potential / (p + 1))
+
 
 def observables(u: Field, p: float) -> Observables:
     """Observables of ``u`` under ``grid.w`` with ``gradient_values``.
@@ -133,14 +142,8 @@ def observables(u: Field, p: float) -> Observables:
     A field flagged real is integrated through its real part.
     """
     grid = u.grid
-    w = grid.w
     v = u.values.real if u.real else u.values
-    a = np.abs(v)
-    mass = float(np.dot(w, a ** 2))
-    grad2 = float(np.dot(w, np.abs(gradient_values(grid, v)) ** 2))
-    potential = float(np.dot(w, a ** (p + 1)))
-    return Observables(mass=mass, grad2=grad2, potential=potential,
-                       energy=0.5 * grad2 - potential / (p + 1))
+    return Observables.integrate(grid.w, np.abs(v), gradient_values(grid, v), p)
 
 
 def _shoot(a: float, p: float, N: int, h_sub: float, r_stop: float):

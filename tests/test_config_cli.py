@@ -1,12 +1,19 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
+from nlslab import cli
 from nlslab.cli import cli_dispatch
 from nlslab.config import ENV_PREFIX, default_config, load_config
+from nlslab.approx import residual_rate
 from nlslab.errors import ConfigError
-from nlslab.grid import Field, make_grid, write_field_csv
+from nlslab.evolve import EvolverConfig
+from nlslab.grid import FLOAT_FMT, Field, make_grid, write_field_csv
+from nlslab.ground import solve_ground
+from nlslab.linearized import bilinear_B, coercivity_min, linearized_energy_phi
+from nlslab.manifest import RunManifest
 
 
 def test_minimal_config_fills_defaults(tmp_path):
@@ -167,6 +174,65 @@ def test_outputs_match_stored_hashes(tmp_path):
     assert got == STORED_SHA256
 
 
+def read_kv(path):
+    """``key = value`` lines of a report, or of a manifest up to its config echo."""
+    head = path.read_text().split("--- config ---")[0]
+    return dict(line.split(" = ", 1) for line in head.splitlines())
+
+
+def test_spectrum_and_construct_match_fixtures(tmp_path, gp33, ops33, spec33, sol33):
+    """The two commands report what the library computes on the same grid.
+
+    Compared as formatted values, not stored hashes: both go through
+    ``eigh``, whose last bits can depend on the BLAS build.
+    """
+    s, c = tmp_path / "s", tmp_path / "c"
+    assert run_cli(["spectrum", "--N", "3", "--p", "3", "--n", "1500",
+                    "--out", str(s)]) == 0
+    assert run_cli(["construct", "--N", "3", "--p", "3", "--n", "1500",
+                    "--A", "1", "--k", "3", "--out", str(c)]) == 0
+    grid = gp33.grid
+    yp = Field(grid, spec33.y_plus_values())
+    ym = Field(grid, np.conj(spec33.y_plus_values()))
+    e0 = spec33.e0
+    times = [sol33.t_min + (1.0 + 0.25 * i) / e0 for i in range(6)]
+    expected_spectrum = {
+        "e0": e0,
+        "residual_plus": spec33.residual_plus,
+        "residual_minus": spec33.residual_minus,
+        "B_yplus_yminus": bilinear_B(yp, ym, ops33),
+        "phi_yplus": linearized_energy_phi(yp, ops33),
+        "y1_y2_l2": float(np.dot(grid.w, spec33.Y1.values.real
+                                 * spec33.Y2.values.real)),
+        "q_y1_overlap": spec33.q_overlap,
+        "decay_eta": spec33.decay_eta,
+        "mu_second": spec33.mu_second,
+        "coercivity_Gperp": coercivity_min(ops33, spec33, "Gperp"),
+        "coercivity_Gtildeperp": coercivity_min(ops33, spec33, "Gtildeperp"),
+    }
+    expected_construct = {
+        "A": sol33.A, "k": sol33.k, "e0": e0, "t_min": sol33.t_min,
+        "residual_rate": residual_rate(sol33, times),
+        "expected_rate": -(sol33.k + 1) * e0,
+    }
+    for out, name, expected in ((s, "spectrum_report.txt", expected_spectrum),
+                                (c, "construct_report.txt", expected_construct)):
+        want = {k: FLOAT_FMT % v if isinstance(v, float) else str(v)
+                for k, v in expected.items()}
+        assert read_kv(out / name) == want
+    ms, mc = read_kv(s / "manifest.txt"), read_kv(c / "manifest.txt")
+    assert ms["check.eigen_residuals"] == "pass"
+    assert ms["check.coercivity_positive"] == "pass"
+    assert mc["check.residual_order"] == "pass"
+    # every stage has a wall-time line; the ones spectrum runs took time
+    stages = {k: v for k, v in ms.items() if k.startswith("stage.")}
+    assert sorted(stages) == ["stage.approx_s", "stage.coercivity_s",
+                              "stage.ground_s", "stage.spectrum_s"]
+    assert all(re.fullmatch(r"\d+\.\d{3}", v) for v in stages.values())
+    assert float(stages["stage.coercivity_s"]) > 0
+    assert float(stages["stage.spectrum_s"]) > 0
+
+
 def test_evolve_command_and_snapshot_roundtrip(tmp_path):
     out = tmp_path / "e"
     rc = run_cli(["evolve", "--N", "1", "--p", "5.2", "--n", "1500",
@@ -202,6 +268,62 @@ def test_evolve_non_finite_initial_data_is_numerical_failure(tmp_path):
                   "--out", str(out)])
     assert rc == 3
     assert "status = numerical-failure" in (out / "manifest.txt").read_text()
+
+
+def test_eps_values_flag_reaches_the_config_echo(tmp_path):
+    out = tmp_path / "cl"
+    assert run_cli(["classify", "--N", "3", "--p", "3", "--rmax", "20",
+                    "--n", "1000", "--t-end", "0.01", "--eps-values=-0.05,0.05",
+                    "--out", str(out)]) == 0
+    block = (out / "manifest.txt").read_text().split("--- config ---")[1]
+    assert "experiment.sweep_eps = -0.05,0.05" in block
+    rows = (out / "sweep_report.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[0] for row in rows) == ["Q", "eps=+0.05", "eps=-0.05"]
+
+
+@pytest.mark.parametrize("eps", ["abc", ",", "0.1,x"])
+def test_bad_sweep_eps_is_config_error(tmp_path, eps):
+    with pytest.raises(ConfigError, match="sweep_eps"):
+        default_config(**{"experiment.sweep_eps": eps})
+    assert run_cli(["classify", "--N", "3", "--p", "3", "--rmax", "20",
+                    "--n", "1000", "--t-end", "0.01", f"--eps-values={eps}",
+                    "--out", str(tmp_path / "cl")]) == 2
+
+
+def test_inputs_that_are_not_config_keys_reach_the_manifest(tmp_path):
+    e, m = tmp_path / "e", tmp_path / "m"
+    grid = ["--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000"]
+    assert run_cli(["evolve", *grid, "--initial", "ground", "--t0", "0.5",
+                    "--t-end", "0.51", "--out", str(e)]) == 0
+    assert run_cli(["modulate", *grid, "--snapshots", str(e / "snapshots"),
+                    "--out", str(m)]) == 0
+    me, mm = read_kv(e / "manifest.txt"), read_kv(m / "manifest.txt")
+    assert me["input.initial"] == "ground"
+    assert me["input.t0"] == "0.5"
+    assert mm["input.snapshots"] == str(e / "snapshots")
+
+
+def test_pipeline_runs_each_stage_once(tmp_path, monkeypatch):
+    """The identity probe on the working grid reuses its ground state."""
+    solved = []
+
+    def counting_solve(grid, *args, **kwargs):
+        solved.append(grid.n)
+        return solve_ground(grid, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_ground", counting_solve)
+    cfg = default_config(**{"model.N": 1, "model.p": 7.0, "grid.rmax": 10.0,
+                            "grid.n": 2500})  # the probe grid: rmax / 0.004
+    man = RunManifest(tmp_path, "check", cfg.render())
+    pipe = cli.Pipeline(cfg, man)
+    assert pipe.identity_n() > 2500
+    assert pipe.ground() is pipe.ground(2500)
+    assert pipe.ops() is pipe.ops(2500)
+    assert solved == [2500]
+    assert float(man.entries["stage.ground_s"]) > 0
+    assert man.entries["stage.coercivity_s"] == "0.000"
+    assert pipe.evolver_config() == EvolverConfig()
+    assert pipe.evolver_config(order=4).order == 4
 
 
 def test_modulate_requires_snapshots(tmp_path):

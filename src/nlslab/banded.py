@@ -1,12 +1,13 @@
 """Tridiagonal matrices stored by their three bands.
 
 Every discrete operator of the package (the radial Laplacian, L_+/L_-,
-the Crank-Nicolson pair) is a ``Tridiag``; the fourth-order products
-L_- L_+ and L_+ L_- are formed from two of them by ``product``.
+the Crank-Nicolson pair) is a ``Tridiag``; ``count_negative`` gives the
+inertia of a symmetric one, on which the coercivity bisection rests.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,19 +43,23 @@ class Tridiag:
         off = self.sup * s[:-1] / s[1:]
         return Tridiag(off, self.diag, off)
 
-    def product(self, other: "Tridiag", shift: float = 0.0) -> NDArray:
-        """Bands of self @ other + shift I in ``solve_banded((2, 2), ...)`` layout."""
-        a, b = self, other
-        c0 = a.diag * b.diag + shift
-        c0[1:] += a.sub * b.sup
-        c0[:-1] += a.sup * b.sub
-        ab = np.zeros((5, self.m), dtype=np.result_type(a.diag, b.diag))
-        ab[0, 2:] = a.sup[:-1] * b.sup[1:]                  # [i, i+2]
-        ab[1, 1:] = a.diag[:-1] * b.sup + a.sup * b.diag[1:]  # [i, i+1]
-        ab[2, :] = c0
-        ab[3, :-1] = a.sub * b.diag[:-1] + a.diag[1:] * b.sub  # [i+1, i]
-        ab[4, :-2] = a.sub[1:] * b.sub[:-1]                 # [i+2, i]
-        return ab
+    def count_negative(self) -> int:
+        """Number of negative eigenvalues of a symmetric T (Sturm count).
+
+        The negative pivots of T = L D L^T, computed by the recurrence
+        d_i = diag_i - sub_{i-1}^2 / d_{i-1}.  A pivot smaller in magnitude
+        than pivmin, an exactly zero one included, is replaced by -pivmin,
+        as in LAPACK's bisection (dstebz), so no division overflows.
+        """
+        b2 = (self.sub * self.sub).tolist()
+        pivmin = sys.float_info.min * max(1.0, max(b2, default=0.0))
+        count, d = 0, 1.0
+        for a, bb in zip(self.diag.tolist(), [0.0] + b2):
+            d = a - bb / d
+            if abs(d) < pivmin:
+                d = -pivmin
+            count += d < 0.0
+        return count
 
     @cached_property
     def _banded(self) -> NDArray:
@@ -67,11 +72,3 @@ class Tridiag:
     def solve(self, rhs):
         """T^{-1} rhs (LAPACK banded LU with partial pivoting)."""
         return solve_banded((1, 1), self._banded, rhs)
-
-    def to_dense(self) -> NDArray:
-        """Dense copy; for the small-grid dense eigensolves and test oracles."""
-        M = np.diag(self.diag)
-        k = np.arange(self.m - 1)
-        M[k, k + 1] = self.sup
-        M[k + 1, k] = self.sub
-        return M

@@ -121,8 +121,7 @@ class Pipeline:
     def spectrum(self):
         ops, cfg = self.ops(), self.cfg
         return self._once("spectrum", "spectrum", lambda: lin.compute_spectrum(
-            ops, dense_nodes=cfg["spectrum.dense_nodes"],
-            refine_tol=cfg["spectrum.refine_tol"]))
+            ops, refine_tol=cfg["spectrum.refine_tol"]))
 
     def approx(self, A: float, k: int):
         spec, ops = self.spectrum, self.ops()
@@ -173,7 +172,7 @@ class Pipeline:
             "phi_yplus": lin.linearized_energy_phi(yp, ops),
             "y1_y2_l2": float(np.dot(grid.w, spec.Y1.values.real * spec.Y2.values.real)),
             "q_y1_overlap": spec.q_overlap, "decay_eta": spec.decay_eta,
-            "mu_second": spec.mu_second}
+            "negative_directions": spec.negative_directions}
 
     def certify_coercivity(self) -> dict:
         """Minimal Φ on G⊥ and G̃⊥; records the ``coercivity_positive`` check."""
@@ -377,7 +376,7 @@ def _cmd_check(pipe: Pipeline, out: Path, inputs: dict) -> int:
     man.record_check("B_normalization", abs(abs(spec["B_yplus_yminus"]) - 1.0) <= 1e-8)
     man.record_check("phi_yplus_zero", abs(spec["phi_yplus"]) <= 1e-8)
     man.record_check("decay_margin_positive", spec["decay_eta"] > 0)
-    man.record_check("simplicity_proxy", spec["mu_second"] >= -1e-6)
+    man.record_check("simplicity_proxy", spec["negative_directions"] == 1)
 
     # --- Phi(Q) and the negative direction (fine grid)
     gp_f, ops_f = pipe.ground(n_id), pipe.ops(n_id)

@@ -29,7 +29,6 @@ DEFAULTS: dict[str, tuple[type, object]] = {
     "ground.bracket_lo": (float, 1.0),
     "ground.bracket_hi": (float, 20.0),
     "ground.a_tol": (float, 1e-13),
-    "spectrum.dense_nodes": (int, 2200),
     "spectrum.refine_tol": (float, 1e-12),
     "evolve.dt": (float, 1e-3),
     "evolve.t_end": (float, 1.0),

@@ -15,9 +15,14 @@ the scaling family Q_lambda = lambda^{2/(p-1)} Q(lambda .)):
 
 script_L has a real eigenvalue pair +-e0 with eigenfunctions
 Y_pm = Y_1 pm i Y_2:   L_+ Y_1 = e0 Y_2,  L_- Y_2 = -e0 Y_1.
-e0^2 is found as minus the bottom eigenvalue of the symmetrized product
-L_-^{1/2} L_+ L_-^{1/2} on {Q}^perp (dense path), refined by shifted
-inverse iteration on the pentadiagonal product L_- L_+ (banded path).
+On the real pair (Y_1, Y_2), script_L - sigma is the block
+[[-sigma, -L_-], [L_+, -sigma]]; with the two components interleaved node
+by node it is a (3, 3)-banded matrix, so e0 (shifted inverse iteration,
+seeded from the bottom eigenpair of the tridiagonal L_+) and the resolvent
+(one banded solve) cost O(n).  The coercivity minima and the count of
+negative directions of L_+ on {Q}^perp come from inertia counts: Sturm
+counts of tridiagonal pencils bordered by the constraints (Haynsworth
+inertia additivity), also O(n) per count.
 
 Normalization: B(Y+, Y-) = e0 (Y1, Y2)_{L2} is *negative* for the genuine
 eigenpair -- (L_+ Y1, Y1) = -e0^2 ||g||^2 < 0 forces (Y1, Y2) < 0 -- so the
@@ -31,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .banded import Tridiag
 from .errors import (
@@ -103,6 +108,10 @@ class LinearizedOps:
     def lminus(self) -> Tridiag:
         return Tridiag(-self.lap.sub, self.const - self.lap.diag
                        - self.potential, -self.lap.sup)
+
+    def symmetric(self) -> tuple[Tridiag, Tridiag]:
+        """L~_+ and L~_- = S L_pm S^{-1}, symmetric tridiagonal, S = diag(sym)."""
+        return self.lplus().symmetrize(self.sym), self.lminus().symmetrize(self.sym)
 
     # ---- field <-> active-vector helpers ----
 
@@ -209,8 +218,10 @@ class SpectrumData:
     (Y1, Y2)_{L2} = -1/e0, hence B(Y+, Y-) = -1 (the sign is dictated by
     the eigenpair; see module docstring), and (Q, Y1)_{H1} > 0.
     ``decay_eta`` is the fitted margin in |Y| <~ Q e^{-eta r}.
-    ``mu_second`` is the second-smallest eigenvalue of the symmetrized
-    product on {Q}^perp (coarse grid), the simplicity proxy.
+    ``negative_directions`` is the exact number of negative eigenvalues of
+    L_+ on {Q}^perp (an inertia count); by Sylvester's law it is also the
+    count for L_-^{1/2} L_+ L_-^{1/2}, so 1 certifies that -e0^2 is the only
+    negative eigenvalue of L_- L_+, hence e0 simple.
     """
 
     e0: float
@@ -219,120 +230,95 @@ class SpectrumData:
     residual_plus: float
     residual_minus: float
     decay_eta: float
-    mu_second: float
+    negative_directions: int
     q_overlap: float
 
     def y_plus_values(self):
         return self.Y1.values + 1j * self.Y2.values
 
 
-def _dense_bottom(ops: LinearizedOps, qvec):
-    """Dense path: A = (P L~_- P)^{1/2}, S = A L~_+ A, bottom of S on {Q}^perp."""
-    m = ops.m
-    Lp = ops.lplus().symmetrize(ops.sym).to_dense()
-    Lm = ops.lminus().symmetrize(ops.sym).to_dense()
-    qt = ops.sym * qvec
-    qt = qt / np.linalg.norm(qt)
-    P = np.eye(m) - np.outer(qt, qt)
-    lam, V = eigh(P @ Lm @ P)
-    # discretization can push the zero mode slightly negative; clamp
-    A = (V * np.sqrt(np.clip(lam, 0.0, None))) @ V.T
-    mu, G = eigh(A @ Lp @ A)
-    return mu, G, A
+def _script_l_bands(Lp: Tridiag, Lm: Tridiag, sigma: float):
+    """script_L - sigma on interleaved (g1_0, g2_0, g1_1, ...) in
+    ``solve_banded((3, 3), ...)`` layout: ab[3 + i - j, j] = A[i, j], with
+    rows 2i: -sigma g1_i - (L~_- g2)_i and rows 2i+1: (L~_+ g1)_i - sigma g2_i."""
+    ab = np.zeros((7, 2 * Lp.m))
+    ab[3] = -sigma
+    ab[2, 1::2] = -Lm.diag
+    ab[0, 3::2] = -Lm.sup
+    ab[4, 1:-1:2] = -Lm.sub
+    ab[4, 0::2] = Lp.diag
+    ab[2, 2::2] = Lp.sup
+    ab[6, 0:-2:2] = Lp.sub
+    return ab
 
 
-def _refine_inverse_iteration(ops: LinearizedOps, e0_guess: float, y_guess,
-                              tol: float, max_iter: int = 60):
-    """Shifted inverse iteration on the pentadiagonal product L~_- L~_+.
+def _inverse_iteration(Lp: Tridiag, Lm: Tridiag, shift: float, x, tol: float,
+                       max_iter: int = 60):
+    """Shifted inverse iteration on the block script_L - shift.
 
-    Finds the unique negative eigenvalue -e0^2 (eigenvector = symmetrized
-    Y1) with a directly controlled residual; O(n) per iteration.
+    Any shift above e0/2 is nearer e0 than the rest of the spectrum (-e0,
+    the kernel and the imaginary axis), so the iterate converges to
+    (g1, g2) = symmetrized (Y1, Y2); O(n) per sweep.  The eigenvalue is the
+    two-sided Rayleigh quotient with the left eigenvector (g2, g1); each
+    sweep after the first shifts 2% above the last estimate.
     """
-    Lp = ops.lplus().symmetrize(ops.sym)
-    Lm = ops.lminus().symmetrize(ops.sym)
-
-    mu = -e0_guess**2
-    x = y_guess / np.linalg.norm(y_guess)
-    shift = -1.05 * mu  # sits below -e0^2, far from the 0 mode
-    ab = Lm.product(Lp, shift)
     best = math.inf
     stall = 0
     for it in range(max_iter):
-        x_new = solve_banded((2, 2), ab, x)
-        x_new /= np.linalg.norm(x_new)
-        Ax = Lm.apply(Lp.apply(x_new))
-        mu = float(np.dot(x_new, Ax))
-        res = float(np.linalg.norm(Ax - mu * x_new))
-        x = x_new
-        if res <= tol * max(abs(mu), 1.0):
-            return mu, x, res
-        # the product matrix has norm ~ h^-4; once the residual floors at
-        # its roundoff level further sweeps cannot help
+        x = solve_banded((3, 3), _script_l_bands(Lp, Lm, shift), x)
+        x /= np.linalg.norm(x)
+        g1, g2 = x[0::2], x[1::2]
+        lp1, lm2 = Lp.apply(g1), Lm.apply(g2)
+        lam = float((np.dot(g1, lp1) - np.dot(g2, lm2)) / (2.0 * np.dot(g1, g2)))
+        res = math.hypot(np.linalg.norm(lm2 + lam * g1),
+                         np.linalg.norm(lp1 - lam * g2))
+        if res <= tol * max(abs(lam), 1.0):
+            return lam, g1, g2, res
+        # the block has norm ~ h^-2; once the residual floors at its
+        # roundoff level further sweeps cannot help
         stall = stall + 1 if res > 0.5 * best else 0
         best = min(best, res)
         if stall >= 2 and it >= 4:
             break
-        if it == max_iter // 2:  # one shift update keeps convergence fast
-            shift = -mu * 1.02
-            ab = Lm.product(Lp, shift)
-    if res <= 1e-5 * max(abs(mu), 1.0):
-        return mu, x, res
+        shift = 1.02 * lam
+    if res <= 1e-5 * max(abs(lam), 1.0):
+        return lam, g1, g2, res
     raise NonConvergenceError(
         f"inverse iteration stalled: residual {res:.3e}, "
-        f"eigenvalue estimate {mu:.6e}")
+        f"eigenvalue estimate {lam:.6e}")
 
 
-def compute_spectrum(ops: LinearizedOps, dense_nodes: int = 2200,
-                     refine_tol: float = 1e-12,
-                     start: "SpectrumData | None" = None) -> SpectrumData:
+def compute_spectrum(ops: LinearizedOps, refine_tol: float = 1e-12) -> SpectrumData:
     """Eigenvalue e0 and eigenfunctions Y1, Y2 of the linearized flow.
 
-    A dense symmetric eigendecomposition (on the grid itself when it is
-    small enough, otherwise on a coarse companion grid) supplies the
-    negative-eigenvalue bracket, the simplicity proxy, and a starting
-    vector; shifted inverse iteration on the full grid then drives the
-    eigen-residual to ``refine_tol``.  Passing ``start`` (a spectrum
-    computed on a coarser grid with the same rmax) skips the dense stage.
+    The bottom eigenpair (lam0, a) of the tridiagonal L~_+ seeds shifted
+    inverse iteration on the banded block script_L at
+    e0 ~ sqrt(-lam0 (a, L~_- a)), which drives the eigen-residual to
+    ``refine_tol``; every step is O(n).
     """
     if ops.gp is None:
         raise SpectralFailureError("spectrum requires intercritical operators")
     grid = ops.grid
     gp = ops.gp
     qvec = ops.restrict(gp.Q).real
+    Lp, Lm = ops.symmetric()
 
-    if start is not None:
-        e0_guess = start.e0
-        mu_second = start.mu_second
-        y_start = np.interp(grid.r, start.Y1.grid.r,
-                            start.Y1.values.real)[ops.idx0:grid.n] * ops.sym
-    else:
-        if ops.m <= dense_nodes:
-            mu_c, G_c, A_c = _dense_bottom(ops, qvec)
-            y_start = A_c @ G_c[:, 0]
-        else:
-            from .grid import make_grid
-            from .ground import solve_ground
-            n_c = max(int(math.ceil(grid.rmax / 0.02)), 600)
-            cgrid = make_grid(grid.N, grid.rmax, n_c)
-            cgp = solve_ground(cgrid, gp.p, polish=True)
-            cops = assemble(cgp)
-            mu_c, G_c, A_c = _dense_bottom(cops, cops.restrict(cgp.Q).real)
-            ycoarse = cops.extend((A_c @ G_c[:, 0]) / cops.sym).values.real
-            y_start = np.interp(grid.r, cgrid.r, ycoarse)[ops.idx0:grid.n] * ops.sym
-        if not mu_c[0] < 0:
-            raise SpectralFailureError(
-                f"no negative eigenvalue found (bottom of spectrum {mu_c[0]:.3e}); "
-                "the ground profile or grid is suspect")
-        mu_second = float(mu_c[1])
-        e0_guess = math.sqrt(-mu_c[0])
+    (lam0,), a = eigh_tridiagonal(Lp.diag, Lp.sup, select="i", select_range=(0, 0))
+    if not lam0 < 0:
+        raise SpectralFailureError(
+            f"L_+ has no negative eigenvalue (bottom of spectrum {lam0:.3e}); "
+            "the ground profile or grid is suspect")
+    a = a[:, 0]
+    e0_guess = math.sqrt(-lam0 * float(np.dot(a, Lm.apply(a))))
+    x = np.empty(2 * ops.m)
+    x[0::2] = a
+    x[1::2] = (lam0 / e0_guess) * a       # g2 = L~_+ g1 / e0 for g1 = a
+    e0, g1, g2, _ = _inverse_iteration(Lp, Lm, e0_guess, x, refine_tol)
+    if not e0 > 0:
+        raise SpectralFailureError(f"refined eigenvalue is {e0:.3e} <= 0")
 
-    mu, ysym, res = _refine_inverse_iteration(ops, e0_guess, y_start, refine_tol)
-    if not mu < 0:
-        raise SpectralFailureError(f"refined bottom eigenvalue is {mu:.3e} >= 0")
-    e0 = math.sqrt(-mu)
-
-    y1 = ysym / ops.sym
-    y2 = ops.apply_lplus(y1) / e0
+    y1 = g1 / ops.sym
+    y2 = g2 / ops.sym
 
     # normalization |B(Y+,Y-)| = 1: (Y1, Y2) = -1/e0 (negative is forced)
     ip12 = float(np.dot(ops.rho, y1 * y2))
@@ -359,7 +345,9 @@ def compute_spectrum(ops: LinearizedOps, dense_nodes: int = 2200,
     eta = _decay_margin(grid, gp, Y1f, Y2f)
     return SpectrumData(e0=e0, Y1=Y1f, Y2=Y2f, residual_plus=rp,
                         residual_minus=rm, decay_eta=eta,
-                        mu_second=mu_second, q_overlap=qov)
+                        negative_directions=_constrained_count(
+                            Lp, (ops.sym * qvec)[None, :]),
+                        q_overlap=qov)
 
 
 def _h1_inner(f: Field, g: Field) -> float:
@@ -392,28 +380,25 @@ def resolvent_solve(c: float, F: Field, ops: LinearizedOps,
                     tol: float = 1e-9) -> Field:
     """Solve (script_L + c) g = F for decaying F and real c off the spectrum.
 
-    Eliminating g_1 = (F_1 + L_- g_2)/c reduces the coupled system to the
-    pentadiagonal real solve  (L_+ L_- + c^2) g_2 = c F_2 - L_+ F_1.
-    The back-substituted residual must come out below ``tol``.
+    One banded solve of the block [[c, -L~_-], [L~_+, c]] on the
+    symmetrized real pair (g1, g2); the residual of the result must come
+    out below ``tol``.
     """
     if c == 0.0:
         raise SingularSystemError("c = 0 lies in the spectrum of script_L")
     fv = ops.restrict(F)
-    Lp = ops.lplus().symmetrize(ops.sym)
-    Lm = ops.lminus().symmetrize(ops.sym)
+    Lp, Lm = ops.symmetric()
     s = ops.sym
 
-    f1 = s * fv.real
-    f2 = s * fv.imag
-    rhs = c * f2 - Lp.apply(f1)
+    rhs = np.empty(2 * ops.m)
+    rhs[0::2] = s * fv.real
+    rhs[1::2] = s * fv.imag
     try:
-        g2 = solve_banded((2, 2), Lp.product(Lm, c * c), rhs)
-    except Exception as exc:  # singular to machine precision
+        x = solve_banded((3, 3), _script_l_bands(Lp, Lm, -c), rhs)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # singular to machine precision
         raise SingularSystemError(f"banded resolvent solve failed: {exc}") from exc
-    g1 = (f1 + Lm.apply(g2)) / c
 
-    gsym = g1 + 1j * g2
-    gv = gsym / s
+    gv = (x[0::2] + 1j * x[1::2]) / s
     res = np.linalg.norm(ops.apply_script_l(gv) + c * gv - fv)
     nf = np.linalg.norm(fv)
     if nf > 0 and res > tol * nf:
@@ -431,9 +416,8 @@ def coercivity_min(ops: LinearizedOps, spectrum: SpectrumData,
       Gperp:       int Q^p v_1 = 0   and  int Q v_2 = 0
       Gtildeperp:  int Y2 v_1 = 0,   int Q v_2 = 0,  int Y1 v_2 = 0
     The real and imaginary sectors decouple in both Phi and the H1 form,
-    so the minimum is the smaller of the two sector minima, each solved as
-    a dense symmetric-definite generalized eigenproblem on the constraint
-    null space.
+    so the minimum is the smaller of the two sector minima, each found by
+    bisection on the count of constrained eigenvalues below mu.
     """
     if ops.gp is None:
         raise SpectralFailureError("coercivity requires intercritical operators")
@@ -450,22 +434,41 @@ def coercivity_min(ops: LinearizedOps, spectrum: SpectrumData,
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
 
-    val1 = _sector_min(ops, ops.lplus(), cons1)
-    val2 = _sector_min(ops, ops.lminus(), cons2)
+    Lp, Lm = ops.symmetric()
+    val1 = _sector_min(ops, Lp, cons1)
+    val2 = _sector_min(ops, Lm, cons2)
     return min(val1, val2)
 
 
-def _sector_min(ops: LinearizedOps, op: Tridiag, constraints) -> float:
+def _constrained_count(M: Tridiag, C) -> int:
+    """Negative eigenvalues of the symmetric M on the null space of the
+    k <= 2 rows of C: n_-(M) + n_+(C M^{-1} C^T) - k (Haynsworth inertia
+    additivity applied to M bordered by C); k banded solves."""
+    S = C @ M.solve(C.T)
+    # k <= 2, so the k x k matrix -S is tridiagonal
+    minus_s = Tridiag(-np.diag(S, -1), -np.diag(S), -np.diag(S, 1))
+    return M.count_negative() + minus_s.count_negative() - len(C)
+
+
+def _sector_min(ops: LinearizedOps, L: Tridiag, constraints,
+                tol: float = 1e-13) -> float:
+    """Smallest K/H on the constraint null space, K = 1/2 L~ and H the
+    symmetrized H1 form 1 - Delta, by bisection on the constrained count of
+    K - mu H.  K = (H - W)/2 with the potential 0 <= W <= max W brackets the
+    minimum in [(1 - max W)/2, 1/2); only midpoints are evaluated, never
+    mu = 1/2, where K - mu H vanishes on the tail rows where Q underflows.
+    """
     lap = ops.lap
-    K = 0.5 * op.symmetrize(ops.sym).to_dense()   # 1/2 (L f, f)
-    # ||f||^2 + ||grad f||^2 form
-    H = Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup).symmetrize(ops.sym).to_dense()
+    H = Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup).symmetrize(ops.sym)
     # constraint (c, v)_rho = (s c, s v): rows live in symmetrized coordinates
     C = np.array([ops.sym * c for c in constraints])
-    # orthonormal basis of the constraint null space
-    _, _, Vt = np.linalg.svd(C, full_matrices=True)
-    Z = Vt[len(constraints):].T
-    Kz = Z.T @ (K @ Z)
-    Hz = Z.T @ (H @ Z)
-    vals = eigh(Kz, Hz, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
+    lo, hi = 0.5 * (1.0 - float(np.max(H.diag - L.diag))), 0.5
+    while hi - lo > tol:
+        mu = 0.5 * (lo + hi)
+        M = Tridiag(0.5 * L.sub - mu * H.sub, 0.5 * L.diag - mu * H.diag,
+                    0.5 * L.sup - mu * H.sup)
+        if _constrained_count(M, C) > 0:
+            hi = mu
+        else:
+            lo = mu
+    return 0.5 * (lo + hi)

@@ -121,10 +121,10 @@ def test_criterion_05_spectrum_certification(work33):
     # eigenvalue bias sits below the 1e-4 target
     g1 = make_grid(3, 30.0, 10000)
     gp1 = solve_ground(g1, 3.0)
-    s1 = compute_spectrum(assemble(gp1), start=spectrum)
+    s1 = compute_spectrum(assemble(gp1))
     g2 = make_grid(3, 30.0, 20000)
     gp2 = solve_ground(g2, 3.0)
-    s2 = compute_spectrum(assemble(gp2), start=s1)
+    s2 = compute_spectrum(assemble(gp2))
     drift = abs(s2.e0 / s1.e0 - 1)
     yp = Field(gp.grid, spectrum.y_plus_values())
     ym = Field(gp.grid, np.conj(spectrum.y_plus_values()))
@@ -173,7 +173,7 @@ def test_criterion_07_coercivity(work33):
     g1 = make_grid(3, 30.0, 1500)
     gp1 = solve_ground(g1, 3.0)
     ops1 = assemble(gp1)
-    s1 = compute_spectrum(ops1, start=spectrum)
+    s1 = compute_spectrum(ops1)
     cg1 = coercivity_min(ops1, s1, "Gperp")
     ct1 = coercivity_min(ops1, s1, "Gtildeperp")
     stab_g = abs(cg / cg1 - 1)

@@ -206,7 +206,7 @@ def test_spectrum_and_construct_match_fixtures(tmp_path, gp33, ops33, spec33, so
                                  * spec33.Y2.values.real)),
         "q_y1_overlap": spec33.q_overlap,
         "decay_eta": spec33.decay_eta,
-        "mu_second": spec33.mu_second,
+        "negative_directions": spec33.negative_directions,
         "coercivity_Gperp": coercivity_min(ops33, spec33, "Gperp"),
         "coercivity_Gtildeperp": coercivity_min(ops33, spec33, "Gtildeperp"),
     }

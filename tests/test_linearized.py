@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from nlslab.errors import SingularSystemError
+from nlslab.banded import Tridiag
+from nlslab.errors import SingularSystemError, SpectralFailureError
 from nlslab.grid import Field, integrate, make_grid, norms
 from nlslab.ground import closed_form_W, solve_ground
 from nlslab.linearized import (assemble, assemble_critical, bilinear_B,
@@ -149,7 +152,75 @@ def test_phi_yplus_vanishes(gp33, ops33, spec33):
 
 
 def test_spectrum_simplicity_proxy(spec33):
-    assert spec33.mu_second >= -1e-6
+    assert spec33.negative_directions == 1
+
+
+def test_spectrum_rejects_a_profile_without_negative_direction(gp33):
+    """At 0.1 Q the potential p (0.1 Q)^{p-1} is too shallow for L_+ to have
+    a negative eigenvalue, so there is no e0 to find."""
+    weak = dataclasses.replace(
+        gp33, Q=Field(gp33.grid, 0.1 * gp33.Q.values, real=True))
+    with pytest.raises(SpectralFailureError, match="no negative eigenvalue"):
+        compute_spectrum(assemble(weak))
+
+
+def _dense(t):
+    return np.diag(t.diag) + np.diag(t.sup, 1) + np.diag(t.sub, -1)
+
+
+def _null_space(rows):
+    return np.linalg.svd(np.array(rows), full_matrices=True)[2][len(rows):].T
+
+
+@pytest.mark.parametrize("case", ["33", "17"])
+def test_banded_spectral_layer_matches_dense_oracle(case, request):
+    """e0, both coercivity minima and the count of negative directions of
+    L_+ on {Q}^perp against dense eigensolves on the n = 1500 grid."""
+    ops = request.getfixturevalue(f"ops{case}")
+    spec = request.getfixturevalue(f"spec{case}")
+    Lp, Lm = (_dense(t) for t in ops.symmetric())
+    s = ops.sym
+    q = ops.restrict(ops.gp.Q).real
+    Z = _null_space([s * q])
+    # e0^2 = -bottom of A L+ A on {Q}^perp, A = (L- on {Q}^perp)^{1/2}
+    lam, V = eigh(Z.T @ Lm @ Z)
+    A = (V * np.sqrt(np.clip(lam, 0.0, None))) @ V.T
+    mu = eigh(A @ (Z.T @ Lp @ Z) @ A, eigvals_only=True, subset_by_index=[0, 0])
+    assert spec.e0 == pytest.approx(math.sqrt(-mu[0]), rel=1e-9)
+    dense_count = np.count_nonzero(eigh(Z.T @ Lp @ Z, eigvals_only=True) < 0)
+    assert spec.negative_directions == dense_count == 1
+
+    lap = ops.lap
+    H = _dense(Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup).symmetrize(s))
+    y1 = ops.restrict(spec.Y1).real
+    y2 = ops.restrict(spec.Y2).real
+    sectors = {"Gperp": ((Lp, [q**ops.p]), (Lm, [q])),
+               "Gtildeperp": ((Lp, [y2]), (Lm, [q, y1]))}
+    for subspace, pair in sectors.items():
+        minima = []
+        for L, rows in pair:
+            Zc = _null_space([s * c for c in rows])
+            minima.append(eigh(0.5 * Zc.T @ L @ Zc, Zc.T @ H @ Zc,
+                               eigvals_only=True, subset_by_index=[0, 0])[0])
+        assert coercivity_min(ops, spec, subspace) == pytest.approx(
+            min(minima), abs=1e-10)
+
+
+def test_spectral_layer_on_a_fine_grid():
+    """(3, 3) at n = 100 000 (h = 3e-4): eigen-residuals, the resolvent at
+    c = -2 e0 and both coercivity minima, the last within criterion 7's 10%
+    of their n = 3000 values."""
+    coarse, fine = [assemble(solve_ground(make_grid(3, 30.0, n), 3.0))
+                    for n in (3000, 100_000)]
+    spec_c, spec = compute_spectrum(coarse), compute_spectrum(fine)
+    assert spec.residual_plus <= 1e-6 and spec.residual_minus <= 1e-6
+    assert spec.negative_directions == 1
+    G = smooth(fine.grid, np.random.default_rng(7))
+    resolvent_solve(-2.0 * spec.e0, G, fine)   # raises above its 1e-9 residual
+    for subspace in ("Gperp", "Gtildeperp"):
+        val = coercivity_min(fine, spec, subspace)
+        assert val > 0
+        assert abs(val / coercivity_min(coarse, spec_c, subspace) - 1) <= 0.10
 
 
 def test_eigenfunction_decay_margin(spec33, spec17):
@@ -201,7 +272,7 @@ def test_e0_stability_under_doubling(spec33, gp33):
     g2 = make_grid(3, 30.0, 3000)
     gp2 = solve_ground(g2, 3.0)
     ops2 = assemble(gp2)
-    spec2 = compute_spectrum(ops2, start=spec33)
+    spec2 = compute_spectrum(ops2)
     # the session grid pair (h = .02 -> .01) converges at O(h^2); the tight
     # 1e-4 criterion is certified on finer pairs in the acceptance suite
     assert abs(spec2.e0 / spec33.e0 - 1) < 5e-3
@@ -255,7 +326,7 @@ def test_coercivity_positive_and_stable(ops33, spec33, gp33):
     g2 = make_grid(3, 30.0, 3000)
     gp2 = solve_ground(g2, 3.0)
     ops2 = assemble(gp2)
-    spec2 = compute_spectrum(ops2, start=spec33)
+    spec2 = compute_spectrum(ops2)
     val2 = coercivity_min(ops2, spec2, "Gperp")
     assert abs(val2 / val - 1) < 0.10
 

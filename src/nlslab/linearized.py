@@ -450,8 +450,7 @@ def _constrained_count(M: Tridiag, C) -> int:
     return M.count_negative() + minus_s.count_negative() - len(C)
 
 
-def _sector_min(ops: LinearizedOps, L: Tridiag, constraints,
-                tol: float = 1e-13) -> float:
+def _sector_min(ops: LinearizedOps, L: Tridiag, constraints) -> float:
     """Smallest K/H on the constraint null space, K = 1/2 L~ and H the
     symmetrized H1 form 1 - Delta, by bisection on the constrained count of
     K - mu H.  K = (H - W)/2 with the potential 0 <= W <= max W brackets the
@@ -463,7 +462,7 @@ def _sector_min(ops: LinearizedOps, L: Tridiag, constraints,
     # constraint (c, v)_rho = (s c, s v): rows live in symmetrized coordinates
     C = np.array([ops.sym * c for c in constraints])
     lo, hi = 0.5 * (1.0 - float(np.max(H.diag - L.diag))), 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mu = 0.5 * (lo + hi)
         M = Tridiag(0.5 * L.sub - mu * H.sub, 0.5 * L.diag - mu * H.diag,
                     0.5 * L.sup - mu * H.sup)

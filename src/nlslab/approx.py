@@ -219,9 +219,9 @@ def build_Vk(A: float, k: int, spectrum: SpectrumData,
             lz = ops.extend(ops.apply_script_l(ops.restrict(Z[jj]))).values
             eps.coeffs[jj] += lz - jj * e0 * Z[jj].values
         for jj in range(1, j + 1):
-            # the recursion lives on the operator's active nodes; slaved
-            # origin values are interpolated and carry O(h^2) warts
-            drift = float(np.max(np.abs(eps.coeffs[jj][ops.idx0:grid.n])))
+            # the recursion lives on the operator's rows; slaved origin
+            # values are interpolated and carry O(h^2) warts
+            drift = float(np.max(np.abs(ops.op.rows(eps.coeffs[jj]))))
             if drift > DRIFT_TOL * scale:
                 raise RecursionDriftError(
                     f"order-{jj} coefficient should vanish but has sup "

@@ -24,7 +24,7 @@ from . import linearized as lin
 from . import modulation as mo
 from .evolve import EvolverConfig, TimeSeries, classify_run
 from .evolve import evolve as run_evolution
-from .config import DEFAULTS, RunConfig, load_config, parse_eps
+from .config import DEFAULTS, RunConfig, evolver_config, load_config, parse_eps
 from .errors import ConfigError, NlslabError, UsageError
 from .grid import (FLOAT_FMT, Field, make_grid, norms, read_field_csv,
                    write_field_csv)
@@ -129,11 +129,8 @@ class Pipeline:
                           lambda: ap.build_Vk(A, k, spec, ops))
 
     def evolver_config(self, **overrides) -> EvolverConfig:
-        """EvolverConfig from the ``evolve.*`` keys, which share its field names."""
-        fields = {key.split(".", 1)[1]: v for key, v in self.cfg.values.items()
-                  if key.startswith("evolve.")}
-        return EvolverConfig(**{**fields, "dt_min": fields["dt_min"] or None,
-                                **overrides})
+        """EvolverConfig from the ``evolve.*`` keys (``config.evolver_config``)."""
+        return evolver_config(self.cfg.values, **overrides)
 
     def identity_n(self) -> int:
         """``check.identity_n``, or the grid on which the identity ratio error

@@ -12,10 +12,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
+from .evolve import EvolverConfig
 from .ground import validate_intercritical
 
-__all__ = ["RunConfig", "load_config", "default_config", "parse_eps", "ENV_PREFIX"]
+__all__ = ["RunConfig", "load_config", "default_config", "parse_eps",
+           "evolver_config", "ENV_PREFIX"]
 
 ENV_PREFIX = "NLSLAB_"
 
@@ -113,6 +115,14 @@ def parse_eps(text: str) -> list[float]:
         raise ConfigError(f"experiment.sweep_eps: {exc}") from exc
 
 
+def evolver_config(values: dict, **overrides) -> EvolverConfig:
+    """EvolverConfig from the ``evolve.*`` keys, which share its field names."""
+    fields = {key.split(".", 1)[1]: v for key, v in values.items()
+              if key.startswith("evolve.")}
+    return EvolverConfig(**{**fields, "dt_min": fields["dt_min"] or None,
+                            **overrides})
+
+
 def _validate(values: dict) -> None:
     N, p = values["model.N"], values["model.p"]
     try:
@@ -123,10 +133,10 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"grid.rmax must be positive, got {values['grid.rmax']}")
     if values["grid.n"] < 16:
         raise ConfigError(f"grid.n must be >= 16, got {values['grid.n']}")
-    if values["evolve.dt"] <= 0:
-        raise ConfigError(f"evolve.dt must be positive, got {values['evolve.dt']}")
-    if values["evolve.order"] not in (2, 4):
-        raise ConfigError(f"evolve.order must be 2 or 4, got {values['evolve.order']}")
+    try:
+        evolver_config(values)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"evolve.*: {exc}") from exc
     if not (0 < values["experiment.delta"] <= 0.2):
         raise ConfigError(
             f"experiment.delta must lie in (0, 0.2], got {values['experiment.delta']}")

@@ -3,11 +3,12 @@
 Strang splitting: a half-step of the exact nonlinear phase
 u <- u exp(i dt/2 |u|^{p-1}), a full Crank-Nicolson step of the linear
 part (with the optional absorbing layer entering as a complex potential
-that damps mass on the outer shell), and a second half phase.  The
-Laplacian is ``grid.radial_operator``, which is symmetric under its
-weights rho, so the sponge-free Crank-Nicolson step is unitary in the
-rho-weighted L2 norm to solver roundoff, and the full step is
-time-reversible.
+that damps mass on the outer shell), and a second half phase, all on the
+rows of ``grid.radial_operator``; each step maps the n + 1 node values
+to n + 1 node values through that operator (slaved origin node filled,
+node n = 0).  The Laplacian is symmetric under ``grid.w`` on its rows, so
+at every N the sponge-free Crank-Nicolson step conserves the ``grid.w``
+mass to solver roundoff, and the full step is time-reversible.
 
 ``order = 4`` composes the Strang step by the standard triple jump
 (gamma1, gamma2, gamma1) dt with gamma1 = 1/(2 - 2^{1/3}); this keeps
@@ -24,8 +25,7 @@ import numpy as np
 
 from .banded import Tridiag
 from .errors import InstabilityError, InvalidParameterError
-from .grid import (Field, RadialGrid, fill_origin, gradient_values, norms,
-                   radial_operator)
+from .grid import Field, RadialGrid, gradient_values, norms, radial_operator
 from .ground import GroundProfile, Observables
 
 __all__ = [
@@ -67,12 +67,11 @@ class EvolverConfig:
     snapshot_every: int = 0        # 0: only first/last
     order: int = 2
     mass_guard: float = 1e-3
-    virial_R: float | None = None  # default rmax/4
 
     def __post_init__(self):
         if self.dt <= 0:
             raise InvalidParameterError("dt must be positive")
-        if self.sponge and self.sponge_strength < 0:
+        if self.sponge_strength < 0:
             raise InvalidParameterError("sponge strength must be >= 0")
         if self.dt_min is not None and not self.dt_min < self.dt:
             raise InvalidParameterError("minimum dt must be below dt")
@@ -117,32 +116,29 @@ class Verdict:
 class Evolver:
     """Caches the Crank-Nicolson matrix pairs for a (grid, p, config).
 
-    The linear step acts on the rows of ``radial_operator``; a slaved
-    origin node is refilled by regularity after each step.
+    A step maps all n + 1 node values through ``radial_operator``: the
+    splitting acts on its rows, and ``extend`` fills the slaved origin.
     """
 
     def __init__(self, grid: RadialGrid, p: float, cfg: EvolverConfig):
         self.grid = grid
         self.p = float(p)
         self.cfg = cfg
-        n = grid.n
-        op = radial_operator(grid)
-        self.lap = op.lap
-        self.first = op.first
+        self.op = radial_operator(grid)
         rs = grid.rmax * (1.0 - cfg.sponge_width)
-        sig = np.zeros(n)
+        sig = np.zeros(grid.n + 1)
         if cfg.sponge:
-            mask = grid.r[:n] > rs
-            sig[mask] = cfg.sponge_strength * ((grid.r[:n][mask] - rs)
+            mask = grid.r > rs
+            sig[mask] = cfg.sponge_strength * ((grid.r[mask] - rs)
                                                / (grid.rmax - rs)) ** 2
-        self.sigma = sig[self.first:]
+        self.sigma = self.op.rows(sig)
         self._cn_cache: dict[float, tuple[Tridiag, Tridiag]] = {}
 
     def _cn(self, dt: float) -> tuple[Tridiag, Tridiag]:
         """(1 - i dt/2 Lap + |dt|/2 sigma, 1 + i dt/2 Lap - |dt|/2 sigma)."""
         pair = self._cn_cache.get(dt)
         if pair is None:
-            lap = self.lap
+            lap = self.op.lap
             # the absorbing term is non-Hamiltonian: it must damp along the
             # direction of integration, hence |dt|
             damp = abs(dt) / 2 * self.sigma
@@ -155,22 +151,19 @@ class Evolver:
             pair = self._cn_cache[dt] = (lhs, rhs)
         return pair
 
-    def _strang(self, u, dt):
+    def _strang(self, v, dt):
+        """One Strang step of the row values ``v``."""
         lhs, rhs = self._cn(dt)
-        k = self.first
-        v = u * np.exp(1j * (dt / 2) * np.abs(u) ** (self.p - 1))
-        v[k:] = lhs.solve(rhs.apply(v[k:]))
-        v *= np.exp(1j * (dt / 2) * np.abs(v) ** (self.p - 1))
-        if k:
-            fill_origin(v)
-        return v
+        v = v * np.exp(1j * (dt / 2) * np.abs(v) ** (self.p - 1))
+        v = lhs.solve(rhs.apply(v))
+        return v * np.exp(1j * (dt / 2) * np.abs(v) ** (self.p - 1))
 
     def step_values(self, u, dt):
-        if self.cfg.order == 2:
-            return self._strang(u, dt)
-        u = self._strang(u, GAMMA1 * dt)
-        u = self._strang(u, GAMMA2 * dt)
-        return self._strang(u, GAMMA1 * dt)
+        """One step of the n + 1 node values ``u``."""
+        v = self.op.rows(u)
+        for gamma in ((1.0,) if self.cfg.order == 2 else (GAMMA1, GAMMA2, GAMMA1)):
+            v = self._strang(v, gamma * dt)
+        return self.op.extend(v)
 
 
 def step(u: Field, dt: float, cfg: EvolverConfig, p: float,
@@ -179,8 +172,7 @@ def step(u: Field, dt: float, cfg: EvolverConfig, p: float,
     if abs(dt) > cfg.dt * (1 + 1e-12):
         raise InvalidParameterError("step size exceeds the configured dt")
     ev = evolver if evolver is not None else Evolver(u.grid, p, cfg)
-    out = np.concatenate([ev.step_values(u.values[:u.grid.n], dt), [0.0]])
-    return Field(u.grid, out)
+    return Field(u.grid, ev.step_values(u.values, dt))
 
 
 def _phi_cutoff(s):
@@ -211,8 +203,7 @@ def variance_rate(u: Field) -> float:
 
 
 def diagnostics(u: Field, t: float, p: float,
-                reference: GroundProfile | None = None,
-                virial_R: float | None = None) -> dict:
+                reference: GroundProfile | None = None) -> dict:
     """All scalar diagnostics of a state; reference-dependent entries are
     NaN when no ground profile is attached."""
     grid = u.grid
@@ -224,7 +215,7 @@ def diagnostics(u: Field, t: float, p: float,
     momentum = float(np.dot(w, (np.conj(u.values) * du).imag))
     linf = float(np.max(a))
 
-    R = virial_R if virial_R is not None else grid.rmax / 4.0
+    R = grid.rmax / 4.0
     s = grid.r / R
     fr = float(np.dot(w, R**2 * _phi_cutoff(s) * a2))
     frp = 2.0 * float(np.dot(w, R * _phi_cutoff_prime(s)
@@ -270,7 +261,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
         meta["ref_h1"] = math.sqrt(ref.mass) + ref.grad
 
     def sample():
-        row = diagnostics(Field(grid, u), t, p, reference, cfg.virial_R)
+        row = diagnostics(Field(grid, u), t, p, reference)
         if not (math.isfinite(row["mass"]) and math.isfinite(row["grad"])):
             raise InstabilityError(f"the state is not finite at t = {t:.6g}")
         rows.append(row)
@@ -284,8 +275,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     while (cfg.t_end - t) * direction > 1e-12:
         if (cfg.t_end - t) * direction < abs(dt) * (1 - 1e-9):
             dt = (cfg.t_end - t)
-        u = ev.step_values(u[:grid.n], dt)
-        u = np.concatenate([u, [0.0]])
+        u = ev.step_values(u, dt)
         t += dt
         step_count += 1
         if step_count % max(cfg.sample_every, 1) == 0 or \

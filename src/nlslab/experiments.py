@@ -49,7 +49,6 @@ class SpecialRunSpec:
     k: int = 3
     delta: float = 0.1
     t_back: float | None = None      # default: t0 + 5
-    forward_span: float | None = None  # default: 3/e0
     cfg: EvolverConfig = field(default_factory=lambda: EvolverConfig(dt=1e-4))
 
     def __post_init__(self):
@@ -113,7 +112,7 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
     me, mg = gp.me_mg(obs)
     d0_sign = int(math.copysign(1.0, obs.grad - ref.grad))
 
-    span = spec.forward_span if spec.forward_span is not None else 3.0 / e0
+    span = 3.0 / e0
     fwd_cfg = replace(spec.cfg, sponge=False, t_end=t0 + span,
                       snapshot_every=max(1, int(round(
                           0.05 / (e0 * spec.cfg.dt * spec.cfg.sample_every)))))

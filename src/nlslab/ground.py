@@ -31,7 +31,7 @@ from .errors import (
     NoBracketError,
     NonConvergenceError,
 )
-from .grid import Field, RadialGrid, fill_origin, gradient_values, radial_operator
+from .grid import Field, RadialGrid, gradient_values, radial_operator
 
 __all__ = [
     "GroundProfile",
@@ -137,13 +137,10 @@ class Observables:
 
 
 def observables(u: Field, p: float) -> Observables:
-    """Observables of ``u`` under ``grid.w`` with ``gradient_values``.
-
-    A field flagged real is integrated through its real part.
-    """
+    """Observables of ``u`` under ``grid.w`` with ``gradient_values``."""
     grid = u.grid
-    v = u.values.real if u.real else u.values
-    return Observables.integrate(grid.w, np.abs(v), gradient_values(grid, v), p)
+    return Observables.integrate(grid.w, np.abs(u.values),
+                                 gradient_values(grid, u.values), p)
 
 
 def _shoot(a: float, p: float, N: int, h_sub: float, r_stop: float):
@@ -226,7 +223,7 @@ def _newton_polish(grid: RadialGrid, p: float, q_init, max_iter=25):
     """Solve Lap_h Q - Q + Q^p = 0 on the rows of ``radial_operator``."""
     op = radial_operator(grid)
     lap = op.lap
-    q = q_init[op.first:grid.n].copy()
+    q = op.rows(q_init).copy()
     best = math.inf
     # residual floor scales like eps/h^2 * |Q|^p; stop on stagnation
     for _ in range(max_iter):
@@ -237,11 +234,7 @@ def _newton_polish(grid: RadialGrid, p: float, q_init, max_iter=25):
         best = rnorm
         jac = Tridiag(lap.sub, lap.diag - 1.0 + p * np.abs(q) ** (p - 1), lap.sup)
         q += jac.solve(-F)
-    full = np.zeros(grid.n + 1)
-    full[op.first:grid.n] = q
-    if op.first:
-        fill_origin(full)
-    return full, float(np.max(np.abs(_residual(lap, q, p))))
+    return op.extend(q), float(np.max(np.abs(_residual(lap, q, p))))
 
 
 def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
@@ -290,7 +283,7 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
             c_q = q[i_fit] * rf ** ((N - 1) / 2.0) * math.exp(rf)
     else:
         op = radial_operator(grid)
-        resid = float(np.max(np.abs(_residual(op.lap, q[op.first:grid.n], p))))
+        resid = float(np.max(np.abs(_residual(op.lap, op.rows(q), p))))
 
     gp = GroundProfile(
         Q=Field(grid, q.astype(complex), real=True),
@@ -355,7 +348,7 @@ def closed_form_W(N: int, grid: RadialGrid) -> Field:
         raise DimensionError(
             f"W requires N >= 3 on a matching grid (asked N={N}, grid N={grid.N})")
     w = (1.0 + grid.r**2 / (N * (N - 2))) ** (-(N - 2) / 2.0)
-    return Field(grid, w.astype(complex), real=True, decaying=False)
+    return Field(grid, w.astype(complex), real=True)
 
 
 def _gradient4_values(grid: RadialGrid, v):

@@ -45,7 +45,7 @@ from .errors import (
     SingularSystemError,
     SpectralFailureError,
 )
-from .grid import Field, RadialGrid, fill_origin, gradient_values, radial_operator
+from .grid import Field, RadialGrid, RadialOperator, gradient_values, radial_operator
 from .ground import GroundProfile
 
 __all__ = [
@@ -66,28 +66,37 @@ Q_FLOOR = 1e-10  # relative floor below which Q-ratios are not trusted
 
 @dataclass
 class LinearizedOps:
-    """L_+/L_- on the rho-symmetric nodes idx0..n-1 of ``radial_operator``.
+    """L_+/L_- on the rows of a ``radial_operator``.
 
-    ``lap`` is the Laplacian there, ``rho`` its symmetrizing weights and
-    ``sym`` = sqrt(rho); node 0, when outside the block, is filled by
-    regularity in ``extend``.
+    ``lap`` and ``rho`` are the operator's Laplacian and its symmetrizing
+    weights, ``sym`` = sqrt(rho); ``restrict`` and ``extend`` map fields to
+    row vectors and back through the operator.
     """
 
-    grid: RadialGrid
+    op: RadialOperator
     gp: GroundProfile | None
     p: float
     const: float                 # 1 in the intercritical convention, 0 critical
-    potential: np.ndarray        # Q^{p-1} (or W^{p_c - 1}) on active nodes
-    idx0: int                    # first active node
-    rho: np.ndarray              # detailed-balance weights on active nodes
+    potential: np.ndarray        # Q^{p-1} (or W^{p_c - 1}) on the rows
     sym: np.ndarray              # sqrt(rho)
-    lap: Tridiag                 # Laplacian on active nodes
+
+    @property
+    def grid(self) -> RadialGrid:
+        return self.op.grid
+
+    @property
+    def lap(self) -> Tridiag:
+        return self.op.lap
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.op.rho
 
     @property
     def m(self) -> int:
         return self.lap.m
 
-    # ---- applications (active-node vectors) ----
+    # ---- applications (row vectors) ----
 
     def apply_lplus(self, v):
         return self.const * v - self.lap.apply(v) - self.p * self.potential * v
@@ -96,7 +105,7 @@ class LinearizedOps:
         return self.const * v - self.lap.apply(v) - self.potential * v
 
     def apply_script_l(self, g):
-        """script_L g = -L_- g_2 + i L_+ g_1 on active-node complex vectors."""
+        """script_L g = -L_- g_2 + i L_+ g_1 on complex row vectors."""
         return -self.apply_lminus(g.imag) + 1j * self.apply_lplus(g.real)
 
     # ---- L_+ / L_- as matrices ----
@@ -113,23 +122,17 @@ class LinearizedOps:
         """L~_+ and L~_- = S L_pm S^{-1}, symmetric tridiagonal, S = diag(sym)."""
         return self.lplus().symmetrize(self.sym), self.lminus().symmetrize(self.sym)
 
-    # ---- field <-> active-vector helpers ----
+    # ---- field <-> row-vector maps ----
 
     def restrict(self, f: Field):
         if not f.grid.same_as(self.grid):
             raise GridMismatchError("field does not live on the operator grid")
-        return f.values[self.idx0:self.grid.n]
+        return self.op.rows(f.values)
 
     def extend(self, v, real=False) -> Field:
-        """Active-node vector -> Field; slaved nodes filled by regularity."""
-        full = np.zeros(self.grid.n + 1, dtype=complex)
-        full[self.idx0:self.grid.n] = v
-        if self.idx0 == 1:
-            fill_origin(full)
-        fld = Field(self.grid, full)
-        if real:
-            fld = Field(self.grid, full.real.astype(complex), real=True)
-        return fld
+        """Row vector -> Field; a slaved origin node filled by regularity."""
+        full = self.op.extend(np.asarray(v, dtype=complex))
+        return Field(self.grid, full.real if real else full, real=real)
 
 
 def assemble(gp: GroundProfile) -> LinearizedOps:
@@ -150,12 +153,9 @@ def assemble_critical(W: Field) -> LinearizedOps:
 def _assemble(grid: RadialGrid, profile, p: float, const: float,
               gp: GroundProfile | None) -> LinearizedOps:
     op = radial_operator(grid)
-    idx0 = op.idx0
-    return LinearizedOps(
-        grid=grid, gp=gp, p=float(p), const=float(const),
-        potential=profile[idx0:grid.n] ** (p - 1.0), idx0=idx0,
-        rho=op.rho, sym=np.sqrt(op.rho), lap=op.block,
-    )
+    return LinearizedOps(op=op, gp=gp, p=float(p), const=float(const),
+                         potential=op.rows(profile) ** (p - 1.0),
+                         sym=np.sqrt(op.rho))
 
 
 def scaling_generator(gp: GroundProfile) -> Field:
@@ -195,12 +195,9 @@ def phi_quadratic_form(f: Field, ops: LinearizedOps) -> float:
     w = grid.w
     v1 = f.values.real
     v2 = f.values.imag
-    pot = np.zeros(grid.n + 1)
-    pot[ops.idx0:grid.n] = ops.potential
-    if ops.idx0 == 1:  # extend the potential to the slaved origin node
-        base = ops.gp.Q.values.real if ops.gp is not None else None
-        pot[0] = (base[0] ** (ops.p - 1.0) if base is not None
-                  else (4 * pot[1] - pot[2]) / 3.0)
+    pot = ops.op.extend(ops.potential)
+    if ops.gp is not None:  # a slaved origin node takes Q(0)^{p-1}
+        pot[0] = ops.gp.Q.values.real[0] ** (ops.p - 1.0)
     pot[grid.n] = pot[grid.n - 1]
     g1 = gradient_values(grid, v1)
     g2 = gradient_values(grid, v2)

@@ -104,6 +104,18 @@ def test_bad_config_exit_code(tmp_path):
                     "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("keys", [
+    "evolve.dt_min = 0.5\n",
+    "evolve.sponge = true\nevolve.sponge_strength = -1\n",
+    "evolve.sponge_strength = -1\n",   # classify and special turn the sponge on
+])
+def test_bad_evolve_keys_are_config_errors(tmp_path, keys):
+    f = tmp_path / "bad.cfg"
+    f.write_text("N = 1\np = 7.0\n" + keys)
+    assert run_cli(["evolve", "--config", str(f), "--initial", "ground",
+                    "--out", str(tmp_path / "o")]) == 2
+
+
 def test_ground_command_outputs(tmp_path):
     out = tmp_path / "g"
     rc = run_cli(["ground", "--N", "3", "--p", "3", "--n", "1500",
@@ -144,7 +156,7 @@ def test_manifest_records_effective_config(tmp_path):
 # sha256 of the criterion-13 outputs; a change of discretization or of
 # the order of floating-point operations on these paths shows up here
 STORED_SHA256 = {
-    "Q.csv": "57e5207aca57efe5035c51d0e0ea03562df8955583b1b34532e3196da6432ab1",
+    "Q.csv": "11f450fb162d6020720e011c0816c0b105345b39e7a95aa38a8c8f3dbb28a268",
     "series.csv": "698164d5d909215e97cd4abaf288fd33b2006c10205691e711898edd8d243bd2",
     "snap_00000.csv": "e7158d3ae9efec203f0434570a6a384488fc780394f34cce74ad2ad0218b2d6a",
 }
@@ -154,7 +166,7 @@ ROUNDTRIP_SHA256 = {
     "series.csv": "4cf30352219002089707323bc30032684590a40d4a7935fafef71bcc6fd80189",
     "frames.csv": "9cebf67674e767391def1d3fc37b228ad70326f43defd83fdd130b60597f73c3",
 }
-SWEEP_SHA256 = "0b7999962c239b41cb02df4d785d53892a367dfa7b4f1ace3a66a1555a6bb76b"
+SWEEP_SHA256 = "75c724a0ef9fec77e027cdcbb798395aa8b1367b7ad5e53b0257d4a8b0ffefe7"
 
 
 def sha256_of(path):

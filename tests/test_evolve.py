@@ -169,7 +169,8 @@ def test_diagnostics_on_rotated_ground_state(gp33):
 def test_ground_state_sits_at_the_threshold(gp33, gentle):
     """The series normalises ME and MG by the same Q observables as the
     experiments, so Q itself reads ME = MG = 1 and d = 0 exactly."""
-    for gp in (gp33, gentle):
+    gp24 = solve_ground(make_grid(2, 30.0, 1500), 4.0)
+    for gp in (gp33, gentle, gp24):
         d = diagnostics(gp.Q, 0.0, gp.p, reference=gp)
         assert (d["me"], d["mg"], d["d"]) == (1.0, 1.0, 0.0)
         assert gp.me_mg(gp.obs) == (1.0, 1.0)
@@ -212,7 +213,7 @@ def test_mass_guard_triggers(gentle):
     vals[-1] = 1.0  # pinned to zero by the solver: a real mass loss
     cfg = EvolverConfig(dt=1e-3, t_end=0.1, sample_every=5)
     with pytest.raises(InstabilityError):
-        evolve(Field(g, vals, decaying=False), 0.0, cfg, gentle.p)
+        evolve(Field(g, vals), 0.0, cfg, gentle.p)
 
 
 def test_adaptive_halving_and_blowup_verdict(gp33):

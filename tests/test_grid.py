@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from nlslab.errors import GridMismatchError, InvalidParameterError
 from nlslab.grid import (Field, integrate, laplacian_apply, make_grid, norms,
-                         omega_n, read_field_csv, write_field_csv)
+                         omega_n, radial_operator, read_field_csv,
+                         write_field_csv)
 
 
 def test_make_grid_1d_weights():
@@ -55,14 +56,14 @@ def test_quadrature_polynomial_exactness():
     for N in (1, 2, 3):
         g = make_grid(N, 5.0, 500)
         for k in (0, 1, 2):
-            f = Field(g, g.r**k + 0j, decaying=False)
+            f = Field(g, g.r**k + 0j)
             exact = omega_n(N) * 5.0 ** (k + N) / (k + N)
             assert abs(integrate(f) / exact - 1) < 5 * g.h**2
 
 
 def test_laplacian_r_squared():
     g = make_grid(3, 10.0, 500)
-    f = Field(g, g.r**2 + 0j, decaying=False)
+    f = Field(g, g.r**2 + 0j)
     lap = laplacian_apply(f).values.real
     # interior nodes away from the pinned boundary see Delta r^2 = 2N
     assert np.allclose(lap[:-2], 6.0, atol=1e-8)
@@ -70,7 +71,7 @@ def test_laplacian_r_squared():
 
 def test_laplacian_constant_zero():
     g = make_grid(2, 10.0, 400)
-    f = Field(g, np.full(401, 3.7), decaying=False)
+    f = Field(g, np.full(401, 3.7))
     lap = laplacian_apply(f).values.real
     assert np.max(np.abs(lap[:-2])) < 1e-10
 
@@ -94,14 +95,31 @@ def test_laplacian_refinement_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 def test_laplacian_self_adjoint_under_radial_measure(N):
     g = make_grid(N, 20.0, 800)
+    # rows start at the origin exactly when the origin cell has weight
+    assert (radial_operator(g).first == 0) == (g.w[0] > 0)
     f = Field(g, np.exp(-g.r**2) * (1 + g.r))
     h = Field(g, np.exp(-((g.r - 2) ** 2)))
     lhs = integrate(Field(g, laplacian_apply(f).values * h.values))
     rhs = integrate(Field(g, laplacian_apply(h).values * f.values))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def test_n3_rows_are_the_centered_stencil():
+    """At N = 3 the geometric faces r_i r_{i+1} give the centered stencil
+    (f_{i+1} - 2 f_i + f_{i-1})/h^2 + (f_{i+1} - f_{i-1})/(r_i h) on the
+    rows 1..n-1: (i -+ 1)/(i h^2) off the diagonal, -2/h^2 on it.  The
+    bands and this oracle round differently, by at most 3 ulp."""
+    g = make_grid(3, 30.0, 1500)
+    op = radial_operator(g)
+    h, i = g.h, np.arange(1, g.n, dtype=float)
+    assert op.first == 1
+    for band, oracle in ((op.lap.sub, ((i - 1) / (i * h**2))[1:]),
+                         (op.lap.sup, ((i + 1) / (i * h**2))[:-1]),
+                         (op.lap.diag, np.full(i.size, -2 / h**2))):
+        assert np.all(np.abs(band - oracle) <= 4 * np.spacing(np.abs(oracle)))
 
 
 def test_norms_zero_field():

@@ -3,6 +3,10 @@
 Every discrete operator of the package (the radial Laplacian, L_+/L_-,
 the Crank-Nicolson pair) is a ``Tridiag``; ``count_negative`` gives the
 inertia of a symmetric one, on which the coercivity bisection rests.
+A ``Tridiag`` is LU-factored (LAPACK ?gttrf) on its first ``solve`` and
+keeps the factors, so every later solve is a back-substitution; the
+evolver keeps one Crank-Nicolson pair per dt, which is therefore
+factored once per dt.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
+
+from .errors import InvalidParameterError, SingularSystemError
 
 __all__ = ["Tridiag"]
 
@@ -62,13 +68,32 @@ class Tridiag:
         return count
 
     @cached_property
-    def _banded(self) -> NDArray:
-        ab = np.zeros((3, self.m), dtype=np.result_type(self.sub, self.diag, self.sup))
-        ab[0, 1:] = self.sup
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.sub
-        return ab
+    def _lu(self):
+        """(?gttrs, its factor arguments): the LU factors of T with partial
+        pivoting from LAPACK ?gttrf, in the dtype of the bands."""
+        bands = [np.asarray_chkfinite(b) for b in (self.sub, self.diag, self.sup)]
+        if self.m < 3:  # scipy's ?gttrf wrapper rejects n < 3
+            raise InvalidParameterError(f"solve needs at least 3 rows, got {self.m}")
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), bands)
+        *factors, info = gttrf(*bands)
+        if info:
+            raise SingularSystemError(f"tridiagonal matrix is singular (pivot {info} is 0)")
+        return gttrs, factors
 
     def solve(self, rhs):
-        """T^{-1} rhs (LAPACK banded LU with partial pivoting)."""
-        return solve_banded((1, 1), self._banded, rhs)
+        """T^{-1} rhs for a 1-D or 2-D (one column per system) ``rhs``.
+
+        The result has the wider of the two dtypes: a complex ``rhs`` on a
+        real T is solved with T widened to complex, factored for that call.
+        """
+        rhs = np.asarray_chkfinite(rhs)
+        if rhs.shape[:1] != (self.m,):
+            raise ValueError(f"rhs of shape {rhs.shape} does not fit {self.m} rows")
+        gttrs, factors = self._lu
+        wide = np.result_type(factors[1], rhs)
+        if wide != factors[1].dtype:
+            return Tridiag(*(b.astype(wide) for b in (self.sub, self.diag, self.sup))).solve(rhs)
+        x, info = gttrs(*factors, rhs)
+        if info:
+            raise SingularSystemError(f"?gttrs rejected argument {-info}")
+        return x

@@ -27,7 +27,7 @@ from .evolve import evolve as run_evolution
 from .config import DEFAULTS, RunConfig, evolver_config, load_config, parse_eps
 from .errors import ConfigError, NlslabError, UsageError
 from .grid import (FLOAT_FMT, Field, make_grid, norms, read_field_csv,
-                   write_field_csv)
+                   write_csv, write_field_csv)
 from .ground import check_identities, solve_ground
 from .manifest import RunManifest
 
@@ -46,8 +46,7 @@ def _write_kv(path: Path, entries: dict) -> None:
 
 
 def _write_series(path: Path, series: TimeSeries) -> None:
-    np.savetxt(path, series.rows(), fmt=FLOAT_FMT, delimiter=",",
-               header=TimeSeries.HEADER, comments="")
+    write_csv(path, TimeSeries.HEADER, *series.rows().T)
 
 
 def _write_snapshots(out: Path, snaps) -> None:

@@ -73,6 +73,8 @@ class EvolverConfig:
             raise InvalidParameterError("dt must be positive")
         if self.sponge_strength < 0:
             raise InvalidParameterError("sponge strength must be >= 0")
+        if not 0 < self.sponge_width < 1:
+            raise InvalidParameterError("sponge width must lie in (0, 1)")
         if self.dt_min is not None and not self.dt_min < self.dt:
             raise InvalidParameterError("minimum dt must be below dt")
         if self.order not in (2, 4):
@@ -118,6 +120,9 @@ class Evolver:
 
     A step maps all n + 1 node values through ``radial_operator``: the
     splitting acts on its rows, and ``extend`` fills the slaved origin.
+    The implicit matrix of each dt is LU-factored on its first solve and
+    kept with its pair, so each matrix is factored once per dt and every
+    later step at that dt is a tridiagonal back-substitution.
     """
 
     def __init__(self, grid: RadialGrid, p: float, cfg: EvolverConfig):
@@ -175,21 +180,6 @@ def step(u: Field, dt: float, cfg: EvolverConfig, p: float,
     return Field(u.grid, ev.step_values(u.values, dt))
 
 
-def _phi_cutoff(s):
-    """phi(s) = s^2 for s <= 1, a C^1 taper with phi'' <= 2 on [1, 3], 0 beyond."""
-    s = np.asarray(s, dtype=float)
-    x = np.clip(s - 1.0, 0.0, 2.0)
-    mid = 1.0 + 2 * x - 4.5 * x**2 + 2.5 * x**3 - 0.4375 * x**4
-    return np.where(s <= 1.0, s**2, np.where(s >= 3.0, 0.0, mid))
-
-
-def _phi_cutoff_prime(s):
-    s = np.asarray(s, dtype=float)
-    x = np.clip(s - 1.0, 0.0, 2.0)
-    mid = 2.0 * (1.0 - 3.5 * x) * (1.0 - 0.5 * x) ** 2
-    return np.where(s <= 1.0, 2.0 * s, np.where(s >= 3.0, 0.0, mid))
-
-
 def variance(u: Field) -> float:
     """Full variance V = int r^2 |u|^2."""
     return float(np.dot(u.grid.w, u.grid.r**2 * np.abs(u.values) ** 2))
@@ -215,11 +205,9 @@ def diagnostics(u: Field, t: float, p: float,
     momentum = float(np.dot(w, (np.conj(u.values) * du).imag))
     linf = float(np.max(a))
 
-    R = grid.rmax / 4.0
-    s = grid.r / R
-    fr = float(np.dot(w, R**2 * _phi_cutoff(s) * a2))
-    frp = 2.0 * float(np.dot(w, R * _phi_cutoff_prime(s)
-                             * (du * np.conj(u.values)).imag))
+    phi, phi_prime = grid.virial_weights
+    fr = float(np.dot(w, phi * a2))
+    frp = 2.0 * float(np.dot(w, phi_prime * (du * np.conj(u.values)).imag))
 
     out = dict(t=t, mass=obs.mass, energy=obs.energy, momentum=momentum,
                grad=obs.grad, linf=linf, potential=obs.potential,

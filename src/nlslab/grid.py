@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,6 +54,7 @@ __all__ = [
     "norms",
     "gradient_values",
     "omega_n",
+    "write_csv",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -82,12 +84,43 @@ class RadialGrid:
         self.r.setflags(write=False)
         self.w.setflags(write=False)
 
+    @cached_property
+    def r_text(self) -> tuple[str, ...]:
+        """The nodes as snapshot text (%.17g), formatted once per grid."""
+        return tuple(f"{x:.17g}" for x in self.r.tolist())
+
+    @cached_property
+    def virial_weights(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """(R^2 phi(r/R), R phi'(r/R)) with R = rmax/4: the weights of the
+        localized variance int R^2 phi(|x|/R) |u|^2 and of its rate."""
+        R = self.rmax / 4.0
+        s = self.r / R
+        weights = R**2 * _phi_cutoff(s), R * _phi_cutoff_prime(s)
+        for v in weights:
+            v.setflags(write=False)
+        return weights
+
     def same_as(self, other: "RadialGrid") -> bool:
         return (
             self.N == other.N
             and self.n == other.n
             and self.rmax == other.rmax
         )
+
+
+def _phi_cutoff(s):
+    """phi(s) = s^2 for s <= 1, a C^1 taper with phi'' <= 2 on [1, 3], 0 beyond."""
+    s = np.asarray(s, dtype=float)
+    x = np.clip(s - 1.0, 0.0, 2.0)
+    mid = 1.0 + 2 * x - 4.5 * x**2 + 2.5 * x**3 - 0.4375 * x**4
+    return np.where(s <= 1.0, s**2, np.where(s >= 3.0, 0.0, mid))
+
+
+def _phi_cutoff_prime(s):
+    s = np.asarray(s, dtype=float)
+    x = np.clip(s - 1.0, 0.0, 2.0)
+    mid = 2.0 * (1.0 - 3.5 * x) * (1.0 - 0.5 * x) ** 2
+    return np.where(s <= 1.0, 2.0 * s, np.where(s >= 3.0, 0.0, mid))
 
 
 def make_grid(N: int, rmax: float, n: int) -> RadialGrid:
@@ -248,10 +281,23 @@ def norms(f: Field, lp_exponent: float | None = None) -> Norms:
                  linf=float(np.max(np.abs(f.values))))
 
 
+def write_csv(path, header: str, *columns) -> None:
+    """``header``, then one comma-separated row per index of ``columns``.
+
+    An array column is written as %.17g, 17 significant digits, which
+    read back to the same float64; a sequence of str (``RadialGrid.r_text``)
+    is written as it is.  The bytes are those that numpy's ``savetxt``
+    writes with ``fmt="%.17g"``, ``delimiter=","`` and ``comments=""``.
+    """
+    row = ",".join(["{:.17g}" if isinstance(c, np.ndarray) else "{}" for c in columns]) + "\n"
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n" + "".join(map(row.format, *values)))
+
+
 def write_field_csv(f: Field, path) -> None:
     """Snapshot format: header ``r,re,im``, one node per row, 17 digits."""
-    cols = np.column_stack([f.grid.r, f.values.real, f.values.imag])
-    np.savetxt(path, cols, fmt=FLOAT_FMT, delimiter=",", header="r,re,im", comments="")
+    write_csv(path, "r,re,im", f.grid.r_text, f.values.real, f.values.imag)
 
 
 def read_field_csv(path, grid: RadialGrid) -> Field:

@@ -108,6 +108,8 @@ def test_bad_config_exit_code(tmp_path):
     "evolve.dt_min = 0.5\n",
     "evolve.sponge = true\nevolve.sponge_strength = -1\n",
     "evolve.sponge_strength = -1\n",   # classify and special turn the sponge on
+    "evolve.sponge_width = 1.5\n",
+    "evolve.sponge_width = -0.5\n",
 ])
 def test_bad_evolve_keys_are_config_errors(tmp_path, keys):
     f = tmp_path / "bad.cfg"

@@ -157,6 +157,18 @@ def test_field_real_flag():
         Field(g, np.full(101, 1j), real=True)
 
 
+def test_field_csv_bytes_match_savetxt(tmp_path):
+    g = make_grid(1, 10.0, 64)
+    vals = np.exp(-g.r) * (1 + 0.5j * g.r)
+    vals[[1, 2, 3, 4]] = [-0.0, 5e-324, 1e300 - 2.5e-310j, np.nan + 1j * -0.0]
+    path = tmp_path / "f.csv"
+    write_field_csv(Field(g, vals), path)
+    oracle = tmp_path / "oracle.csv"
+    np.savetxt(oracle, np.column_stack([g.r, vals.real, vals.imag]), fmt="%.17g",
+               delimiter=",", header="r,re,im", comments="")
+    assert path.read_bytes() == oracle.read_bytes()
+
+
 def test_field_csv_roundtrip(tmp_path):
     g = make_grid(2, 10.0, 64)
     f = Field(g, np.exp(-g.r) * (1 + 0.5j * g.r))

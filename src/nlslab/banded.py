@@ -85,6 +85,7 @@ class Tridiag:
 
         The result has the wider of the two dtypes: a complex ``rhs`` on a
         real T is solved with T widened to complex, factored for that call.
+        A result that is not finite raises ``SingularSystemError``.
         """
         rhs = np.asarray_chkfinite(rhs)
         if rhs.shape[:1] != (self.m,):
@@ -96,4 +97,8 @@ class Tridiag:
         x, info = gttrs(*factors, rhs)
         if info:
             raise SingularSystemError(f"?gttrs rejected argument {-info}")
+        # a subnormal pivot passes ?gttrf and overflows here, so the check
+        # goes on the result
+        if not np.isfinite(x).all():
+            raise SingularSystemError("tridiagonal solve is not finite (near-zero pivot)")
         return x

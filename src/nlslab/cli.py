@@ -108,9 +108,7 @@ class Pipeline:
         cfg = self.cfg
         n = n or cfg["grid.n"]
         return self._once(("ground", n), "ground", lambda: solve_ground(
-            make_grid(cfg["model.N"], cfg["grid.rmax"], n), cfg["model.p"],
-            polish=cfg["ground.polish"], a_tol=cfg["ground.a_tol"],
-            bracket=(cfg["ground.bracket_lo"], cfg["ground.bracket_hi"])))
+            make_grid(cfg["model.N"], cfg["grid.rmax"], n), cfg["model.p"]))
 
     def ops(self, n: int | None = None):
         gp = self.ground(n)
@@ -118,9 +116,8 @@ class Pipeline:
 
     @property
     def spectrum(self):
-        ops, cfg = self.ops(), self.cfg
-        return self._once("spectrum", "spectrum", lambda: lin.compute_spectrum(
-            ops, refine_tol=cfg["spectrum.refine_tol"]))
+        ops = self.ops()
+        return self._once("spectrum", "spectrum", lambda: lin.compute_spectrum(ops))
 
     def approx(self, A: float, k: int):
         spec, ops = self.spectrum, self.ops()
@@ -258,9 +255,7 @@ def _cmd_special(pipe: Pipeline, out: Path, inputs: dict):
     cfg = pipe.cfg
     rspec = xp.SpecialRunSpec(
         A=cfg["experiment.A"], k=cfg["experiment.k"],
-        delta=cfg["experiment.delta"],
-        t_back=cfg["experiment.t_back"] or None,
-        cfg=pipe.evolver_config())
+        delta=cfg["experiment.delta"], cfg=pipe.evolver_config())
     spec = pipe.spectrum
     rep = xp.run_special(rspec, pipe.approx(rspec.A, rspec.k), pipe.ground(), spec)
     _write_series(out / "forward_series.csv", rep.forward_series)
@@ -414,10 +409,11 @@ COMMANDS = {"ground": _cmd_ground, "spectrum": _cmd_spectrum,
 # flag -> (config key, or input.* manifest key for inputs that are not
 # config keys; type; commands that take it)
 ALL = tuple(COMMANDS)
+RUNS = ("evolve", "special", "classify")    # the commands that integrate in time
 FLAGS = {
     "--N": ("model.N", int, ALL), "--p": ("model.p", float, ALL),
     "--rmax": ("grid.rmax", float, ALL), "--n": ("grid.n", int, ALL),
-    "--t-end": ("evolve.t_end", float, ALL), "--dt": ("evolve.dt", float, ALL),
+    "--t-end": ("evolve.t_end", float, RUNS), "--dt": ("evolve.dt", float, RUNS),
     "--A": ("experiment.A", float, ("construct", "special")),
     "--k": ("experiment.k", int, ("construct", "special")),
     "--delta": ("experiment.delta", float, ("construct", "special")),

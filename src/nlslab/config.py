@@ -9,8 +9,9 @@ double underscores: ``NLSLAB_MODEL__N=3``).
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InvalidParameterError
 from .evolve import EvolverConfig
@@ -21,32 +22,18 @@ __all__ = ["RunConfig", "load_config", "default_config", "parse_eps",
 
 ENV_PREFIX = "NLSLAB_"
 
-# key -> (type, default).  dt_min/t_back/identity_n use 0 for "auto".
+# key -> (type, default).  The evolve.* keys are EvolverConfig's fields,
+# with its defaults; evolve.dt_min and check.identity_n use 0 for "auto".
 DEFAULTS: dict[str, tuple[type, object]] = {
     "model.N": (int, 3),
     "model.p": (float, 3.0),
     "grid.rmax": (float, 30.0),
     "grid.n": (int, 3000),
-    "ground.polish": (bool, True),
-    "ground.bracket_lo": (float, 1.0),
-    "ground.bracket_hi": (float, 20.0),
-    "ground.a_tol": (float, 1e-13),
-    "spectrum.refine_tol": (float, 1e-12),
-    "evolve.dt": (float, 1e-3),
-    "evolve.t_end": (float, 1.0),
-    "evolve.sponge": (bool, False),
-    "evolve.sponge_strength": (float, 5.0),
-    "evolve.sponge_width": (float, 0.15),
-    "evolve.adapt_trigger": (float, 1.25),
-    "evolve.dt_min": (float, 0.0),
-    "evolve.sample_every": (int, 10),
-    "evolve.snapshot_every": (int, 0),
-    "evolve.order": (int, 2),
-    "evolve.mass_guard": (float, 1e-3),
+    **{f"evolve.{f.name}": (type(f.default), f.default)
+       for f in fields(EvolverConfig)},
     "experiment.A": (float, 1.0),
     "experiment.k": (int, 3),
     "experiment.delta": (float, 0.1),
-    "experiment.t_back": (float, 0.0),
     "experiment.sweep_eps": (str, "-0.1,0.1"),
     "check.pohozaev_tol": (float, 1e-6),
     "check.mass_tol": (float, 1e-6),
@@ -105,25 +92,31 @@ def _coerce(key: str, text: str, line_no: int):
 
 
 def parse_eps(text: str) -> list[float]:
-    """The ``experiment.sweep_eps`` list: comma-separated floats, at least one."""
+    """The ``experiment.sweep_eps`` list: comma-separated finite floats, at
+    least one."""
     items = [x for x in text.split(",") if x.strip()]
     if not items:
         raise ConfigError(f"experiment.sweep_eps has no values: {text!r}")
     try:
-        return [float(x) for x in items]
+        eps = [float(x) for x in items]
     except ValueError as exc:
         raise ConfigError(f"experiment.sweep_eps: {exc}") from exc
+    if not all(map(math.isfinite, eps)):
+        raise ConfigError(f"experiment.sweep_eps has a non-finite value: {text!r}")
+    return eps
 
 
 def evolver_config(values: dict, **overrides) -> EvolverConfig:
     """EvolverConfig from the ``evolve.*`` keys, which share its field names."""
-    fields = {key.split(".", 1)[1]: v for key, v in values.items()
-              if key.startswith("evolve.")}
-    return EvolverConfig(**{**fields, "dt_min": fields["dt_min"] or None,
-                            **overrides})
+    keys = {key.split(".", 1)[1]: v for key, v in values.items()
+            if key.startswith("evolve.")}
+    return EvolverConfig(**{**keys, **overrides})
 
 
 def _validate(values: dict) -> None:
+    for key, (typ, _) in DEFAULTS.items():
+        if typ is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]}")
     N, p = values["model.N"], values["model.p"]
     try:
         validate_intercritical(N, p)

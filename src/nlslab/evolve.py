@@ -19,7 +19,8 @@ Default is the plain Strang step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,17 +44,21 @@ __all__ = [
 
 GAMMA1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 GAMMA2 = 1.0 - 2.0 * GAMMA1
+ADAPT_TRIGGER = 1.25    # dt halves when the gradient norm grows by this factor
+MASS_GUARD = 1e-3       # a sponge-free run stops once its mass drifts this far
 
 
 @dataclass(frozen=True)
 class EvolverConfig:
-    """Knobs for a single run.
+    """Knobs for a single run; the ``evolve.*`` config keys are its fields.
 
     ``sponge`` switches the absorbing layer on the outer ``sponge_width``
     fraction of the domain, sigma(r) = sigma0 ((r - r_s)/(rmax - r_s))^2.
-    ``adapt_trigger`` halves dt whenever the gradient norm grows by that
-    factor between samples (down to ``dt_min``); blow-up detection then
-    terminates the run once the gradient norm triples.
+    dt halves whenever the gradient norm grows by ``ADAPT_TRIGGER``
+    between samples, down to ``dt_min`` (0: dt/64); blow-up detection then
+    terminates the run once the gradient norm triples.  A sponge-free run
+    whose mass drifts by more than ``MASS_GUARD`` raises.  The checks are
+    written so that NaN fails them.
     """
 
     dt: float = 1e-3
@@ -61,30 +66,36 @@ class EvolverConfig:
     sponge: bool = False
     sponge_strength: float = 5.0
     sponge_width: float = 0.15
-    adapt_trigger: float = 1.25
-    dt_min: float | None = None
+    dt_min: float = 0.0            # 0: dt/64
     sample_every: int = 10
     snapshot_every: int = 0        # 0: only first/last
     order: int = 2
-    mass_guard: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidParameterError("dt must be positive")
-        if self.sponge_strength < 0:
-            raise InvalidParameterError("sponge strength must be >= 0")
+        if not 0 < self.dt < math.inf:
+            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise InvalidParameterError(f"t_end must be finite, got {self.t_end}")
+        if not 0 <= self.sponge_strength < math.inf:
+            raise InvalidParameterError("sponge strength must be finite and >= 0")
         if not 0 < self.sponge_width < 1:
             raise InvalidParameterError("sponge width must lie in (0, 1)")
-        if self.dt_min is not None and not self.dt_min < self.dt:
-            raise InvalidParameterError("minimum dt must be below dt")
+        if not 0 <= self.dt_min < self.dt:
+            raise InvalidParameterError("minimum dt must lie in [0, dt)")
+        if self.sample_every < 1:
+            raise InvalidParameterError("sample_every must be >= 1")
+        if self.snapshot_every < 0:
+            raise InvalidParameterError("snapshot_every must be >= 0")
         if self.order not in (2, 4):
             raise InvalidParameterError("order must be 2 or 4")
 
 
 @dataclass
 class TimeSeries:
-    """Diagnostics sampled along a run (times strictly increasing)."""
+    """Diagnostics sampled along a run (times strictly increasing); every
+    field but ``meta`` is one column of ``SERIES_COLUMNS``."""
 
+    HEADER: ClassVar[str]
     t: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
@@ -99,12 +110,12 @@ class TimeSeries:
     dist_q: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    HEADER = "t,mass,energy,momentum,grad,d,me,mg,linf,fr,frp,dist_q"
-
     def rows(self):
-        return np.column_stack([self.t, self.mass, self.energy, self.momentum,
-                                self.grad, self.d, self.me, self.mg, self.linf,
-                                self.fr, self.frp, self.dist_q])
+        return np.column_stack([getattr(self, c) for c in SERIES_COLUMNS])
+
+
+SERIES_COLUMNS = tuple(f.name for f in fields(TimeSeries) if f.name != "meta")
+TimeSeries.HEADER = ",".join(SERIES_COLUMNS)
 
 
 @dataclass
@@ -226,7 +237,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     """Integrate from t0 to cfg.t_end (either direction).
 
     Samples diagnostics every ``sample_every`` steps, halves dt when the
-    gradient norm grows by ``adapt_trigger`` between samples (down to
+    gradient norm grows by ``ADAPT_TRIGGER`` between samples (down to
     dt_min) and terminates early once blow-up evidence is conclusive.
     Returns (TimeSeries, snapshots) with snapshots a list of (t, Field).
     """
@@ -234,14 +245,13 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     ev = Evolver(grid, p, cfg)
     direction = 1.0 if cfg.t_end >= t0 else -1.0
     dt = cfg.dt * direction
-    dt_min = (cfg.dt_min if cfg.dt_min is not None else cfg.dt / 64.0)
+    dt_min = cfg.dt_min or cfg.dt / 64.0
 
     u = u0.values.copy()
     t = t0
     rows = []
     snaps = [(t0, u0.copy())]
-    meta = {"p": p, "N": grid.N, "terminated_blowup": False,
-            "dt_final": abs(dt), "t0": t0}
+    meta = {"terminated_blowup": False, "dt_final": abs(dt)}
     if reference is not None:
         ref = reference.obs
         meta["ref_grad"] = ref.grad
@@ -266,13 +276,13 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
         u = ev.step_values(u, dt)
         t += dt
         step_count += 1
-        if step_count % max(cfg.sample_every, 1) == 0 or \
+        if step_count % cfg.sample_every == 0 or \
                 (cfg.t_end - t) * direction <= 1e-12:
             sample()
             row = rows[-1]
             loggrad.append(math.log(max(row["grad"], 1e-300)))
             if not cfg.sponge and mass0 > 0 and \
-                    abs(row["mass"] / mass0 - 1.0) > cfg.mass_guard:
+                    abs(row["mass"] / mass0 - 1.0) > MASS_GUARD:
                 raise InstabilityError(
                     f"mass drifted by {abs(row['mass'] / mass0 - 1):.2e} "
                     f"with the sponge off")
@@ -283,7 +293,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
             # the saturation criterion can fire
             in_blowup_zone = (reference is not None
                               and row["grad"] >= 3.0 * meta["ref_grad"])
-            if (row["grad"] > cfg.adapt_trigger * grad_prev or in_blowup_zone) \
+            if (row["grad"] > ADAPT_TRIGGER * grad_prev or in_blowup_zone) \
                     and abs(dt) > dt_min:
                 dt = math.copysign(max(abs(dt) / 2.0, dt_min), dt)
                 meta["dt_final"] = abs(dt)
@@ -298,9 +308,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
 
     if snaps[-1][0] != t:
         snaps.append((t, Field(grid, u.copy())))
-    cols = {k: np.array([r[k] for r in rows]) for k in
-            ("t", "mass", "energy", "momentum", "grad", "d", "me", "mg",
-             "linf", "fr", "frp", "dist_q")}
+    cols = {k: np.array([r[k] for r in rows]) for k in SERIES_COLUMNS}
     series = TimeSeries(meta=meta, **cols)
     series.meta["potential_series"] = np.array([r["potential"] for r in rows])
     return series, snaps

@@ -41,14 +41,12 @@ __all__ = [
 class SpecialRunSpec:
     """Parameters of one special-solution run.
 
-    delta fixes t0 = -ln(delta)/e0 (so ||V_1(t0)|| ~ delta); the backward
-    leg runs from t0 down to t0 - t_back.
+    delta fixes t0 = -ln(delta)/e0 (so ||V_1(t0)|| ~ delta).
     """
 
     A: float = 1.0
     k: int = 3
     delta: float = 0.1
-    t_back: float | None = None      # default: t0 + 5
     cfg: EvolverConfig = field(default_factory=lambda: EvolverConfig(dt=1e-4))
 
     def __post_init__(self):
@@ -103,8 +101,8 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
     """Forward rate fit plus backward classification for one amplitude A.
 
     The forward leg runs sponge-off (conservation transfers to the report);
-    the backward leg runs with the absorbing layer on so dispersing mass
-    leaves the domain cleanly.
+    the backward leg runs from t0 down to t0 - t_back, t_back = t0 + 5,
+    with the absorbing layer on so dispersing mass leaves the domain cleanly.
     """
     u0, t0 = synthesize_UA(spec, approx, gp)
     e0 = spectrum.e0
@@ -127,7 +125,7 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
             ds.append(aligned_distance(fld, t, gp))
     forward_rate = _fit_rate(ts, ds)
 
-    t_back = spec.t_back if spec.t_back is not None else t0 + 5.0
+    t_back = t0 + 5.0
     bwd_cfg = replace(spec.cfg, sponge=True, t_end=t0 - t_back)
     bseries, _ = evolve(u0, t0, bwd_cfg, gp.p, reference=gp)
     verdict = classify_run(bseries)

@@ -49,6 +49,7 @@ __all__ = [
 MATCH_LEVEL = 1e-6       # Q-level at which the asymptotic tail takes over
 OVERSHOOT_CAP = 1e3      # |Q| beyond this counts as overshoot (bisection only)
 A_CAP = 0.5 * OVERSHOOT_CAP  # bracket widening stops here: shots clip at the cap
+A_TOL = 1e-13            # width at which the Q(0) bisection stops
 
 
 def critical_exponent(N: int) -> float:
@@ -179,7 +180,7 @@ def _shoot(a: float, p: float, N: int, h_sub: float, r_stop: float):
     return "end", out
 
 
-def _bisect_shooting(p, N, h_sub, r_stop, bracket, a_tol, max_iter=220):
+def _bisect_shooting(p, N, h_sub, r_stop, bracket, max_iter=220):
     lo, hi = bracket
     ev_lo, _ = _shoot(lo, p, N, h_sub, r_stop)
     ev_hi, _ = _shoot(hi, p, N, h_sub, r_stop)
@@ -208,10 +209,10 @@ def _bisect_shooting(p, N, h_sub, r_stop, bracket, a_tol, max_iter=220):
             hi = mid
         else:
             lo = mid
-        if hi - lo < a_tol:
+        if hi - lo < A_TOL:
             return 0.5 * (lo + hi)
     raise NonConvergenceError(
-        f"shooting bisection did not reach a_tol={a_tol} in {max_iter} iterations")
+        f"shooting bisection did not reach A_TOL={A_TOL} in {max_iter} iterations")
 
 
 def _residual(lap: Tridiag, q, p: float):
@@ -238,7 +239,7 @@ def _newton_polish(grid: RadialGrid, p: float, q_init, max_iter=25):
 
 
 def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
-                 bracket=(1.0, 20.0), a_tol: float = 1e-13) -> GroundProfile:
+                 bracket=(1.0, 20.0)) -> GroundProfile:
     """Shooting + bisection + asymptotic tail (+ optional Newton polish).
 
     The RK4 substep is min(h, 0.02)/4 but never below 1.25e-3: the
@@ -253,7 +254,7 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
         raise InvalidParameterError(
             f"ground-state work needs h <= 0.02, got h = {grid.h}")
     h_sub = max(min(grid.h, 0.02) / 4.0, 1.25e-3)
-    a = _bisect_shooting(p, N, h_sub, grid.rmax, bracket, a_tol)
+    a = _bisect_shooting(p, N, h_sub, grid.rmax, bracket)
     ev, samples = _shoot(a, p, N, h_sub, grid.rmax)
     r_sub = np.arange(len(samples)) * h_sub
 

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 Q_FLOOR = 1e-10  # relative floor below which Q-ratios are not trusted
+REFINE_TOL = 1e-12  # relative eigen-residual the inverse iteration aims for
 
 
 @dataclass
@@ -285,13 +286,13 @@ def _inverse_iteration(Lp: Tridiag, Lm: Tridiag, shift: float, x, tol: float,
         f"eigenvalue estimate {lam:.6e}")
 
 
-def compute_spectrum(ops: LinearizedOps, refine_tol: float = 1e-12) -> SpectrumData:
+def compute_spectrum(ops: LinearizedOps) -> SpectrumData:
     """Eigenvalue e0 and eigenfunctions Y1, Y2 of the linearized flow.
 
     The bottom eigenpair (lam0, a) of the tridiagonal L~_+ seeds shifted
     inverse iteration on the banded block script_L at
     e0 ~ sqrt(-lam0 (a, L~_- a)), which drives the eigen-residual to
-    ``refine_tol``; every step is O(n).
+    ``REFINE_TOL``; every step is O(n).
     """
     if ops.gp is None:
         raise SpectralFailureError("spectrum requires intercritical operators")
@@ -310,7 +311,7 @@ def compute_spectrum(ops: LinearizedOps, refine_tol: float = 1e-12) -> SpectrumD
     x = np.empty(2 * ops.m)
     x[0::2] = a
     x[1::2] = (lam0 / e0_guess) * a       # g2 = L~_+ g1 / e0 for g1 = a
-    e0, g1, g2, _ = _inverse_iteration(Lp, Lm, e0_guess, x, refine_tol)
+    e0, g1, g2, _ = _inverse_iteration(Lp, Lm, e0_guess, x, REFINE_TOL)
     if not e0 > 0:
         raise SpectralFailureError(f"refined eigenvalue is {e0:.3e} <= 0")
 

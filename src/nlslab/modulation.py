@@ -96,13 +96,10 @@ def track(snapshots, gp: GroundProfile, window: float = DEFAULT_WINDOW):
     aborting the whole track.  Returns (frames, ratios) where the ratio
     channels carry NaN at gaps:
 
-      alpha_over_d     |alpha| / d                (raw)
       alpha_over_drel  |alpha| ||grad Q|| / d     (gradient-relative d;
                        alpha is dimensionless while d scales with
-                       ||grad Q||, so this is the channel with O(1)
-                       equivalence constants)
+                       ||grad Q||, so the equivalence constants are O(1))
       h_over_d         ||h||_{H1} / d
-      qh_over_alpha    |int Q Re(h)| / |alpha|
     """
     frames = []
     theta_prev = None
@@ -114,19 +111,14 @@ def track(snapshots, gp: GroundProfile, window: float = DEFAULT_WINDOW):
         except OutOfWindowError:
             frames.append(None)
     gq = gp.obs.grad
-    w = gp.grid.w
-    q = gp.Q.values.real
 
     def chan(fn):
         return np.array([fn(f) if f is not None else math.nan for f in frames])
 
     tiny = 1e-300
     ratios = {
-        "alpha_over_d": chan(lambda f: abs(f.alpha) / max(f.d, tiny)),
         "alpha_over_drel": chan(lambda f: abs(f.alpha) * gq / max(f.d, tiny)),
         "h_over_d": chan(lambda f: f.h_norm / max(f.d, tiny)),
-        "qh_over_alpha": chan(lambda f: abs(float(np.dot(w, q * f.h.values.real)))
-                              / max(abs(f.alpha), tiny)),
     }
     return frames, ratios
 

@@ -83,12 +83,15 @@ def test_solve_is_bit_identical_to_solve_banded(system):
     try:
         want = oracle(t, rhs)
     except np.linalg.LinAlgError:
-        with pytest.raises(SingularSystemError):
-            t.solve(rhs)
+        want = None
+    # a subnormal pivot overflows solve_banded to inf and NaN
+    if want is None or not np.isfinite(want).all():
+        for _ in range(2):                                      # kept factors
+            with pytest.raises(SingularSystemError):
+                t.solve(rhs)
         return
-    # a subnormal pivot overflows to inf and NaN in both
-    assert np.array_equal(t.solve(rhs), want, equal_nan=True)
-    assert np.array_equal(t.solve(rhs), want, equal_nan=True)   # kept factors
+    assert np.array_equal(t.solve(rhs), want)
+    assert np.array_equal(t.solve(rhs), want)                   # kept factors
     assert np.array_equal(rhs, before)
 
 

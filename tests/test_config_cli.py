@@ -31,11 +31,21 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert "run.seed = 12345" in rendered
 
 
-def test_unknown_key_rejected(tmp_path):
+# a key that never existed, and keys deleted because nothing set them
+@pytest.mark.parametrize("line", [
+    "model.q = 3",
+    "ground.polish = true", "ground.bracket_lo = 1.0", "ground.bracket_hi = 20.0",
+    "ground.a_tol = 1e-13", "spectrum.refine_tol = 1e-12",
+    "evolve.adapt_trigger = 1.25", "evolve.mass_guard = 1e-3",
+    "experiment.t_back = 0.0",
+])
+def test_unknown_key_rejected(tmp_path, line):
     f = tmp_path / "run.cfg"
-    f.write_text("model.N = 3\nmodel.q = 3\n")
+    f.write_text(f"N = 1\np = 7.0\ngrid.rmax = 20\ngrid.n = 1000\n{line}\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(f)
+    assert cli_dispatch(["ground", "--config", str(f),
+                         "--out", str(tmp_path / "o")]) == 2
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -110,12 +120,35 @@ def test_bad_config_exit_code(tmp_path):
     "evolve.sponge_strength = -1\n",   # classify and special turn the sponge on
     "evolve.sponge_width = 1.5\n",
     "evolve.sponge_width = -0.5\n",
+    "evolve.t_end = nan\n",
+    "evolve.dt = nan\n",
+    "evolve.sponge = true\nevolve.sponge_strength = nan\n",
+    "evolve.dt_min = -1\n",          # the blow-up floor abs(dt) <= dt_min never holds
+    "evolve.sample_every = 0\n",
+    "evolve.snapshot_every = -1\n",
 ])
 def test_bad_evolve_keys_are_config_errors(tmp_path, keys):
     f = tmp_path / "bad.cfg"
     f.write_text("N = 1\np = 7.0\n" + keys)
     assert run_cli(["evolve", "--config", str(f), "--initial", "ground",
                     "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--t-end", "nan"], ["--dt", "nan"],
+                                   ["--rmax", "inf"]], ids=" ".join)
+def test_non_finite_flags_are_config_errors(tmp_path, flags):
+    out = tmp_path / "o"
+    assert run_cli(["evolve", "--N", "1", "--p", "7", "--n", "1000",
+                    "--initial", "ground", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ground", "spectrum", "construct",
+                                     "modulate", "check"])
+@pytest.mark.parametrize("flag", ["--t-end", "--dt"])
+def test_time_flags_only_on_run_commands(tmp_path, command, flag):
+    assert run_cli([command, "--N", "1", "--p", "7", "--rmax", "20", "--n", "1000",
+                    flag, "1e-3", "--out", str(tmp_path / "o")]) == 2
 
 
 def test_ground_command_outputs(tmp_path):
@@ -295,7 +328,7 @@ def test_eps_values_flag_reaches_the_config_echo(tmp_path):
     assert sorted(row.split(",")[0] for row in rows) == ["Q", "eps=+0.05", "eps=-0.05"]
 
 
-@pytest.mark.parametrize("eps", ["abc", ",", "0.1,x"])
+@pytest.mark.parametrize("eps", ["abc", ",", "0.1,x", "0.1,nan"])
 def test_bad_sweep_eps_is_config_error(tmp_path, eps):
     with pytest.raises(ConfigError, match="sweep_eps"):
         default_config(**{"experiment.sweep_eps": eps})

@@ -31,6 +31,12 @@ def test_config_validation():
         EvolverConfig(dt=1e-3, dt_min=2e-3)
     with pytest.raises(InvalidParameterError):
         EvolverConfig(order=3)
+    for bad in ({"dt": math.nan}, {"dt": math.inf}, {"t_end": math.nan},
+                {"t_end": math.inf}, {"sponge_strength": math.nan},
+                {"dt_min": -1.0}, {"dt_min": math.nan}, {"sample_every": 0},
+                {"snapshot_every": -1}):
+        with pytest.raises(InvalidParameterError):
+            EvolverConfig(**bad)
 
 
 def test_linear_step_is_unitary(gentle):

@@ -409,11 +409,11 @@ COMMANDS = {"ground": _cmd_ground, "spectrum": _cmd_spectrum,
 # flag -> (config key, or input.* manifest key for inputs that are not
 # config keys; type; commands that take it)
 ALL = tuple(COMMANDS)
-RUNS = ("evolve", "special", "classify")    # the commands that integrate in time
+RUNS = ("evolve", "special", "classify")    # integrate in time; special sets its own t_end
 FLAGS = {
     "--N": ("model.N", int, ALL), "--p": ("model.p", float, ALL),
     "--rmax": ("grid.rmax", float, ALL), "--n": ("grid.n", int, ALL),
-    "--t-end": ("evolve.t_end", float, RUNS), "--dt": ("evolve.dt", float, RUNS),
+    "--t-end": ("evolve.t_end", float, ("evolve", "classify")), "--dt": ("evolve.dt", float, RUNS),
     "--A": ("experiment.A", float, ("construct", "special")),
     "--k": ("experiment.k", int, ("construct", "special")),
     "--delta": ("experiment.delta", float, ("construct", "special")),

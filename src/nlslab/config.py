@@ -126,6 +126,8 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"grid.rmax must be positive, got {values['grid.rmax']}")
     if values["grid.n"] < 16:
         raise ConfigError(f"grid.n must be >= 16, got {values['grid.n']}")
+    if 0 != values["check.identity_n"] < 16:     # 0 means auto
+        raise ConfigError(f"check.identity_n must be 0 or >= 16, got {values['check.identity_n']}")
     try:
         evolver_config(values)
     except InvalidParameterError as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -148,30 +148,32 @@ def _shoot(a: float, p: float, N: int, h_sub: float, r_stop: float):
     """Integrate the radial ODE from r=0 by fixed-step RK4.
 
     Returns (event, values) where event is 'over', 'under' or 'end' and
-    values are the samples at multiples of h_sub up to the event.
+    values are the samples at multiples of h_sub up to the event.  The
+    stages of s' = nl(q) - (N-1)/r s are written out; each clips q at
+    OVERSHOOT_CAP in nl, so a doomed overshoot cannot overflow first.
     """
     nsteps = int(round(r_stop / h_sub))
     q, s = a, 0.0
     out = np.empty(nsteps + 1)
     out[0] = a
-
-    def rhs(r, q, s):
-        # clip the nonlinearity once a shot is clearly lost, so doomed
-        # overshoots cannot overflow before the event check fires
-        qc = q if abs(q) < OVERSHOOT_CAP else math.copysign(OVERSHOOT_CAP, q)
-        nl = qc - abs(qc) ** (p - 1) * qc
-        if r < 1e-12:
-            return s, nl / N
-        return s, nl - (N - 1) / r * s
-
+    cap, e, m, h2, h6 = OVERSHOOT_CAP, p - 1, N - 1, h_sub / 2, h_sub / 6
     for i in range(nsteps):
         r = i * h_sub
-        k1q, k1s = rhs(r, q, s)
-        k2q, k2s = rhs(r + h_sub / 2, q + h_sub / 2 * k1q, s + h_sub / 2 * k1s)
-        k3q, k3s = rhs(r + h_sub / 2, q + h_sub / 2 * k2q, s + h_sub / 2 * k2s)
-        k4q, k4s = rhs(r + h_sub, q + h_sub * k3q, s + h_sub * k3s)
-        q += h_sub / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        s += h_sub / 6 * (k1s + 2 * k2s + 2 * k3s + k4s)
+        c2 = m / (r + h2)               # stages 2 and 3 share their radius
+        qc = q if abs(q) < cap else math.copysign(cap, q)
+        nl = qc - abs(qc) ** e * qc
+        k1 = nl - m / r * s if i else nl / N
+        q2, s2 = q + h2 * s, s + h2 * k1
+        qc = q2 if abs(q2) < cap else math.copysign(cap, q2)
+        k2 = qc - abs(qc) ** e * qc - c2 * s2
+        q3, s3 = q + h2 * s2, s + h2 * k2
+        qc = q3 if abs(q3) < cap else math.copysign(cap, q3)
+        k3 = qc - abs(qc) ** e * qc - c2 * s3
+        q4, s4 = q + h_sub * s3, s + h_sub * k3
+        qc = q4 if abs(q4) < cap else math.copysign(cap, q4)
+        k4 = qc - abs(qc) ** e * qc - m / (r + h_sub) * s4
+        q += h6 * (s + 2 * s2 + 2 * s3 + s4)
+        s += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = q
         if q < 0 or abs(q) > OVERSHOOT_CAP:
             return "over", out[: i + 2]
@@ -180,7 +182,13 @@ def _shoot(a: float, p: float, N: int, h_sub: float, r_stop: float):
     return "end", out
 
 
-def _bisect_shooting(p, N, h_sub, r_stop, bracket, max_iter=220):
+@lru_cache(maxsize=8)
+def _shoot_ground(p, N, h_sub, r_stop, bracket, a_cap):
+    """Q(0) = a bisected to A_TOL, and its shot's samples (read-only).
+
+    Memoized: each key is shot once per process.  ``a_cap`` is ``A_CAP``,
+    passed so that the cap in force is part of the key.
+    """
     lo, hi = bracket
     ev_lo, _ = _shoot(lo, p, N, h_sub, r_stop)
     ev_hi, _ = _shoot(hi, p, N, h_sub, r_stop)
@@ -190,11 +198,11 @@ def _bisect_shooting(p, N, h_sub, r_stop, bracket, max_iter=220):
         ev_lo = "under"
     # Q(0) above the configured bracket: double hi while it undershoots
     while ev_lo == "under" and ev_hi == "under":
-        if hi >= A_CAP:
+        if hi >= a_cap:
             raise NoBracketError(
-                f"Q(0) exceeds {A_CAP:g}: shots clip the nonlinearity at "
+                f"Q(0) exceeds {a_cap:g}: shots clip the nonlinearity at "
                 f"|Q| = {OVERSHOOT_CAP:g}, so no wider bracket is tried")
-        lo, hi = hi, min(2.0 * hi, A_CAP)
+        lo, hi = hi, min(2.0 * hi, a_cap)
         ev_hi, _ = _shoot(hi, p, N, h_sub, r_stop)
     if ev_hi == "end":
         ev_hi = "over"
@@ -202,7 +210,7 @@ def _bisect_shooting(p, N, h_sub, r_stop, bracket, max_iter=220):
         raise NoBracketError(
             f"bracket [{lo}, {hi}] does not separate undershoot from "
             f"overshoot (events: {ev_lo}, {ev_hi})")
-    for _ in range(max_iter):
+    for _ in range(220):
         mid = 0.5 * (lo + hi)
         ev, _ = _shoot(mid, p, N, h_sub, r_stop)
         if ev == "over":
@@ -210,9 +218,12 @@ def _bisect_shooting(p, N, h_sub, r_stop, bracket, max_iter=220):
         else:
             lo = mid
         if hi - lo < A_TOL:
-            return 0.5 * (lo + hi)
+            a = 0.5 * (lo + hi)
+            _, samples = _shoot(a, p, N, h_sub, r_stop)
+            samples.flags.writeable = False
+            return a, samples
     raise NonConvergenceError(
-        f"shooting bisection did not reach A_TOL={A_TOL} in {max_iter} iterations")
+        f"shooting bisection did not reach A_TOL={A_TOL} in 220 iterations")
 
 
 def _residual(lap: Tridiag, q, p: float):
@@ -246,7 +257,9 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
     shooting value ``a`` is already resolved to ~1e-11 there, and the
     Newton polish owns the grid-level accuracy, so refining the substep
     with the grid would only slow the bisection down.  A ``bracket`` whose
-    top still undershoots is widened by doubling, up to ``A_CAP``.
+    top still undershoots is widened by doubling, up to ``A_CAP``.  Each
+    (p, N, substep, rmax, bracket, A_CAP) is shot once per process, so
+    grids with h <= 0.005 that differ only in n share one shooting.
     """
     N = grid.N
     validate_intercritical(N, p)
@@ -254,8 +267,8 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
         raise InvalidParameterError(
             f"ground-state work needs h <= 0.02, got h = {grid.h}")
     h_sub = max(min(grid.h, 0.02) / 4.0, 1.25e-3)
-    a = _bisect_shooting(p, N, h_sub, grid.rmax, bracket)
-    ev, samples = _shoot(a, p, N, h_sub, grid.rmax)
+    a, samples = _shoot_ground(float(p), N, h_sub, grid.rmax,
+                               tuple(map(float, bracket)), A_CAP)
     r_sub = np.arange(len(samples)) * h_sub
 
     below = np.nonzero(samples < MATCH_LEVEL)[0]

@@ -143,12 +143,25 @@ def test_non_finite_flags_are_config_errors(tmp_path, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["ground", "spectrum", "construct",
-                                     "modulate", "check"])
-@pytest.mark.parametrize("flag", ["--t-end", "--dt"])
+# special sets t_end itself, so it takes --dt but not --t-end
+@pytest.mark.parametrize("flag, command", [
+    (flag, command) for flag in ("--t-end", "--dt")
+    for command in ("ground", "spectrum", "construct", "modulate", "check")
+] + [("--t-end", "special")])
 def test_time_flags_only_on_run_commands(tmp_path, command, flag):
     assert run_cli([command, "--N", "1", "--p", "7", "--rmax", "20", "--n", "1000",
                     flag, "1e-3", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("n_id", [-5, 5])
+def test_bad_identity_n_is_config_error(tmp_path, n_id):
+    # 0 means auto; any other value must be >= 16, as grid.n must
+    f = tmp_path / "bad.cfg"
+    f.write_text(f"N = 1\np = 7.0\ncheck.identity_n = {n_id}\n")
+    with pytest.raises(ConfigError, match="identity_n"):
+        load_config(f)
+    assert run_cli(["check", "--config", str(f), "--rmax", "20", "--n", "1000",
+                    "--out", str(tmp_path / "o")]) == 2
 
 
 def test_ground_command_outputs(tmp_path):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlslab.ground
 from nlslab.errors import DimensionError, InvalidParameterError, NoBracketError
 from nlslab.grid import integrate, make_grid
-from nlslab.ground import (check_identities, closed_form_1d, closed_form_W,
-                           gn_quotient, solve_ground, validate_intercritical)
+from nlslab.ground import (A_CAP, OVERSHOOT_CAP, _shoot, _shoot_ground,
+                           check_identities, closed_form_1d, closed_form_W,
+                           critical_exponent, gn_quotient, solve_ground,
+                           validate_intercritical)
 
 # Q(0) for the 3d cubic ground state, frozen from an independent coarse
 # shooting-bisection oracle (RK4 at substep 1.25e-3, bisection to 1e-12);
@@ -34,6 +38,105 @@ def test_solve_ground_rejects_coarse_grid():
 
 def test_bracket_widening_stops_at_cap(monkeypatch):
     # Q(0) = 4.34 lies above both the bracket and the lowered cap
+    monkeypatch.setattr(nlslab.ground, "A_CAP", 3.0)
+    with pytest.raises(NoBracketError, match="exceeds 3"):
+        solve_ground(make_grid(3, 20.0, 1000), 3.0, bracket=(1.0, 2.0))
+
+
+def _shoot_closure(a, p, N, h_sub, r_stop):
+    """``_shoot`` as it was with a right-hand-side closure: the bit-for-bit oracle."""
+    nsteps = int(round(r_stop / h_sub))
+    q, s = a, 0.0
+    out = np.empty(nsteps + 1)
+    out[0] = a
+
+    def rhs(r, q, s):
+        qc = q if abs(q) < OVERSHOOT_CAP else math.copysign(OVERSHOOT_CAP, q)
+        nl = qc - abs(qc) ** (p - 1) * qc
+        if r < 1e-12:
+            return s, nl / N
+        return s, nl - (N - 1) / r * s
+
+    for i in range(nsteps):
+        r = i * h_sub
+        k1q, k1s = rhs(r, q, s)
+        k2q, k2s = rhs(r + h_sub / 2, q + h_sub / 2 * k1q, s + h_sub / 2 * k1s)
+        k3q, k3s = rhs(r + h_sub / 2, q + h_sub / 2 * k2q, s + h_sub / 2 * k2s)
+        k4q, k4s = rhs(r + h_sub, q + h_sub * k3q, s + h_sub * k3s)
+        q += h_sub / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        s += h_sub / 6 * (k1s + 2 * k2s + 2 * k3s + k4s)
+        out[i + 1] = q
+        if q < 0 or abs(q) > OVERSHOOT_CAP:
+            return "over", out[: i + 2]
+        if s > 0 and 0 < q < 1:
+            return "under", out[: i + 2]
+    return "end", out
+
+
+def _q0(p, N):
+    """Bisected Q(0) on a cheap shooting grid (substep 5e-3, rmax 10)."""
+    return _shoot_ground(p, N, 5e-3, 10.0, (1.0, 20.0), A_CAP)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 5), frac=st.floats(0.05, 0.95),
+       h_sub=st.sampled_from([1.25e-3, 3.125e-3, 5e-3]), rmax=st.floats(10.0, 30.0),
+       near=st.booleans(), offset=st.floats(-15.0, 0.0), sign=st.sampled_from([-1, 1]),
+       far=st.floats(0.01, A_CAP))
+def test_shoot_is_bit_identical_to_the_closure_oracle(N, frac, h_sub, rmax, near,
+                                                      offset, sign, far):
+    # p inside the intercritical range (capped at 9 for N <= 2); a either
+    # within a relative 1e-15..1 of Q(0) or anywhere up to A_CAP
+    p = 1.0 + 4.0 / N + frac * (min(critical_exponent(N), 9.0) - 1.0 - 4.0 / N)
+    a = _q0(p, N) * (1 + sign * 10.0 ** offset) if near else far
+    ev, values = _shoot(a, p, N, h_sub, rmax)
+    ev_ref, ref = _shoot_closure(a, p, N, h_sub, rmax)
+    assert ev == ev_ref
+    assert np.array_equal(values, ref)
+
+
+# at (1, 7) a = A_CAP drives a stage past OVERSHOOT_CAP: the clip branch
+@pytest.mark.parametrize("N, p, a, event", [(3, 3.0, 2.0, "under"),
+                                            (1, 7.0, A_CAP, "over"),
+                                            (3, 3.0, None, "end")])
+def test_each_event_is_bit_identical_to_the_closure_oracle(N, p, a, event):
+    a = _q0(p, N) if a is None else a
+    ev, values = _shoot(a, p, N, 5e-3, 10.0)
+    ev_ref, ref = _shoot_closure(a, p, N, 5e-3, 10.0)
+    assert ev == ev_ref == event
+    assert np.array_equal(values, ref)
+
+
+def _count_shots(monkeypatch):
+    shots = []
+
+    def counting(*args):
+        shots.append(args)
+        return _shoot(*args)
+
+    monkeypatch.setattr(nlslab.ground, "_shoot", counting)
+    return shots
+
+
+def test_each_shooting_key_is_shot_once(monkeypatch):
+    _shoot_ground.cache_clear()
+    shots = _count_shots(monkeypatch)
+    first = solve_ground(make_grid(1, 10.0, 2000), 7.0)   # h = 0.005: substep 1.25e-3
+    assert shots
+    shots.clear()
+    again = solve_ground(make_grid(1, 10.0, 2000), 7.0)
+    assert shots == []
+    assert again.q0 == first.q0
+    assert np.array_equal(again.Q.values, first.Q.values)
+    finer = solve_ground(make_grid(1, 10.0, 4000), 7.0)   # same substep, other n
+    assert shots == []
+    assert finer.q0 == first.q0
+    assert not _shoot_ground(7.0, 1, 1.25e-3, 10.0, (1.0, 20.0), A_CAP)[1].flags.writeable
+
+
+def test_memo_key_holds_the_cap(monkeypatch):
+    # a cached success under the default cap must not answer a lower cap
+    solve_ground(make_grid(3, 20.0, 1000), 3.0, bracket=(1.0, 2.0))
     monkeypatch.setattr(nlslab.ground, "A_CAP", 3.0)
     with pytest.raises(NoBracketError, match="exceeds 3"):
         solve_ground(make_grid(3, 20.0, 1000), 3.0, bracket=(1.0, 2.0))

@@ -1,11 +1,11 @@
 """Tridiagonal matrices stored by their three bands.
 
 Every discrete operator of the package (the radial Laplacian, L_+/L_-,
-the Crank-Nicolson pair) is a ``Tridiag``; ``count_negative`` gives the
+the Crank-Nicolson matrix) is a ``Tridiag``; ``count_negative`` gives the
 inertia of a symmetric one, on which the coercivity bisection rests.
 A ``Tridiag`` is LU-factored (LAPACK ?gttrf) on its first ``solve`` and
 keeps the factors, so every later solve is a back-substitution; the
-evolver keeps one Crank-Nicolson pair per dt, which is therefore
+evolver keeps one Crank-Nicolson matrix per dt, which is therefore
 factored once per dt.
 """
 

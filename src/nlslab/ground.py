@@ -190,7 +190,9 @@ def _shoot_ground(p, N, h_sub, r_stop, bracket, a_cap):
     passed so that the cap in force is part of the key.
     """
     lo, hi = bracket
-    ev_lo, _ = _shoot(lo, p, N, h_sub, r_stop)
+    # a = 1 is the constant solution Q = 1 (nl = 0 exactly): its shot runs
+    # to r_stop without an event, which reads as 'under' below
+    ev_lo = "under" if lo == 1.0 else _shoot(lo, p, N, h_sub, r_stop)[0]
     ev_hi, _ = _shoot(hi, p, N, h_sub, r_stop)
     # a clean decay to rmax without events means a is within event
     # resolution of the ground state value; treat it as the side it ends

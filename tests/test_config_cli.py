@@ -205,14 +205,14 @@ def test_manifest_records_effective_config(tmp_path):
 # the order of floating-point operations on these paths shows up here
 STORED_SHA256 = {
     "Q.csv": "11f450fb162d6020720e011c0816c0b105345b39e7a95aa38a8c8f3dbb28a268",
-    "series.csv": "698164d5d909215e97cd4abaf288fd33b2006c10205691e711898edd8d243bd2",
+    "series.csv": "68b460bab128f19041a44cd70aa836294bcd2e4ea877a6a0ada176bd2e1077c4",
     "snap_00000.csv": "e7158d3ae9efec203f0434570a6a384488fc780394f34cce74ad2ad0218b2d6a",
 }
 
 # sha256 of the outputs that read mass, energy, ME and MG
 ROUNDTRIP_SHA256 = {
-    "series.csv": "4cf30352219002089707323bc30032684590a40d4a7935fafef71bcc6fd80189",
-    "frames.csv": "9cebf67674e767391def1d3fc37b228ad70326f43defd83fdd130b60597f73c3",
+    "series.csv": "17e05ab3e72b236647b35e4ec44c67adc6d5e8287d326f17263894cb7791fee0",
+    "frames.csv": "40515c5967d8a6395dd284ff15b97f893bef90abe5673a64b8931e0c06fd9d74",
 }
 SWEEP_SHA256 = "75c724a0ef9fec77e027cdcbb798395aa8b1367b7ad5e53b0257d4a8b0ffefe7"
 

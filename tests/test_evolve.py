@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from nlslab.banded import Tridiag
 from nlslab.errors import InstabilityError, InvalidParameterError
-from nlslab.evolve import (Evolver, EvolverConfig, classify_run, diagnostics,
-                           evolve, step, variance, variance_rate)
+from nlslab.evolve import (GAMMA1, GAMMA2, Evolver, EvolverConfig, classify_run,
+                           diagnostics, evolve, step, variance, variance_rate)
 from nlslab.grid import Field, integrate, make_grid
 from nlslab.ground import solve_ground
 
@@ -40,8 +41,8 @@ def test_config_validation():
 
 
 def test_linear_step_is_unitary(gentle):
-    """Crank-Nicolson without nonlinearity conserves the discrete mass to
-    roundoff (exact detailed balance of the stencil)."""
+    """Crank-Nicolson without nonlinearity, 2 lhs^{-1} u - u, conserves the
+    discrete mass to roundoff (exact detailed balance of the stencil)."""
     gp = gentle
     g = gp.grid
     cfg = EvolverConfig(dt=1e-3)
@@ -49,8 +50,7 @@ def test_linear_step_is_unitary(gentle):
     rng = np.random.default_rng(3)
     u = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)) \
         * np.exp(-g.r[:g.n])
-    lhs, rhs = ev._cn(1e-3)
-    unew = lhs.solve(rhs.apply(u))
+    unew = 2 * ev._cn(1e-3).solve(u) - u
     m0 = float(np.dot(g.w[:g.n], np.abs(u) ** 2))
     m1 = float(np.dot(g.w[:g.n], np.abs(unew) ** 2))
     assert abs(m1 / m0 - 1) < 1e-12
@@ -71,6 +71,87 @@ def test_step_conserves_quadrature_mass(N, p):
     m0 = integrate(u, lambda v: np.abs(v) ** 2)
     m1 = integrate(out, lambda v: np.abs(v) ** 2)
     assert abs(m1 / m0 - 1) <= 1e-12
+
+
+def _oracle_step(ev, u, dt):
+    """One step as the stepper once took it, the oracle of the merged one:
+    each Strang stage solves lhs x = rhs v with the Crank-Nicolson pair and
+    applies two half phases of its own."""
+    lap, p = ev.op.lap, ev.p
+    v = ev.op.rows(u)
+    for gamma in ((1.0,) if ev.cfg.order == 2 else (GAMMA1, GAMMA2, GAMMA1)):
+        h = gamma * dt
+        damp = abs(h) / 2 * ev.sigma
+        lhs = Tridiag(-1j * h / 2 * lap.sub, 1.0 - 1j * h / 2 * lap.diag + damp,
+                      -1j * h / 2 * lap.sup)
+        rhs = Tridiag(1j * h / 2 * lap.sub, 1.0 + 1j * h / 2 * lap.diag - damp,
+                      1j * h / 2 * lap.sup)
+        v = v * np.exp(1j * (h / 2) * np.abs(v) ** (p - 1))
+        v = lhs.solve(rhs.apply(v))
+        v = v * np.exp(1j * (h / 2) * np.abs(v) ** (p - 1))
+    return ev.op.extend(v)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("sponge", [False, True])
+@pytest.mark.parametrize("N, p", [(1, 7.0), (2, 4.0), (3, 3.0), (5, 2.2)])
+def test_merged_steps_match_the_oracle(N, p, sponge, order):
+    """k steps that share their half phases (open on the first, close on
+    the last) against k oracle steps; N <= 2 has an origin row, N >= 3 a
+    slaved node 0, and the second packet sits in the absorbing layer."""
+    g = make_grid(N, 20.0, 400)
+    vals = (1.5 * np.exp(-g.r ** 2) + 0.5 * np.exp(-(g.r - 18.0) ** 2)) \
+        * np.exp(1j * g.r)
+    vals[-1] = 0.0
+    ev = Evolver(g, p, EvolverConfig(dt=1e-3, order=order, sponge=sponge))
+    u = ref = vals
+    k = 10
+    for i in range(k):
+        u = ev.step_values(u, 1e-3, open=i == 0, close=i == k - 1)
+        ref = _oracle_step(ev, ref, 1e-3)
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _close_every_step(monkeypatch):
+    """Make ``evolve`` the oracle loop: every step opens and closes."""
+    whole = Evolver.step_values
+    monkeypatch.setattr(Evolver, "step_values",
+                        lambda self, u, dt, **_: whole(self, u, dt))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_evolve_closes_before_a_clipped_step(gentle, monkeypatch, order):
+    """t_end = 123.4 dt: the step before the clipped last one is not
+    sampled (sample_every = 7) but must close; every sampled state
+    (snapshot_every = 1) is closed."""
+    g = gentle.grid
+    u0 = Field(g, gentle.Q.values * np.exp(1j * 0.2 * np.exp(-g.r ** 2)))
+    cfg = EvolverConfig(dt=1e-3, t_end=0.1234, sample_every=7,
+                        snapshot_every=1, order=order)
+    series, snaps = evolve(u0, 0.0, cfg, gentle.p)
+    _close_every_step(monkeypatch)
+    oracle, snaps_o = evolve(u0, 0.0, cfg, gentle.p)
+    assert np.array_equal(series.t, oracle.t)
+    assert [t for t, _ in snaps] == [t for t, _ in snaps_o]
+    for (_, u), (_, ref) in zip(snaps, snaps_o):
+        assert np.max(np.abs(u.values - ref.values)) \
+            <= 1e-12 * np.max(np.abs(ref.values))
+
+
+def test_evolve_seams_at_dt_halvings(gp33, monkeypatch):
+    """The datum of the blow-up test halves dt; sample times, the final dt
+    and the verdict match the loop that closes every step.  No state is
+    compared: near blow-up roundoff grows about 1e7-fold."""
+    cfg = EvolverConfig(dt=2e-4, t_end=1.5, sample_every=10)
+    u0 = Field(gp33.grid, 1.1 * gp33.Q.values)
+    series, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
+    _close_every_step(monkeypatch)
+    oracle, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
+    assert series.meta["dt_final"] < 2e-4
+    assert np.array_equal(series.t, oracle.t)
+    assert series.meta["dt_final"] == oracle.meta["dt_final"]
+    v, v_oracle = classify_run(series), classify_run(oracle)
+    assert (v.kind, v.t_star) == (v_oracle.kind, v_oracle.t_star)
 
 
 def test_one_step_tracks_standing_wave(gentle):

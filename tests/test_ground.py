@@ -134,6 +134,20 @@ def test_each_shooting_key_is_shot_once(monkeypatch):
     assert not _shoot_ground(7.0, 1, 1.25e-3, 10.0, (1.0, 20.0), A_CAP)[1].flags.writeable
 
 
+def test_constant_shot_is_skipped(monkeypatch):
+    # a = 1 is the constant solution: its shot ends without an event, which
+    # the bisection reads as 'under', so skipping it keeps every bit
+    ev, values = _shoot(1.0, 7.0, 1, 5e-3, 10.0)
+    assert ev == "end" and np.all(values == 1.0)
+    _shoot_ground.cache_clear()
+    shots = _count_shots(monkeypatch)
+    solve_ground(make_grid(1, 10.0, 500), 7.0)   # h = 0.02: substep 5e-3
+    assert shots and all(args[0] != 1.0 for args in shots)
+    shots.clear()
+    solve_ground(make_grid(1, 10.0, 500), 7.0, bracket=(1.1, 20.0))
+    assert shots[0][0] == 1.1   # any other low end is still shot
+
+
 def test_memo_key_holds_the_cap(monkeypatch):
     # a cached success under the default cap must not answer a lower cap
     solve_ground(make_grid(3, 20.0, 1000), 3.0, bracket=(1.0, 2.0))

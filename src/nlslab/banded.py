@@ -85,9 +85,11 @@ class Tridiag:
 
         The result has the wider of the two dtypes: a complex ``rhs`` on a
         real T is solved with T widened to complex, factored for that call.
-        A result that is not finite raises ``SingularSystemError``.
+        A result that is not finite raises ``InvalidParameterError`` when
+        ``rhs`` is not finite (which always makes the result so), and
+        ``SingularSystemError`` otherwise.
         """
-        rhs = np.asarray_chkfinite(rhs)
+        rhs = np.asarray(rhs)
         if rhs.shape[:1] != (self.m,):
             raise ValueError(f"rhs of shape {rhs.shape} does not fit {self.m} rows")
         gttrs, factors = self._lu
@@ -98,7 +100,10 @@ class Tridiag:
         if info:
             raise SingularSystemError(f"?gttrs rejected argument {-info}")
         # a subnormal pivot passes ?gttrf and overflows here, so the check
-        # goes on the result
+        # goes on the result; the rhs is scanned only once that check fails
         if not np.isfinite(x).all():
+            if not np.isfinite(rhs).all():
+                raise InvalidParameterError(
+                    "the right-hand side of a tridiagonal solve is not finite")
             raise SingularSystemError("tridiagonal solve is not finite (near-zero pivot)")
         return x

@@ -30,6 +30,7 @@ from .grid import (FLOAT_FMT, Field, make_grid, norms, read_field_csv,
                    write_csv, write_field_csv)
 from .ground import check_identities, solve_ground
 from .manifest import RunManifest
+from .parallel import pmap
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -50,22 +51,28 @@ def _write_series(path: Path, series: TimeSeries) -> None:
 
 
 def _write_snapshots(out: Path, snaps) -> None:
+    """One ``snap_<i>.csv`` per (t, Field) and the ``index.csv`` that lists
+    them; the files are written by forked workers (``parallel.pmap``)."""
     out.mkdir(parents=True, exist_ok=True)
-    index = ["idx,t,file"]
-    for i, (t, fld) in enumerate(snaps):
-        name = f"snap_{i:05d}.csv"
-        write_field_csv(fld, out / name)
-        index.append(f"{i},{FLOAT_FMT % t},{name}")
+    names = [f"snap_{i:05d}.csv" for i in range(len(snaps))]
+    pmap(lambda i: write_field_csv(snaps[i][1], out / names[i]), range(len(snaps)))
+    index = ["idx,t,file"] + [f"{i},{FLOAT_FMT % t},{name}"
+                              for i, ((t, _), name) in enumerate(zip(snaps, names))]
     (out / "index.csv").write_text("\n".join(index) + "\n", encoding="utf-8")
 
 
 def _read_snapshots(path: Path, grid):
+    """The (t, Field) list of a snapshot directory, in ``index.csv`` order.
+    Forked workers (``parallel.pmap``) parse the files and return their
+    values; each Field is built here, on ``grid``."""
     idx_file = path / "index.csv"
     if not idx_file.exists():
         raise UsageError(f"snapshot directory {path} has no index.csv")
     rows = [line.split(",") for line in idx_file.read_text().splitlines()[1:]
             if line.strip()]
-    return [(float(t), read_field_csv(path / name, grid)) for _, t, name in rows]
+    values = pmap(lambda name: read_field_csv(path / name, grid).values,
+                  [name for _, _, name in rows])
+    return [(float(t), Field(grid, v)) for (_, t, _), v in zip(rows, values)]
 
 
 # ---------------------------------------------------------------- pipeline

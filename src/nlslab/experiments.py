@@ -25,6 +25,7 @@ from .grid import Field
 from .ground import GroundProfile, observables
 from .linearized import SpectrumData
 from .modulation import aligned_distance
+from .parallel import pmap
 
 __all__ = [
     "SpecialRunSpec",
@@ -198,18 +199,19 @@ def match_mass_energy(gp: GroundProfile, seed: Field,
 def threshold_sweep(family, cfg: EvolverConfig, gp: GroundProfile):
     """Run each (label, field) datum in both time directions and classify.
 
-    Returns a list of dicts {label, me, mg, verdict_forward,
-    verdict_backward}, merged deterministically in label order.
+    The 2 x len(family) runs are independent and go to forked workers
+    (``parallel.pmap``), which return their ``Verdict``s.  Returns a list
+    of dicts {label, me, mg, verdict_forward, verdict_backward}, merged
+    deterministically in label order.
     """
+    data = sorted(family, key=lambda kv: kv[0])
+    runs = [(fld, sign * abs(cfg.t_end)) for _, fld in data for sign in (1.0, -1.0)]
+    verdicts = pmap(lambda run: classify_run(evolve(
+        run[0], 0.0, replace(cfg, t_end=run[1]), gp.p, reference=gp)[0]), runs)
     out = []
-    for label, fld in sorted(family, key=lambda kv: kv[0]):
+    for i, (label, fld) in enumerate(data):
         me, mg = gp.me_mg(observables(fld, gp.p))
-        fs, _ = evolve(fld, 0.0, replace(cfg, t_end=abs(cfg.t_end)), gp.p,
-                       reference=gp)
-        vf = classify_run(fs)
-        bs, _ = evolve(fld, 0.0, replace(cfg, t_end=-abs(cfg.t_end)), gp.p,
-                       reference=gp)
-        vb = classify_run(bs)
         out.append({"label": label, "me": me, "mg": mg,
-                    "verdict_forward": vf, "verdict_backward": vb})
+                    "verdict_forward": verdicts[2 * i],
+                    "verdict_backward": verdicts[2 * i + 1]})
     return out

@@ -85,9 +85,10 @@ class RadialGrid:
         self.w.setflags(write=False)
 
     @cached_property
-    def r_text(self) -> tuple[str, ...]:
-        """The nodes as snapshot text (%.17g), formatted once per grid."""
-        return tuple(f"{x:.17g}" for x in self.r.tolist())
+    def snapshot_template(self) -> str:
+        """Snapshot text with the radii filled in (%.17g) and a ``%.17g``
+        slot for each real and imaginary part, formatted once per grid."""
+        return "r,re,im\n" + "".join(f"{x:.17g},%.17g,%.17g\n" for x in self.r.tolist())
 
     @cached_property
     def virial_weights(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -282,22 +283,24 @@ def norms(f: Field, lp_exponent: float | None = None) -> Norms:
 
 
 def write_csv(path, header: str, *columns) -> None:
-    """``header``, then one comma-separated row per index of ``columns``.
-
-    An array column is written as %.17g, 17 significant digits, which
-    read back to the same float64; a sequence of str (``RadialGrid.r_text``)
-    is written as it is.  The bytes are those that numpy's ``savetxt``
-    writes with ``fmt="%.17g"``, ``delimiter=","`` and ``comments=""``.
+    """``header``, then one comma-separated row per index of the array
+    ``columns``, each value written as %.17g: 17 significant digits, which
+    read back to the same float64.  The bytes are those that numpy's
+    ``savetxt`` writes with ``fmt="%.17g"``, ``delimiter=","`` and
+    ``comments=""``.
     """
-    row = ",".join(["{:.17g}" if isinstance(c, np.ndarray) else "{}" for c in columns]) + "\n"
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n" + "".join(map(row.format, *values)))
+        fh.write(header + "\n" + "".join(map(row.format, *(c.tolist() for c in columns))))
 
 
 def write_field_csv(f: Field, path) -> None:
-    """Snapshot format: header ``r,re,im``, one node per row, 17 digits."""
-    write_csv(path, "r,re,im", f.grid.r_text, f.values.real, f.values.imag)
+    """Snapshot format: header ``r,re,im``, one node per row, 17 digits,
+    the bytes ``write_csv`` would write; the parts fill
+    ``grid.snapshot_template``."""
+    parts = np.ascontiguousarray(f.values).view(np.float64)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f.grid.snapshot_template % tuple(parts.tolist()))
 
 
 def read_field_csv(path, grid: RadialGrid) -> Field:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from nlslab.banded import Tridiag
-from nlslab.errors import InvalidParameterError, SingularSystemError
+from nlslab.errors import InvalidParameterError, NlslabError, SingularSystemError
 
 
 def dense(t):
@@ -123,3 +123,11 @@ def test_complex_rhs_on_a_real_matrix_keeps_its_imaginary_part():
 def test_solve_needs_three_rows():
     with pytest.raises(InvalidParameterError):
         Tridiag(np.ones(1), np.full(2, 3.0), np.ones(1)).solve(np.ones(2))
+
+
+def test_non_finite_rhs_names_the_rhs():
+    t = Tridiag(np.ones(3), np.full(4, 3.0), np.ones(3))
+    rhs = np.array([1.0, np.inf, 0.0, 1.0]) * (1 + 1j)
+    with pytest.raises(NlslabError, match="right-hand side") as exc:
+        t.solve(rhs)
+    assert isinstance(exc.value, InvalidParameterError)

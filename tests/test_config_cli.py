@@ -1,4 +1,6 @@
 import hashlib
+import multiprocessing as mp
+import os
 import re
 
 import numpy as np
@@ -314,6 +316,33 @@ def test_evolve_command_and_snapshot_roundtrip(tmp_path):
     assert len(frames) > 2
     assert {"series.csv": sha256_of(out / "series.csv"),
             "frames.csv": sha256_of(out2 / "frames.csv")} == ROUNDTRIP_SHA256
+
+
+def test_pool_and_one_cpu_outputs_are_byte_identical(tmp_path, monkeypatch):
+    """Snapshot writes and reads and the sweep's runs go to forked workers;
+    every output file must match a run under a one-CPU mask."""
+    cfg = tmp_path / "every_step.cfg"
+    cfg.write_text("evolve.sample_every = 1\nevolve.snapshot_every = 1\n")
+    runs = {}
+    for tag, cpus in (("pool", {0, 1}), ("serial", {0})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / tag
+        grid = ["--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000"]
+        assert run_cli(["evolve", *grid, "--config", str(cfg), "--initial", "ground",
+                        "--t-end", "0.05", "--out", str(out / "e")]) == 0
+        assert run_cli(["modulate", *grid, "--snapshots", str(out / "e" / "snapshots"),
+                        "--out", str(out / "m")]) == 0
+        assert run_cli(["classify", "--N", "3", "--p", "3", "--rmax", "20",
+                        "--n", "1000", "--t-end", "0.05", "--out", str(out / "c")]) == 0
+        runs[tag] = {f.relative_to(out).as_posix(): f.read_bytes()
+                     for f in sorted(out.rglob("*")) if f.is_file()
+                     and f.name != "manifest.txt"}
+    names = set(runs["pool"])
+    assert {"e/series.csv", "e/snapshots/index.csv", "m/frames.csv",
+            "c/sweep_report.csv"} <= names
+    assert sum(n.startswith("e/snapshots/snap_") for n in names) == 51
+    assert runs["pool"] == runs["serial"]
+    assert mp.active_children() == []
 
 
 def test_evolve_non_finite_initial_data_is_numerical_failure(tmp_path):

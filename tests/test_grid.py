@@ -169,6 +169,21 @@ def test_field_csv_bytes_match_savetxt(tmp_path):
     assert path.read_bytes() == oracle.read_bytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=34, max_size=34),
+       N=st.integers(1, 5), rmax=st.floats(0.5, 1e4))
+def test_snapshot_template_bytes_match_savetxt(tmp_path_factory, parts, N, rmax):
+    """Finite parts of any exponent, +-0 and subnormals included."""
+    g = make_grid(N, rmax, 16)
+    vals = np.array(parts).view(np.complex128)     # keeps a -0.0 imaginary part
+    d = tmp_path_factory.mktemp("csv")
+    write_field_csv(Field(g, vals), d / "f.csv")
+    np.savetxt(d / "oracle.csv", np.column_stack([g.r, vals.real, vals.imag]),
+               fmt="%.17g", delimiter=",", header="r,re,im", comments="")
+    assert (d / "f.csv").read_bytes() == (d / "oracle.csv").read_bytes()
+
+
 def test_field_csv_roundtrip(tmp_path):
     g = make_grid(2, 10.0, 64)
     f = Field(g, np.exp(-g.r) * (1 + 0.5j * g.r))

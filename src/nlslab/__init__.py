@@ -5,14 +5,12 @@ experiments and their classification diagnostics."""
 
 __version__ = "0.1.0"
 
-from .grid import Field, RadialGrid, integrate, laplacian_apply, make_grid, norms
+from .grid import Field, RadialGrid, h1_norm, make_grid
 from .ground import (
     GroundProfile,
     IdentityReport,
     Observables,
     check_identities,
-    closed_form_1d,
-    closed_form_W,
     observables,
     solve_ground,
 )
@@ -20,7 +18,6 @@ from .linearized import (
     LinearizedOps,
     SpectrumData,
     assemble,
-    assemble_critical,
     bilinear_B,
     compute_spectrum,
     coercivity_min,
@@ -28,7 +25,7 @@ from .linearized import (
     resolvent_solve,
 )
 from .approx import ApproxSolution, LambdaPoly, build_Vk, expand_R, lp_mul, lp_pow_frac, residual_rate
-from .evolve import EvolverConfig, TimeSeries, Verdict, classify_run, diagnostics, evolve, step
+from .evolve import EvolverConfig, TimeSeries, Verdict, classify_run, diagnostics, evolve
 from .modulation import ModulationFrame, fit_parameters, track
 from .experiments import SpecialRunSpec, ThresholdReport, run_special, synthesize_UA, threshold_sweep
 from .config import RunConfig, load_config

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, RecursionDriftError, ValidityError
-from .grid import Field, RadialGrid, norms
+from .grid import Field, RadialGrid, h1_norm
 from .ground import GroundProfile
 from .linearized import Q_FLOOR, LinearizedOps, SpectrumData, resolvent_solve
 
@@ -69,12 +69,6 @@ class LambdaPoly:
 
     def conj(self) -> "LambdaPoly":
         return LambdaPoly(self.grid, self.K, np.conj(self.coeffs))
-
-    def eval_at(self, lam: float) -> np.ndarray:
-        out = np.zeros(self.grid.n + 1, dtype=complex)
-        for j in range(self.K, -1, -1):
-            out = out * lam + self.coeffs[j]
-        return out
 
     def _check(self, other: "LambdaPoly") -> None:
         if not self.grid.same_as(other.grid) or self.K != other.K:
@@ -232,7 +226,6 @@ def build_Vk(A: float, k: int, spectrum: SpectrumData,
         Z.append(Field(grid, -Z_next.values))
 
     sups = [_sup_over_q(Z[j].values, gp) for j in range(1, k + 1)]
-    sups = [abs(s) for s in sups]
     t_min = _validity_tmin(sups, e0)
     return ApproxSolution(A=float(A), k=k, Z=Z, e0=e0, t_min=t_min, gp=gp, ops=ops)
 
@@ -274,5 +267,5 @@ def residual_rate(approx: ApproxSolution, times) -> float:
     lognorms = []
     for t in times:
         eps = Field(approx.gp.grid, residual_values(approx, t))
-        lognorms.append(math.log(norms(eps).h1))
+        lognorms.append(math.log(h1_norm(eps)))
     return float(np.polyfit(times, lognorms, 1)[0])

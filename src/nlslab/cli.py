@@ -26,7 +26,7 @@ from .evolve import EvolverConfig, TimeSeries, classify_run
 from .evolve import evolve as run_evolution
 from .config import DEFAULTS, RunConfig, evolver_config, load_config, parse_eps
 from .errors import ConfigError, NlslabError, UsageError
-from .grid import (FLOAT_FMT, Field, make_grid, norms, read_field_csv,
+from .grid import (FLOAT_FMT, Field, h1_norm, make_grid, read_field_csv,
                    write_csv, write_field_csv)
 from .ground import check_identities, solve_ground
 from .manifest import RunManifest
@@ -64,15 +64,19 @@ def _write_snapshots(out: Path, snaps) -> None:
 def _read_snapshots(path: Path, grid):
     """The (t, Field) list of a snapshot directory, in ``index.csv`` order.
     Forked workers (``parallel.pmap``) parse the files and return their
-    values; each Field is built here, on ``grid``."""
+    values; each Field is built here, on ``grid``.  A missing or malformed
+    index or snapshot file is a ``UsageError``."""
     idx_file = path / "index.csv"
     if not idx_file.exists():
         raise UsageError(f"snapshot directory {path} has no index.csv")
-    rows = [line.split(",") for line in idx_file.read_text().splitlines()[1:]
-            if line.strip()]
+    lines = [line for line in idx_file.read_text().splitlines()[1:] if line.strip()]
+    try:
+        rows = [(float(t), name) for _, t, name in (line.split(",") for line in lines)]
+    except ValueError as exc:
+        raise UsageError(f"{idx_file} is not an idx,t,file table: {exc}") from exc
     values = pmap(lambda name: read_field_csv(path / name, grid).values,
-                  [name for _, _, name in rows])
-    return [(float(t), Field(grid, v)) for (_, t, _), v in zip(rows, values)]
+                  [name for _, name in rows])
+    return [(t, Field(grid, v)) for (t, _), v in zip(rows, values)]
 
 
 # ---------------------------------------------------------------- pipeline
@@ -311,7 +315,7 @@ def _cmd_modulate(pipe: Pipeline, out: Path, inputs: dict):
         raise UsageError("modulate requires --snapshots DIR")
     gp = pipe.ground()
     snaps = _read_snapshots(Path(inputs["input.snapshots"]), gp.grid)
-    frames, _ratios = mo.track(snaps, gp)
+    frames = mo.track(snaps, gp)
     fitted = [f for f in frames if f is not None]
     rows = ["t,theta,alpha,hnorm,d,res1,res2"] + [",".join(_fmt(v) for v in (
         f.t, f.theta, f.alpha, f.h_norm, f.d, f.res_iq, f.res_qp)) for f in fitted]
@@ -356,15 +360,15 @@ def _cmd_check(pipe: Pipeline, out: Path, inputs: dict) -> int:
 
     f, g = smooth_field(), smooth_field()
     bsym = abs(lin.bilinear_B(f, g, ops) - lin.bilinear_B(g, f, ops))
-    man.record_check("B_symmetric", bsym <= 1e-10 * (norms(f).h1 * norms(g).h1))
+    man.record_check("B_symmetric", bsym <= 1e-10 * (h1_norm(f) * h1_norm(g)))
     iq = Field(gp.grid, 1j * q.values)
     man.record_check("B_iQ_zero",
-                     abs(lin.bilinear_B(iq, f, ops)) <= 1e-8 * norms(f).h1)
+                     abs(lin.bilinear_B(iq, f, ops)) <= 1e-8 * h1_norm(f))
     lf = ops.extend(ops.apply_script_l(ops.restrict(f)))
     lg = ops.extend(ops.apply_script_l(ops.restrict(g)))
     anti = abs(lin.bilinear_B(lf, g, ops) + lin.bilinear_B(f, lg, ops))
     man.record_check("B_antisymmetry_under_L",
-                     anti <= 1e-7 * (norms(f).h1 * norms(g).h1))
+                     anti <= 1e-7 * (h1_norm(f) * h1_norm(g)))
 
     # --- spectrum certification
     spec = pipe.certify_spectrum()

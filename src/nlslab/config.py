@@ -17,8 +17,8 @@ from .errors import ConfigError, InvalidParameterError
 from .evolve import EvolverConfig
 from .ground import validate_intercritical
 
-__all__ = ["RunConfig", "load_config", "default_config", "parse_eps",
-           "evolver_config", "ENV_PREFIX"]
+__all__ = ["RunConfig", "load_config", "parse_eps", "evolver_config",
+           "ENV_PREFIX"]
 
 ENV_PREFIX = "NLSLAB_"
 
@@ -188,7 +188,3 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                 values[key] = val
     _validate(values)
     return RunConfig(values=values)
-
-
-def default_config(**overrides) -> RunConfig:
-    return load_config(path=None, overrides=overrides)

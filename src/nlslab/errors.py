@@ -13,10 +13,6 @@ class GridMismatchError(NlslabError, ValueError):
     """Fields defined on different grids were combined."""
 
 
-class DimensionError(InvalidParameterError):
-    """An operation was requested in an unsupported dimension."""
-
-
 class NoBracketError(NlslabError, RuntimeError):
     """The shooting bracket does not separate undershoot from overshoot."""
 

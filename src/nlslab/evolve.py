@@ -33,7 +33,7 @@ import numpy as np
 
 from .banded import Tridiag
 from .errors import InstabilityError, InvalidParameterError
-from .grid import Field, RadialGrid, gradient_values, norms, radial_operator
+from .grid import Field, RadialGrid, gradient_values, h1_norm, radial_operator
 from .ground import GroundProfile, Observables
 
 __all__ = [
@@ -41,12 +41,9 @@ __all__ = [
     "TimeSeries",
     "Verdict",
     "Evolver",
-    "step",
     "evolve",
     "diagnostics",
     "classify_run",
-    "variance",
-    "variance_rate",
 ]
 
 GAMMA1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -213,27 +210,6 @@ class Evolver:
         return self.op.extend(self._phase(v, last * dt))
 
 
-def step(u: Field, dt: float, cfg: EvolverConfig, p: float,
-         evolver: Evolver | None = None) -> Field:
-    """Advance one step of size dt (sign of dt sets the time direction)."""
-    if abs(dt) > cfg.dt * (1 + 1e-12):
-        raise InvalidParameterError("step size exceeds the configured dt")
-    ev = evolver if evolver is not None else Evolver(u.grid, p, cfg)
-    return Field(u.grid, ev.step_values(u.values, dt))
-
-
-def variance(u: Field) -> float:
-    """Full variance V = int r^2 |u|^2."""
-    return float(np.dot(u.grid.w, u.grid.r**2 * np.abs(u.values) ** 2))
-
-
-def variance_rate(u: Field) -> float:
-    """V' = 4 Im int r u' ubar, the radial form of 4 Im int x . grad(u) ubar."""
-    du = gradient_values(u.grid, u.values)
-    integrand = (u.grid.r * du * np.conj(u.values)).imag
-    return 4.0 * float(np.dot(u.grid.w, integrand))
-
-
 def diagnostics(u: Field, t: float, p: float,
                 reference: GroundProfile | None = None) -> dict:
     """All scalar diagnostics of a state; reference-dependent entries are
@@ -259,7 +235,7 @@ def diagnostics(u: Field, t: float, p: float,
         out["d"] = abs(obs.grad - reference.obs.grad)
         out["me"], out["mg"] = reference.me_mg(obs)
         diff = u.values - np.exp(1j * t) * reference.Q.values.real
-        out["dist_q"] = norms(Field(grid, diff)).h1
+        out["dist_q"] = h1_norm(Field(grid, diff))
     return out
 
 

@@ -37,6 +37,9 @@ __all__ = [
     "match_mass_energy",
 ]
 
+MATCH_TOL = 1e-11        # relative mass and energy mismatch the matching reaches
+MATCH_MAX_ITER = 40      # cap on the matching's Newton steps
+
 
 @dataclass(frozen=True)
 class SpecialRunSpec:
@@ -141,15 +144,16 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
     )
 
 
-def threshold_family(gp: GroundProfile, eps_list=(-0.1, 0.1)):
+def threshold_family(gp: GroundProfile, eps_list):
     """Labeled threshold data: Q itself plus shape-perturbed seeds matched
     exactly to (M(Q), E(Q)).
 
     Pure rescalings a Q(b r) cannot reach ME = 1 with MG != 1 -- ME and MG
     are both invariant along the scaling orbit, which is exactly the ME = 1
     curve through Q -- so the members are built from the genuinely deformed
-    seeds Q + eps Q(0) e^{-r^2} and then Newton-matched to the threshold
-    manifold.  Each member returns with its measured MG.
+    seeds Q + eps Q(0) e^{-r^2}, one per eps of ``eps_list``, and then
+    Newton-matched to the threshold manifold.  Each member returns with its
+    measured MG.
     """
     grid = gp.grid
     out = [("Q", Field(grid, gp.Q.values.copy()), 1.0)]
@@ -161,9 +165,9 @@ def threshold_family(gp: GroundProfile, eps_list=(-0.1, 0.1)):
     return out
 
 
-def match_mass_energy(gp: GroundProfile, seed: Field,
-                      tol: float = 1e-11, max_iter: int = 40) -> Field:
-    """Rescale a seed to (M, E) = (M(Q), E(Q)) exactly: Newton on a u0(b r).
+def match_mass_energy(gp: GroundProfile, seed: Field) -> Field:
+    """Rescale a seed to (M, E) = (M(Q), E(Q)) exactly: Newton on a u0(b r),
+    to ``MATCH_TOL`` in both, in at most ``MATCH_MAX_ITER`` steps.
 
     Used to place virial test data exactly on the threshold manifold.
     """
@@ -176,11 +180,11 @@ def match_mass_energy(gp: GroundProfile, seed: Field,
         return fld, obs.mass, obs.energy
 
     a, b = 1.0, 1.0
-    for _ in range(max_iter):
+    for _ in range(MATCH_MAX_ITER):
         fld, M, E = rescaled(a, b)
         f1 = M / mass_q - 1.0
         f2 = E / energy_q - 1.0
-        if abs(f1) < tol and abs(f2) < tol:
+        if abs(f1) < MATCH_TOL and abs(f2) < MATCH_TOL:
             return fld
         eps = 1e-7
         _, M_a, E_a = rescaled(a + eps, b)

@@ -40,18 +40,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .banded import Tridiag
-from .errors import GridMismatchError, InvalidParameterError
+from .errors import GridMismatchError, InvalidParameterError, UsageError
 
 __all__ = [
     "RadialGrid",
     "RadialOperator",
     "Field",
-    "Norms",
     "make_grid",
     "radial_operator",
-    "integrate",
-    "laplacian_apply",
-    "norms",
+    "h1_norm",
     "gradient_values",
     "omega_n",
     "write_csv",
@@ -168,17 +165,6 @@ class Field:
         return Field(self.grid, self.values.copy(), real=self.real)
 
 
-def integrate(f: Field, integrand=None) -> float:
-    """Quadrature of int integrand(f(r)) omega_N r^{N-1} dr over [0, rmax].
-
-    ``integrand`` maps the complex node values to real values; the default
-    takes the real part (the identity map for real fields).
-    """
-    vals = f.values
-    g = vals.real if integrand is None else np.asarray(integrand(vals), dtype=float)
-    return float(np.dot(f.grid.w, g))
-
-
 def fill_origin(v) -> None:
     """Fill a slaved node 0 from f'(0) = 0 to second order (in place)."""
     v[0] = (4.0 * v[1] - v[2]) / 3.0
@@ -240,11 +226,6 @@ def radial_operator(grid: RadialGrid) -> RadialOperator:
     return RadialOperator(grid=grid, lap=lap, first=first)
 
 
-def laplacian_apply(f: Field) -> Field:
-    """Discrete Delta f with regular origin and Dirichlet 0 at rmax."""
-    return Field(f.grid, radial_operator(f.grid).apply(f.values))
-
-
 def gradient_values(grid: RadialGrid, v: NDArray) -> NDArray:
     """Centered first differences; f'(0) = 0 (regular origin), backward at rmax."""
     h, n = grid.h, grid.n
@@ -255,31 +236,14 @@ def gradient_values(grid: RadialGrid, v: NDArray) -> NDArray:
     return out
 
 
-@dataclass(frozen=True)
-class Norms:
-    l2: float
-    grad_l2: float
-    h1: float
-    lp: float | None
-    linf: float
-
-
-def norms(f: Field, lp_exponent: float | None = None) -> Norms:
-    """L2, gradient-L2, H1 = L2 + grad (the additive convention), Lp, Linf.
-
-    grad_l2 uses centered first differences.  ``lp`` is the L^{p}-norm for
-    the given exponent (``None`` skips it).
-    """
+def h1_norm(f: Field) -> float:
+    """||f||_{L2} + ||f'||_{L2} (the additive H1 convention), the gradient
+    by centered first differences."""
     w = f.grid.w
     a2 = np.abs(f.values) ** 2
     l2 = math.sqrt(float(np.dot(w, a2)))
     g = gradient_values(f.grid, f.values)
-    grad = math.sqrt(float(np.dot(w, np.abs(g) ** 2)))
-    lp = None
-    if lp_exponent is not None:
-        lp = float(np.dot(w, np.abs(f.values) ** lp_exponent)) ** (1.0 / lp_exponent)
-    return Norms(l2=l2, grad_l2=grad, h1=l2 + grad, lp=lp,
-                 linf=float(np.max(np.abs(f.values))))
+    return l2 + math.sqrt(float(np.dot(w, np.abs(g) ** 2)))
 
 
 def write_csv(path, header: str, *columns) -> None:
@@ -304,7 +268,15 @@ def write_field_csv(f: Field, path) -> None:
 
 
 def read_field_csv(path, grid: RadialGrid) -> Field:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """A snapshot-format file on ``grid``.  A file that cannot be read or
+    is not an ``r,re,im`` table is a ``UsageError``."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read field file {path}: {exc}") from exc
+    if data.shape[1] != 3:
+        raise UsageError(
+            f"field file {path} has {data.shape[1]} columns, not 3 (r,re,im)")
     if data.shape[0] != grid.n + 1:
         raise GridMismatchError(
             f"snapshot has {data.shape[0]} rows, grid has {grid.n + 1} nodes")

@@ -26,7 +26,6 @@ import numpy as np
 from .banded import Tridiag
 from .errors import (
     CertificationError,
-    DimensionError,
     InvalidParameterError,
     NoBracketError,
     NonConvergenceError,
@@ -39,8 +38,6 @@ __all__ = [
     "observables",
     "IdentityReport",
     "solve_ground",
-    "closed_form_1d",
-    "closed_form_W",
     "check_identities",
     "gn_quotient",
     "validate_intercritical",
@@ -50,6 +47,7 @@ MATCH_LEVEL = 1e-6       # Q-level at which the asymptotic tail takes over
 OVERSHOOT_CAP = 1e3      # |Q| beyond this counts as overshoot (bisection only)
 A_CAP = 0.5 * OVERSHOOT_CAP  # bracket widening stops here: shots clip at the cap
 A_TOL = 1e-13            # width at which the Q(0) bisection stops
+NEWTON_MAX_ITER = 25     # cap on the Newton polish's iterations
 
 
 def critical_exponent(N: int) -> float:
@@ -86,7 +84,6 @@ class GroundProfile:
     c_q: float
     s_c: float
     ode_residual: float
-    polished: bool
 
     @property
     def grid(self) -> RadialGrid:
@@ -233,14 +230,14 @@ def _residual(lap: Tridiag, q, p: float):
     return lap.apply(q) - q + np.abs(q) ** (p - 1) * q
 
 
-def _newton_polish(grid: RadialGrid, p: float, q_init, max_iter=25):
+def _newton_polish(grid: RadialGrid, p: float, q_init):
     """Solve Lap_h Q - Q + Q^p = 0 on the rows of ``radial_operator``."""
     op = radial_operator(grid)
     lap = op.lap
     q = op.rows(q_init).copy()
     best = math.inf
     # residual floor scales like eps/h^2 * |Q|^p; stop on stagnation
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         F = _residual(lap, q, p)
         rnorm = float(np.max(np.abs(F)))
         if rnorm >= 0.5 * best:
@@ -305,7 +302,7 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
         Q=Field(grid, q.astype(complex), real=True),
         p=float(p), N=N, q0=float(a), c_q=float(c_q),
         s_c=N / 2.0 - 2.0 / (p - 1.0),
-        ode_residual=resid, polished=polish,
+        ode_residual=resid,
     )
     _certify(gp)
     return gp
@@ -327,44 +324,6 @@ def _certify(gp: GroundProfile) -> None:
         raise CertificationError("ground state is not positive on the grid")
     if np.any(np.diff(q[: last + 1]) >= 0):
         raise CertificationError("ground state is not strictly decreasing")
-
-
-def closed_form_1d(p: float, grid: RadialGrid) -> GroundProfile:
-    """Explicit 1d profile Q(x) = ((p+1)/2)^{1/(p-1)} sech^{2/(p-1)}((p-1)x/2).
-
-    Oracle for solve_ground; the ode_residual is evaluated by substituting
-    the analytic second derivative, not the grid stencil.
-    """
-    if grid.N != 1:
-        raise DimensionError(f"closed-form sech profile requires N = 1, got N={grid.N}")
-    validate_intercritical(1, p)
-    c = ((p + 1) / 2.0) ** (1.0 / (p - 1.0))
-    alpha = 2.0 / (p - 1.0)
-    beta = (p - 1.0) / 2.0
-    x = grid.r
-    sech = 1.0 / np.cosh(beta * x)
-    tanh = np.tanh(beta * x)
-    q = c * sech ** alpha
-    qpp = c * alpha * beta**2 * sech**alpha * (alpha * tanh**2 - sech**2)
-    resid = float(np.max(np.abs(qpp - q + q**p)))
-    qgrid = q.copy()
-    qgrid[-1] = 0.0
-    return GroundProfile(
-        Q=Field(grid, qgrid.astype(complex), real=True),
-        p=float(p), N=1, q0=float(c),
-        c_q=float(c * 2.0**alpha),  # sech^a ~ 2^a e^{-a beta x} = 2^a e^{-x}
-        s_c=0.5 - 2.0 / (p - 1.0),
-        ode_residual=resid, polished=False,
-    )
-
-
-def closed_form_W(N: int, grid: RadialGrid) -> Field:
-    """Static critical profile W(r) = (1 + r^2/(N(N-2)))^{-(N-2)/2}, N >= 3."""
-    if N < 3 or grid.N != N:
-        raise DimensionError(
-            f"W requires N >= 3 on a matching grid (asked N={N}, grid N={grid.N})")
-    w = (1.0 + grid.r**2 / (N * (N - 2))) ** (-(N - 2) / 2.0)
-    return Field(grid, w.astype(complex), real=True)
 
 
 def _gradient4_values(grid: RadialGrid, v):

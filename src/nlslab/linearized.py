@@ -52,7 +52,6 @@ __all__ = [
     "LinearizedOps",
     "SpectrumData",
     "assemble",
-    "assemble_critical",
     "bilinear_B",
     "linearized_energy_phi",
     "compute_spectrum",
@@ -63,11 +62,14 @@ __all__ = [
 
 Q_FLOOR = 1e-10  # relative floor below which Q-ratios are not trusted
 REFINE_TOL = 1e-12  # relative eigen-residual the inverse iteration aims for
+INVERSE_MAX_ITER = 60  # cap on the inverse iteration's sweeps
+RESOLVENT_TOL = 1e-9  # relative residual a resolvent solve must reach
 
 
 @dataclass
 class LinearizedOps:
-    """L_+/L_- on the rows of a ``radial_operator``.
+    """L_+ = 1 - Delta - p Q^{p-1} and L_- = 1 - Delta - Q^{p-1} around the
+    ground profile ``gp``, on the rows of a ``radial_operator``.
 
     ``lap`` and ``rho`` are the operator's Laplacian and its symmetrizing
     weights, ``sym`` = sqrt(rho); ``restrict`` and ``extend`` map fields to
@@ -75,10 +77,9 @@ class LinearizedOps:
     """
 
     op: RadialOperator
-    gp: GroundProfile | None
+    gp: GroundProfile
     p: float
-    const: float                 # 1 in the intercritical convention, 0 critical
-    potential: np.ndarray        # Q^{p-1} (or W^{p_c - 1}) on the rows
+    potential: np.ndarray        # Q^{p-1} on the rows
     sym: np.ndarray              # sqrt(rho)
 
     @property
@@ -100,10 +101,10 @@ class LinearizedOps:
     # ---- applications (row vectors) ----
 
     def apply_lplus(self, v):
-        return self.const * v - self.lap.apply(v) - self.p * self.potential * v
+        return v - self.lap.apply(v) - self.p * self.potential * v
 
     def apply_lminus(self, v):
-        return self.const * v - self.lap.apply(v) - self.potential * v
+        return v - self.lap.apply(v) - self.potential * v
 
     def apply_script_l(self, g):
         """script_L g = -L_- g_2 + i L_+ g_1 on complex row vectors."""
@@ -112,11 +113,11 @@ class LinearizedOps:
     # ---- L_+ / L_- as matrices ----
 
     def lplus(self) -> Tridiag:
-        return Tridiag(-self.lap.sub, self.const - self.lap.diag
+        return Tridiag(-self.lap.sub, 1.0 - self.lap.diag
                        - self.p * self.potential, -self.lap.sup)
 
     def lminus(self) -> Tridiag:
-        return Tridiag(-self.lap.sub, self.const - self.lap.diag
+        return Tridiag(-self.lap.sub, 1.0 - self.lap.diag
                        - self.potential, -self.lap.sup)
 
     def symmetric(self) -> tuple[Tridiag, Tridiag]:
@@ -137,25 +138,10 @@ class LinearizedOps:
 
 
 def assemble(gp: GroundProfile) -> LinearizedOps:
-    """L_+/L_- around a certified ground profile (intercritical, const = 1)."""
-    return _assemble(gp.grid, gp.Q.values.real, gp.p, const=1.0, gp=gp)
-
-
-def assemble_critical(W: Field) -> LinearizedOps:
-    """L_+/L_- around the static critical profile W (const = 1 - s_c = 0).
-
-    Used only for static quadratic-form checks such as Phi(W).
-    """
-    N = W.grid.N
-    p_c = (N + 2.0) / (N - 2.0)
-    return _assemble(W.grid, W.values.real, p_c, const=0.0, gp=None)
-
-
-def _assemble(grid: RadialGrid, profile, p: float, const: float,
-              gp: GroundProfile | None) -> LinearizedOps:
-    op = radial_operator(grid)
-    return LinearizedOps(op=op, gp=gp, p=float(p), const=float(const),
-                         potential=op.rows(profile) ** (p - 1.0),
+    """L_+/L_- around a certified ground profile."""
+    op = radial_operator(gp.grid)
+    return LinearizedOps(op=op, gp=gp, p=float(gp.p),
+                         potential=op.rows(gp.Q.values.real) ** (gp.p - 1.0),
                          sym=np.sqrt(op.rho))
 
 
@@ -180,32 +166,6 @@ def bilinear_B(f: Field, g: Field, ops: LinearizedOps) -> float:
 def linearized_energy_phi(f: Field, ops: LinearizedOps) -> float:
     """Phi(f) = B(f, f)."""
     return bilinear_B(f, f, ops)
-
-
-def phi_quadratic_form(f: Field, ops: LinearizedOps) -> float:
-    """Phi(f) evaluated in integral form,
-
-        Phi(f) = const/2 int |f|^2 + 1/2 int |grad f|^2
-                 - 1/2 int V (p f_1^2 + f_2^2),
-
-    which agrees with B(f, f) for decaying fields but, unlike the banded
-    operator (whose last row pins f(rmax) = 0), stays correct for slowly
-    decaying static profiles such as W.
-    """
-    grid = f.grid
-    w = grid.w
-    v1 = f.values.real
-    v2 = f.values.imag
-    pot = ops.op.extend(ops.potential)
-    if ops.gp is not None:  # a slaved origin node takes Q(0)^{p-1}
-        pot[0] = ops.gp.Q.values.real[0] ** (ops.p - 1.0)
-    pot[grid.n] = pot[grid.n - 1]
-    g1 = gradient_values(grid, v1)
-    g2 = gradient_values(grid, v2)
-    return float(
-        0.5 * ops.const * np.dot(w, v1**2 + v2**2)
-        + 0.5 * np.dot(w, g1**2 + g2**2)
-        - 0.5 * np.dot(w, pot * (ops.p * v1**2 + v2**2)))
 
 
 @dataclass
@@ -250,8 +210,7 @@ def _script_l_bands(Lp: Tridiag, Lm: Tridiag, sigma: float):
     return ab
 
 
-def _inverse_iteration(Lp: Tridiag, Lm: Tridiag, shift: float, x, tol: float,
-                       max_iter: int = 60):
+def _inverse_iteration(Lp: Tridiag, Lm: Tridiag, shift: float, x, tol: float):
     """Shifted inverse iteration on the block script_L - shift.
 
     Any shift above e0/2 is nearer e0 than the rest of the spectrum (-e0,
@@ -262,7 +221,7 @@ def _inverse_iteration(Lp: Tridiag, Lm: Tridiag, shift: float, x, tol: float,
     """
     best = math.inf
     stall = 0
-    for it in range(max_iter):
+    for it in range(INVERSE_MAX_ITER):
         x = solve_banded((3, 3), _script_l_bands(Lp, Lm, shift), x)
         x /= np.linalg.norm(x)
         g1, g2 = x[0::2], x[1::2]
@@ -294,8 +253,6 @@ def compute_spectrum(ops: LinearizedOps) -> SpectrumData:
     e0 ~ sqrt(-lam0 (a, L~_- a)), which drives the eigen-residual to
     ``REFINE_TOL``; every step is O(n).
     """
-    if ops.gp is None:
-        raise SpectralFailureError("spectrum requires intercritical operators")
     grid = ops.grid
     gp = ops.gp
     qvec = ops.restrict(gp.Q).real
@@ -374,13 +331,12 @@ def _decay_margin(grid: RadialGrid, gp: GroundProfile, Y1: Field, Y2: Field) -> 
     return float(-slope)
 
 
-def resolvent_solve(c: float, F: Field, ops: LinearizedOps,
-                    tol: float = 1e-9) -> Field:
+def resolvent_solve(c: float, F: Field, ops: LinearizedOps) -> Field:
     """Solve (script_L + c) g = F for decaying F and real c off the spectrum.
 
     One banded solve of the block [[c, -L~_-], [L~_+, c]] on the
-    symmetrized real pair (g1, g2); the residual of the result must come
-    out below ``tol``.
+    symmetrized real pair (g1, g2); the relative residual of the result
+    must come out below ``RESOLVENT_TOL``.
     """
     if c == 0.0:
         raise SingularSystemError("c = 0 lies in the spectrum of script_L")
@@ -399,9 +355,9 @@ def resolvent_solve(c: float, F: Field, ops: LinearizedOps,
     gv = (x[0::2] + 1j * x[1::2]) / s
     res = np.linalg.norm(ops.apply_script_l(gv) + c * gv - fv)
     nf = np.linalg.norm(fv)
-    if nf > 0 and res > tol * nf:
+    if nf > 0 and res > RESOLVENT_TOL * nf:
         raise SingularSystemError(
-            f"resolvent residual {res / nf:.3e} exceeds {tol:.1e}; "
+            f"resolvent residual {res / nf:.3e} exceeds {RESOLVENT_TOL:.1e}; "
             f"c = {c} is too close to the spectrum")
     return ops.extend(gv)
 
@@ -417,8 +373,6 @@ def coercivity_min(ops: LinearizedOps, spectrum: SpectrumData,
     so the minimum is the smaller of the two sector minima, each found by
     bisection on the count of constrained eigenvalues below mu.
     """
-    if ops.gp is None:
-        raise SpectralFailureError("coercivity requires intercritical operators")
     qvec = ops.restrict(ops.gp.Q).real
     y1 = ops.restrict(spectrum.Y1).real
     y2 = ops.restrict(spectrum.Y2).real

@@ -22,12 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonFailureError, OutOfWindowError
-from .grid import Field, norms
+from .grid import Field, h1_norm
 from .ground import GroundProfile, observables
 
 __all__ = ["ModulationFrame", "fit_parameters", "track", "aligned_distance"]
 
 DEFAULT_WINDOW = 0.3  # d(u) <= window * ||grad Q|| gates the decomposition
+ALIGNED_WINDOW = 10.0  # the loose window of ``aligned_distance``
+PHASE_MAX_ITER = 50    # cap on the phase Newton's steps
+PHASE_TOL = 1e-13      # phase Newton stops once a step is below this
 
 
 @dataclass
@@ -45,12 +48,14 @@ class ModulationFrame:
 
 def fit_parameters(u: Field, t: float, gp: GroundProfile,
                    window: float = DEFAULT_WINDOW,
-                   theta_seed: float | None = None,
-                   max_iter: int = 50, tol: float = 1e-13) -> ModulationFrame:
+                   theta_seed: float | None = None) -> ModulationFrame:
     """Solve the phase condition by Newton and split off (alpha, h).
 
+    The Newton iteration starts from ``theta_seed``, or from the argument
+    of the projection, and stops once a step is below ``PHASE_TOL``.
     Raises OutOfWindowError when d(u) exceeds ``window * ||grad Q||`` and
-    NewtonFailureError when the angle iteration does not settle.
+    NewtonFailureError when the angle does not settle in
+    ``PHASE_MAX_ITER`` steps.
     """
     grid = u.grid
     w = grid.w
@@ -64,17 +69,18 @@ def fit_parameters(u: Field, t: float, gp: GroundProfile,
     # g(theta) = Im e^{-i theta} Z,  Z = e^{-it} int Q u;  g'(theta) = -Re e^{-i theta} Z
     Z = complex(np.dot(w, q * u.values) * np.exp(-1j * t))
     theta = float(np.angle(Z)) if theta_seed is None else float(theta_seed)
-    for _ in range(max_iter):
+    for _ in range(PHASE_MAX_ITER):
         g = (Z * np.exp(-1j * theta)).imag
         gp_ = -(Z * np.exp(-1j * theta)).real
         if gp_ == 0.0:
             raise NewtonFailureError("degenerate phase condition (zero projection)")
         delta = g / gp_
         theta -= delta
-        if abs(delta) < tol:
+        if abs(delta) < PHASE_TOL:
             break
     else:
-        raise NewtonFailureError(f"phase Newton did not converge in {max_iter} steps")
+        raise NewtonFailureError(
+            f"phase Newton did not converge in {PHASE_MAX_ITER} steps")
     theta = float(math.remainder(theta, 2 * math.pi))
 
     rot = u.values * np.exp(-1j * t - 1j * theta)
@@ -83,55 +89,39 @@ def fit_parameters(u: Field, t: float, gp: GroundProfile,
     h = Field(grid, h_vals)
     res_iq = abs(float(np.dot(w, q * h_vals.imag)))
     res_qp = abs(float(np.dot(w, q ** gp.p * h_vals.real)))
-    dist = norms(Field(grid, alpha * q + h_vals)).h1
+    dist = h1_norm(Field(grid, alpha * q + h_vals))
     return ModulationFrame(t=t, theta=theta, alpha=alpha, h=h, d=d,
                            res_iq=res_iq, res_qp=res_qp,
-                           h_norm=norms(h).h1, dist=dist)
+                           h_norm=h1_norm(h), dist=dist)
 
 
-def track(snapshots, gp: GroundProfile, window: float = DEFAULT_WINDOW):
-    """Fit every snapshot, seeding each Newton from the previous angle.
+def track(snapshots, gp: GroundProfile) -> list:
+    """Fit every (t, Field) snapshot in the ``DEFAULT_WINDOW``, seeding each
+    Newton from the previous angle.
 
-    Snapshots outside the window are recorded as gaps (None) rather than
-    aborting the whole track.  Returns (frames, ratios) where the ratio
-    channels carry NaN at gaps:
-
-      alpha_over_drel  |alpha| ||grad Q|| / d     (gradient-relative d;
-                       alpha is dimensionless while d scales with
-                       ||grad Q||, so the equivalence constants are O(1))
-      h_over_d         ||h||_{H1} / d
+    Returns one ``ModulationFrame`` per snapshot; a snapshot outside the
+    window is recorded as a gap (None) rather than aborting the track.
     """
     frames = []
     theta_prev = None
     for t, fld in snapshots:
         try:
-            frame = fit_parameters(fld, t, gp, window=window, theta_seed=theta_prev)
+            frame = fit_parameters(fld, t, gp, theta_seed=theta_prev)
             theta_prev = frame.theta
             frames.append(frame)
         except OutOfWindowError:
             frames.append(None)
-    gq = gp.obs.grad
-
-    def chan(fn):
-        return np.array([fn(f) if f is not None else math.nan for f in frames])
-
-    tiny = 1e-300
-    ratios = {
-        "alpha_over_drel": chan(lambda f: abs(f.alpha) * gq / max(f.d, tiny)),
-        "h_over_d": chan(lambda f: f.h_norm / max(f.d, tiny)),
-    }
-    return frames, ratios
+    return frames
 
 
-def aligned_distance(u: Field, t: float, gp: GroundProfile,
-                     window: float = 10.0) -> float:
+def aligned_distance(u: Field, t: float, gp: GroundProfile) -> float:
     """Phase-aligned H1 distance to the standing wave at time t.
 
-    Uses the modulation angle when the fit succeeds; a very loose window
-    keeps this usable as a plain diagnostic far from Q.
+    Uses the modulation angle when the fit succeeds; the very loose
+    ``ALIGNED_WINDOW`` keeps this usable as a plain diagnostic far from Q.
     """
     try:
-        return fit_parameters(u, t, gp, window=window).dist
+        return fit_parameters(u, t, gp, window=ALIGNED_WINDOW).dist
     except (OutOfWindowError, NewtonFailureError):
         diff = Field(u.grid, u.values - np.exp(1j * t) * gp.Q.values)
-        return norms(diff).h1
+        return h1_norm(diff)

@@ -1,0 +1,82 @@
+"""Test oracles: closed forms and reference quantities that no command
+computes, kept beside the tests that hold the package against them."""
+
+import numpy as np
+
+from nlslab.evolve import Evolver, EvolverConfig
+from nlslab.grid import Field, RadialGrid, gradient_values
+from nlslab.ground import GroundProfile, validate_intercritical
+
+
+def closed_form_1d(p: float, grid: RadialGrid) -> GroundProfile:
+    """Explicit 1d profile Q(x) = ((p+1)/2)^{1/(p-1)} sech^{2/(p-1)}((p-1)x/2).
+
+    Oracle for solve_ground; the ode_residual is evaluated by substituting
+    the analytic second derivative, not the grid stencil.
+    """
+    validate_intercritical(1, p)
+    c = ((p + 1) / 2.0) ** (1.0 / (p - 1.0))
+    alpha = 2.0 / (p - 1.0)
+    beta = (p - 1.0) / 2.0
+    x = grid.r
+    sech = 1.0 / np.cosh(beta * x)
+    tanh = np.tanh(beta * x)
+    q = c * sech ** alpha
+    qpp = c * alpha * beta**2 * sech**alpha * (alpha * tanh**2 - sech**2)
+    resid = float(np.max(np.abs(qpp - q + q**p)))
+    qgrid = q.copy()
+    qgrid[-1] = 0.0
+    return GroundProfile(
+        Q=Field(grid, qgrid.astype(complex), real=True),
+        p=float(p), N=1, q0=float(c),
+        c_q=float(c * 2.0**alpha),  # sech^a ~ 2^a e^{-a beta x} = 2^a e^{-x}
+        s_c=0.5 - 2.0 / (p - 1.0),
+        ode_residual=resid,
+    )
+
+
+def closed_form_W(grid: RadialGrid) -> Field:
+    """Static H1-critical profile W(r) = (1 + r^2/(N(N-2)))^{-(N-2)/2}, N >= 3."""
+    N = grid.N
+    w = (1.0 + grid.r**2 / (N * (N - 2))) ** (-(N - 2) / 2.0)
+    return Field(grid, w.astype(complex), real=True)
+
+
+def step(u: Field, dt: float, cfg: EvolverConfig, p: float,
+         evolver: Evolver | None = None) -> Field:
+    """One whole step of size dt (its sign sets the time direction)."""
+    ev = evolver if evolver is not None else Evolver(u.grid, p, cfg)
+    return Field(u.grid, ev.step_values(u.values, dt))
+
+
+def variance(u: Field) -> float:
+    """Full variance V = int r^2 |u|^2."""
+    return float(np.dot(u.grid.w, u.grid.r**2 * np.abs(u.values) ** 2))
+
+
+def variance_rate(u: Field) -> float:
+    """V' = 4 Im int r u' ubar, the radial form of 4 Im int x . grad(u) ubar."""
+    du = gradient_values(u.grid, u.values)
+    integrand = (u.grid.r * du * np.conj(u.values)).imag
+    return 4.0 * float(np.dot(u.grid.w, integrand))
+
+
+def track_ratios(frames, gp: GroundProfile) -> dict:
+    """The two equivalence channels of ``modulation.track``'s frames, NaN
+    at gaps:
+
+      alpha_over_drel  |alpha| ||grad Q|| / d     (gradient-relative d;
+                       alpha is dimensionless while d scales with
+                       ||grad Q||, so the equivalence constants are O(1))
+      h_over_d         ||h||_{H1} / d
+    """
+    gq = gp.obs.grad
+
+    def chan(fn):
+        return np.array([fn(f) if f is not None else np.nan for f in frames])
+
+    tiny = 1e-300
+    return {
+        "alpha_over_drel": chan(lambda f: abs(f.alpha) * gq / max(f.d, tiny)),
+        "h_over_d": chan(lambda f: f.h_norm / max(f.d, tiny)),
+    }

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlslab.approx import (LambdaPoly, build_Vk, expand_R, lp_mul,
+from nlslab.approx import (LambdaPoly, build_Vk, eval_V, expand_R, lp_mul,
                            lp_pow_frac, pointwise_R, residual_rate,
                            residual_values)
 from nlslab.errors import ValidityError
@@ -115,7 +115,7 @@ def test_expand_R_low_coefficients_vanish(gp33, spec33):
 
 
 def test_expand_R_matches_pointwise_evaluation(gp33, spec33, sol33):
-    """Series evaluated at lambda = 0.1 against direct pointwise R.
+    """Series evaluated at lambda = e^{-e0 t} = 0.1 against direct pointwise R.
 
     At p = 3 the J-series terminates at total degree 3, so truncating at
     K = 3k makes the lambda-expansion of R(V_k) exact and the comparison
@@ -124,9 +124,10 @@ def test_expand_R_matches_pointwise_evaluation(gp33, spec33, sol33):
     V = poly_from(gp33.grid, 3 * k + 1,
                   {j: sol33.Z[j].values for j in range(1, k + 1)})
     Rpoly = expand_R(V, gp33)
-    lam = 0.1
-    direct = pointwise_R(V.eval_at(lam), gp33)
-    series = Rpoly.eval_at(lam)
+    t = math.log(10.0) / sol33.e0
+    lam = math.exp(-sol33.e0 * t)
+    direct = pointwise_R(eval_V(sol33, t), gp33)
+    series = lam ** np.arange(Rpoly.K + 1) @ Rpoly.coeffs
     q = gp33.Q.values.real
     trusted = q >= 1e-10 * q[0]
     assert np.max(np.abs(series[trusted] - direct[trusted])) <= 1e-8

@@ -8,7 +8,7 @@ import pytest
 
 from nlslab import cli
 from nlslab.cli import cli_dispatch
-from nlslab.config import ENV_PREFIX, default_config, load_config
+from nlslab.config import ENV_PREFIX, load_config
 from nlslab.approx import residual_rate
 from nlslab.errors import ConfigError
 from nlslab.evolve import EvolverConfig
@@ -85,7 +85,7 @@ def test_comments_and_blanks(tmp_path):
 
 
 def test_default_config_overrides():
-    cfg = default_config(**{"model.N": 1, "model.p": 7.0})
+    cfg = load_config(overrides={"model.N": 1, "model.p": 7.0})
     assert cfg["model.N"] == 1
 
 
@@ -359,6 +359,30 @@ def test_evolve_non_finite_initial_data_is_numerical_failure(tmp_path):
     assert "status = numerical-failure" in (out / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("case", ["two-columns", "non-numeric", "missing",
+                                  "short-index-row"])
+def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
+    """A field file that ``evolve --initial`` or ``modulate`` cannot read
+    exits 2 with a message that names the file."""
+    bad = tmp_path / "field.csv"
+    if case == "two-columns":
+        bad.write_text("r,re\n" + "".join(f"{0.02 * i!r},1.0\n" for i in range(1001)))
+    elif case == "non-numeric":
+        bad.write_text("r,re,im\nzero,one,two\n")
+    if case == "short-index-row":
+        bad = tmp_path / "snaps" / "index.csv"
+        bad.parent.mkdir()
+        bad.write_text("idx,t,file\n0,0\n")
+        args = ["modulate", "--snapshots", str(bad.parent)]
+    else:
+        args = ["evolve", "--initial", str(bad), "--t-end", "0.01"]
+    out = tmp_path / "o"
+    assert run_cli([*args, "--N", "1", "--p", "7", "--rmax", "20", "--n", "1000",
+                    "--out", str(out)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert "status = usage-error" in (out / "manifest.txt").read_text()
+
+
 def test_eps_values_flag_reaches_the_config_echo(tmp_path):
     out = tmp_path / "cl"
     assert run_cli(["classify", "--N", "3", "--p", "3", "--rmax", "20",
@@ -373,7 +397,7 @@ def test_eps_values_flag_reaches_the_config_echo(tmp_path):
 @pytest.mark.parametrize("eps", ["abc", ",", "0.1,x", "0.1,nan"])
 def test_bad_sweep_eps_is_config_error(tmp_path, eps):
     with pytest.raises(ConfigError, match="sweep_eps"):
-        default_config(**{"experiment.sweep_eps": eps})
+        load_config(overrides={"experiment.sweep_eps": eps})
     assert run_cli(["classify", "--N", "3", "--p", "3", "--rmax", "20",
                     "--n", "1000", "--t-end", "0.01", f"--eps-values={eps}",
                     "--out", str(tmp_path / "cl")]) == 2
@@ -401,8 +425,8 @@ def test_pipeline_runs_each_stage_once(tmp_path, monkeypatch):
         return solve_ground(grid, *args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_ground", counting_solve)
-    cfg = default_config(**{"model.N": 1, "model.p": 7.0, "grid.rmax": 10.0,
-                            "grid.n": 2500})  # the probe grid: rmax / 0.004
+    cfg = load_config(overrides={"model.N": 1, "model.p": 7.0, "grid.rmax": 10.0,
+                                 "grid.n": 2500})  # the probe grid: rmax / 0.004
     man = RunManifest(tmp_path, "check", cfg.render())
     pipe = cli.Pipeline(cfg, man)
     assert pipe.identity_n() > 2500

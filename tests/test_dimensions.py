@@ -4,11 +4,12 @@ must share one discrete Laplacian for the kernel relations to hold."""
 import numpy as np
 import pytest
 
-from nlslab.config import default_config
+from nlslab.approx import build_Vk
+from nlslab.config import load_config
 from nlslab.evolve import EvolverConfig, evolve
 from nlslab.grid import Field, make_grid
 from nlslab.ground import solve_ground
-from nlslab.linearized import assemble, compute_spectrum
+from nlslab.linearized import assemble, coercivity_min, compute_spectrum
 
 
 @pytest.mark.parametrize("N, p", [(2, 4.0), (4, 2.5), (5, 2.0)])
@@ -21,9 +22,14 @@ def test_pipeline_across_dimensions(N, p):
     assert np.max(np.abs(ops.apply_lplus(q) - (1 - p) * q**p)) <= 1e-9 * scale
 
     spec = compute_spectrum(ops)
-    tol = default_config()["check.spectrum_tol"]
+    tol = load_config()["check.spectrum_tol"]
     assert spec.e0 > 0
     assert spec.residual_plus <= tol and spec.residual_minus <= tol
+    assert spec.negative_directions == 1
+    assert coercivity_min(ops, spec, "Gperp") > 0
+    assert coercivity_min(ops, spec, "Gtildeperp") > 0
+    # the resolvent recursion's drift check passes at order 2
+    build_Vk(1.0, 2, spec, ops)
 
     # Q is a standing wave of the discrete flow: e^{it} Q up to time error
     cfg = EvolverConfig(dt=1e-3, t_end=0.5, order=4, sample_every=50)

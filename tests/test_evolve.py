@@ -6,9 +6,10 @@ import pytest
 from nlslab.banded import Tridiag
 from nlslab.errors import InstabilityError, InvalidParameterError
 from nlslab.evolve import (GAMMA1, GAMMA2, Evolver, EvolverConfig, classify_run,
-                           diagnostics, evolve, step, variance, variance_rate)
-from nlslab.grid import Field, integrate, make_grid
+                           diagnostics, evolve)
+from nlslab.grid import Field, make_grid
 from nlslab.ground import solve_ground
+from oracles import step, variance, variance_rate
 
 # the small-e0 pair used for long standing-wave runs: at (3,3) the
 # e0 ~ 5.5 instability amplifies the splitting noise by e^{e0 t}
@@ -68,8 +69,8 @@ def test_step_conserves_quadrature_mass(N, p):
     vals[-1] = 0.0
     u = Field(g, vals)
     out = step(u, 1e-3, EvolverConfig(dt=1e-3), p)
-    m0 = integrate(u, lambda v: np.abs(v) ** 2)
-    m1 = integrate(out, lambda v: np.abs(v) ** 2)
+    m0 = float(np.dot(g.w, np.abs(u.values) ** 2))
+    m1 = float(np.dot(g.w, np.abs(out.values) ** 2))
     assert abs(m1 / m0 - 1) <= 1e-12
 
 
@@ -173,12 +174,6 @@ def test_one_step_tracks_standing_wave(gentle):
     assert one_step_err(1e-3, 4) <= 1e-8
 
 
-def test_step_respects_dt_cap(gentle):
-    cfg = EvolverConfig(dt=1e-3)
-    with pytest.raises(InvalidParameterError):
-        step(standing_wave(gentle), 2e-3, cfg, gentle.p)
-
-
 def test_one_step_reversibility(gentle):
     gp = gentle
     cfg = EvolverConfig(dt=1e-3)
@@ -279,7 +274,7 @@ def test_quadratic_phase_gives_positive_variance_rate(gp33):
     u = Field(g, gp33.Q.values * np.exp(1j * g.r**2 / 4.0))
     vr = variance_rate(u)
     # Im(r u' ubar) = r^2 Q^2 / 2, so V' = 2 int r^2 Q^2
-    expect = 2.0 * integrate(Field(g, g.r**2 * gp33.Q.values.real**2))
+    expect = 2.0 * float(np.dot(g.w, g.r**2 * gp33.Q.values.real**2))
     assert vr > 0
     assert vr == pytest.approx(expect, rel=1e-3)
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlslab.errors import GridMismatchError, InvalidParameterError
-from nlslab.grid import (Field, integrate, laplacian_apply, make_grid, norms,
-                         omega_n, radial_operator, read_field_csv,
-                         write_field_csv)
+from nlslab.grid import (Field, h1_norm, make_grid, omega_n, radial_operator,
+                         read_field_csv, write_field_csv)
+from nlslab.ground import observables
 
 
 def test_make_grid_1d_weights():
@@ -33,22 +33,21 @@ def test_make_grid_rejects_bad_parameters(bad):
 
 def test_integrate_exponential_1d():
     # the even extension of e^{-r} has a corner at 0, so the trapezoid
-    # error is a genuine O(h^2); 1e-8 needs h ~ 1e-4 (integrate is O(n))
+    # error is a genuine O(h^2); 1e-8 needs h ~ 1e-4 (quadrature is O(n))
     g = make_grid(1, 30.0, 250000)
     f = Field(g, np.exp(-g.r))
     # int_R e^{-2|x|} dx = 1
-    assert integrate(f, lambda v: np.abs(v) ** 2) == pytest.approx(1.0, abs=1e-8)
+    assert np.dot(g.w, np.abs(f.values) ** 2) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_integrate_gaussian_3d():
     g = make_grid(3, 20.0, 2000)
-    f = Field(g, np.exp(-g.r**2))
-    assert integrate(f) == pytest.approx(math.pi**1.5, abs=1e-8)
+    assert np.dot(g.w, np.exp(-g.r**2)) == pytest.approx(math.pi**1.5, abs=1e-8)
 
 
 def test_integrate_zero():
     g = make_grid(2, 10.0, 100)
-    assert integrate(Field(g, np.zeros(101))) == 0.0
+    assert np.dot(g.w, np.zeros(101)) == 0.0
 
 
 def test_quadrature_polynomial_exactness():
@@ -56,15 +55,14 @@ def test_quadrature_polynomial_exactness():
     for N in (1, 2, 3):
         g = make_grid(N, 5.0, 500)
         for k in (0, 1, 2):
-            f = Field(g, g.r**k + 0j)
             exact = omega_n(N) * 5.0 ** (k + N) / (k + N)
-            assert abs(integrate(f) / exact - 1) < 5 * g.h**2
+            assert abs(np.dot(g.w, g.r**k) / exact - 1) < 5 * g.h**2
 
 
 def test_laplacian_r_squared():
     g = make_grid(3, 10.0, 500)
     f = Field(g, g.r**2 + 0j)
-    lap = laplacian_apply(f).values.real
+    lap = radial_operator(g).apply(f.values).real
     # interior nodes away from the pinned boundary see Delta r^2 = 2N
     assert np.allclose(lap[:-2], 6.0, atol=1e-8)
 
@@ -72,14 +70,14 @@ def test_laplacian_r_squared():
 def test_laplacian_constant_zero():
     g = make_grid(2, 10.0, 400)
     f = Field(g, np.full(401, 3.7))
-    lap = laplacian_apply(f).values.real
+    lap = radial_operator(g).apply(f.values).real
     assert np.max(np.abs(lap[:-2])) < 1e-10
 
 
 def test_laplacian_gaussian_1d():
     g = make_grid(1, 15.0, 3000)
     f = Field(g, np.exp(-g.r**2))
-    lap = laplacian_apply(f).values.real
+    lap = radial_operator(g).apply(f.values).real
     exact = (4 * g.r**2 - 2) * np.exp(-g.r**2)
     assert np.max(np.abs(lap[:-2] - exact[:-2])) < 10 * g.h**2
 
@@ -89,7 +87,7 @@ def test_laplacian_refinement_second_order():
     for n in (400, 800):
         g = make_grid(3, 10.0, n)
         f = Field(g, np.exp(-g.r**2))
-        lap = laplacian_apply(f).values.real
+        lap = radial_operator(g).apply(f.values).real
         exact = (4 * g.r**2 - 2 * 3) * np.exp(-g.r**2)
         errs.append(np.max(np.abs(lap[: n // 2] - exact[: n // 2])))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
@@ -102,8 +100,8 @@ def test_laplacian_self_adjoint_under_radial_measure(N):
     assert (radial_operator(g).first == 0) == (g.w[0] > 0)
     f = Field(g, np.exp(-g.r**2) * (1 + g.r))
     h = Field(g, np.exp(-((g.r - 2) ** 2)))
-    lhs = integrate(Field(g, laplacian_apply(f).values * h.values))
-    rhs = integrate(Field(g, laplacian_apply(h).values * f.values))
+    lhs = np.dot(g.w, (radial_operator(g).apply(f.values) * h.values).real)
+    rhs = np.dot(g.w, (radial_operator(g).apply(h.values) * f.values).real)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -124,25 +122,25 @@ def test_n3_rows_are_the_centered_stencil():
 
 def test_norms_zero_field():
     g = make_grid(2, 10.0, 100)
-    nm = norms(Field(g, np.zeros(101)), lp_exponent=4)
-    assert nm.l2 == nm.grad_l2 == nm.h1 == nm.lp == nm.linf == 0.0
+    f = Field(g, np.zeros(101))
+    obs = observables(f, 3.0)
+    assert obs.mass == obs.grad2 == h1_norm(f) == 0.0
 
 
 def test_norms_exponential_1d():
     # e^{-|x|} has a corner at 0: the L2 norm converges at O(h^2) but the
     # centered-difference gradient norm only at O(h) (the kink cell)
     g = make_grid(1, 30.0, 100000)
-    nm = norms(Field(g, np.exp(-g.r)))
-    assert nm.l2**2 == pytest.approx(1.0, abs=1e-6)
-    assert nm.grad_l2**2 == pytest.approx(1.0, abs=5e-4)
+    obs = observables(Field(g, np.exp(-g.r)), 3.0)
+    assert obs.mass == pytest.approx(1.0, abs=1e-6)
+    assert obs.grad2 == pytest.approx(1.0, abs=5e-4)
 
 
 def test_grad_norm_matches_integration_by_parts():
     g = make_grid(3, 20.0, 2000)
     f = Field(g, np.exp(-g.r**2))
-    nm = norms(f)
-    ibp = -integrate(Field(g, np.conj(f.values) * laplacian_apply(f).values))
-    assert nm.grad_l2**2 == pytest.approx(ibp, rel=1e-4)
+    ibp = -np.dot(g.w, (np.conj(f.values) * radial_operator(g).apply(f.values)).real)
+    assert observables(f, 3.0).grad2 == pytest.approx(ibp, rel=1e-4)
 
 
 def test_field_length_mismatch():
@@ -200,6 +198,6 @@ def test_integrate_is_linear(a, b):
     g = make_grid(1, 10.0, 128)
     f1 = np.exp(-g.r)
     f2 = np.exp(-g.r**2)
-    lhs = integrate(Field(g, a * f1 + b * f2))
-    rhs = a * integrate(Field(g, f1)) + b * integrate(Field(g, f2))
+    lhs = np.dot(g.w, a * f1 + b * f2)
+    rhs = a * np.dot(g.w, f1) + b * np.dot(g.w, f2)
     assert lhs == pytest.approx(rhs, abs=1e-9)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlslab.ground
-from nlslab.errors import DimensionError, InvalidParameterError, NoBracketError
-from nlslab.grid import integrate, make_grid
+from nlslab.errors import InvalidParameterError, NoBracketError
+from nlslab.grid import make_grid
 from nlslab.ground import (A_CAP, OVERSHOOT_CAP, _shoot, _shoot_ground,
-                           check_identities, closed_form_1d, closed_form_W,
-                           critical_exponent, gn_quotient, solve_ground,
-                           validate_intercritical)
+                           check_identities, critical_exponent, gn_quotient,
+                           solve_ground, validate_intercritical)
+from oracles import closed_form_1d, closed_form_W
 
 # Q(0) for the 3d cubic ground state, frozen from an independent coarse
 # shooting-bisection oracle (RK4 at substep 1.25e-3, bisection to 1e-12);
@@ -175,12 +175,6 @@ def test_closed_form_1d_values_and_residual():
     assert gp.ode_residual <= 1e-12
 
 
-def test_closed_form_1d_rejects_other_dimensions():
-    g = make_grid(3, 20.0, 2000)
-    with pytest.raises(DimensionError):
-        closed_form_1d(7.0, g)
-
-
 def test_3d_cubic_central_value(gp33):
     assert gp33.q0 == pytest.approx(Q0_3D_CUBIC, abs=2e-5)
 
@@ -259,14 +253,12 @@ def test_gn_quotient_maximized_at_Q(gp33):
 
 def test_closed_form_W_values():
     g3 = make_grid(3, 20.0, 1000)
-    w3 = closed_form_W(3, g3)
+    w3 = closed_form_W(g3)
     assert w3.values.real[0] == pytest.approx(1.0)
     g4 = make_grid(4, 20.0, 4000)
-    w4 = closed_form_W(4, g4)
+    w4 = closed_form_W(g4)
     i = np.argmin(np.abs(g4.r - 2 * math.sqrt(2)))
     assert w4.values.real[i] == pytest.approx(0.5, abs=1e-3)
-    with pytest.raises(DimensionError):
-        closed_form_W(2, make_grid(2, 20.0, 1000))
 
 
 def test_W_square_integrable_only_above_dimension_five():
@@ -274,13 +266,13 @@ def test_W_square_integrable_only_above_dimension_five():
     vals = []
     for rmax, n in ((200.0, 20000), (400.0, 40000)):
         g = make_grid(5, rmax, n)
-        w = closed_form_W(5, g)
-        vals.append(integrate(w, lambda v: np.abs(v) ** 2))
+        w = closed_form_W(g)
+        vals.append(float(np.dot(g.w, np.abs(w.values) ** 2)))
     assert abs(vals[1] / vals[0] - 1) < 2e-2  # converged in rmax
     # N = 4: the same integral diverges logarithmically with rmax
     div = []
     for rmax in (200.0, 400.0):
         g = make_grid(4, rmax, int(rmax * 50))
-        w = closed_form_W(4, g)
-        div.append(integrate(w, lambda v: np.abs(v) ** 2))
+        w = closed_form_W(g)
+        div.append(float(np.dot(g.w, np.abs(w.values) ** 2)))
     assert div[1] > div[0] * 1.15

@@ -7,12 +7,12 @@ from scipy.linalg import eigh
 
 from nlslab.banded import Tridiag
 from nlslab.errors import SingularSystemError, SpectralFailureError
-from nlslab.grid import Field, integrate, make_grid, norms
-from nlslab.ground import closed_form_W, solve_ground
-from nlslab.linearized import (assemble, assemble_critical, bilinear_B,
-                               coercivity_min, compute_spectrum,
-                               linearized_energy_phi, phi_quadratic_form,
+from nlslab.grid import Field, gradient_values, h1_norm, make_grid
+from nlslab.ground import solve_ground
+from nlslab.linearized import (assemble, bilinear_B, coercivity_min,
+                               compute_spectrum, linearized_energy_phi,
                                resolvent_solve, scaling_generator)
+from oracles import closed_form_W
 
 
 def smooth(grid, rng, width=2.0):
@@ -65,7 +65,7 @@ def test_B_symmetric(ops33, rng):
 def test_B_iQ_vanishes(gp33, ops33, rng):
     iq = Field(gp33.grid, 1j * gp33.Q.values)
     f = smooth(ops33.grid, rng)
-    assert abs(bilinear_B(iq, f, ops33)) <= 1e-8 * norms(f).h1
+    assert abs(bilinear_B(iq, f, ops33)) <= 1e-8 * h1_norm(f)
 
 
 def test_B_scaling_generator_pairing(gp33, ops33, rng):
@@ -74,8 +74,8 @@ def test_B_scaling_generator_pairing(gp33, ops33, rng):
     lam = scaling_generator(gp33)
     f = smooth(ops33.grid, rng)
     lhs = bilinear_B(lam, f, ops33)
-    rhs = -integrate(Field(gp33.grid, gp33.Q.values.real * f.values.real))
-    assert lhs == pytest.approx(rhs, abs=60 * gp33.grid.h**2 * norms(f).h1)
+    rhs = -float(np.dot(gp33.grid.w, gp33.Q.values.real * f.values.real))
+    assert lhs == pytest.approx(rhs, abs=60 * gp33.grid.h**2 * h1_norm(f))
 
 
 def test_B_antisymmetry_under_script_l(ops33, rng):
@@ -84,15 +84,15 @@ def test_B_antisymmetry_under_script_l(ops33, rng):
     lf = ops33.extend(ops33.apply_script_l(ops33.restrict(f)))
     lg = ops33.extend(ops33.apply_script_l(ops33.restrict(g)))
     resid = bilinear_B(lf, g, ops33) + bilinear_B(f, lg, ops33)
-    assert abs(resid) <= 1e-7 * norms(f).h1 * norms(g).h1
+    assert abs(resid) <= 1e-7 * h1_norm(f) * h1_norm(g)
 
 
 def test_phi_q_negative_with_derived_coefficient(gp33, ops33):
     """Phi(Q) = (1-p)/2 int Q^{p+1} < 0, the coefficient that follows from
     L_+ Q = (1-p) Q^p by substitution."""
     phi = linearized_energy_phi(gp33.Q, ops33)
-    target = (1 - gp33.p) / 2.0 * integrate(
-        Field(gp33.grid, gp33.Q.values.real ** (gp33.p + 1)))
+    target = (1 - gp33.p) / 2.0 * float(
+        np.dot(gp33.grid.w, gp33.Q.values.real ** (gp33.p + 1)))
     assert phi == pytest.approx(target, rel=1e-8)
     assert phi < 0
 
@@ -103,16 +103,22 @@ def test_phi_iq_vanishes(gp33, ops33):
 
 
 def test_phi_W_critical_value():
-    """Phi(W) = -2/((N-2) C_N^N) with C_N the measured Sobolev quotient."""
+    """Phi(W) = -2/((N-2) C_N^N) with C_N the measured Sobolev quotient.
+
+    At the H1-critical power p_c = (N+2)/(N-2) the linearized energy
+    around the static profile W is
+    Phi(W) = 1/2 int |grad W|^2 - p_c/2 int W^{p_c+1}; W decays only
+    polynomially, so it is evaluated in this integral form, not through
+    the banded operator, whose Dirichlet row would corrupt the boundary
+    cell."""
     N = 5
+    p_c = (N + 2.0) / (N - 2.0)
     g = make_grid(N, 120.0, 12000)
-    W = closed_form_W(N, g)
-    ops = assemble_critical(W)
-    # W decays only polynomially: evaluate Phi in integral form (the
-    # banded operator's Dirichlet row would corrupt the boundary cell)
-    phi = phi_quadratic_form(W, ops)
-    nm = norms(W, lp_exponent=2 * N / (N - 2))
-    c_n = nm.lp / nm.grad_l2
+    w = closed_form_W(g).values.real
+    grad2 = float(np.dot(g.w, gradient_values(g, w) ** 2))
+    phi = 0.5 * grad2 - 0.5 * p_c * float(np.dot(g.w, w ** (p_c + 1)))
+    lp = float(np.dot(g.w, w ** (p_c + 1))) ** (1.0 / (p_c + 1))
+    c_n = lp / math.sqrt(grad2)
     target = -2.0 / ((N - 2) * c_n**N)
     assert phi < 0
     assert phi == pytest.approx(target, rel=1e-2)
@@ -338,7 +344,7 @@ def test_coercivity_gtilde_positive(ops33, spec33):
 def test_unconstrained_minimum_is_negative(gp33, ops33):
     # Q itself violates the constraint and gives Phi(Q) < 0
     phi_q = linearized_energy_phi(gp33.Q, ops33)
-    h1_q = norms(gp33.Q).h1
+    h1_q = h1_norm(gp33.Q)
     assert phi_q / h1_q**2 < 0
 
 
@@ -352,7 +358,7 @@ def test_negative_direction_identity(gp33, ops33):
     z = lam - c * q
     val = float(np.dot(ops33.rho, ops33.apply_lplus(z) * z))
     N, p = gp33.N, gp33.p
-    qp1 = integrate(Field(gp33.grid, gp33.Q.values.real ** (p + 1)))
+    qp1 = float(np.dot(gp33.grid.w, gp33.Q.values.real ** (p + 1)))
     pred = -(N**2 * (p - 1) / (4 * (p + 1))) * (p - 1 - 4.0 / N) * qp1
     assert pred == pytest.approx(-(3.0 / 4.0) * qp1)
     assert val == pytest.approx(pred, rel=5e-3)  # 1e-4 on acceptance grids

@@ -1,0 +1,84 @@
+"""The package holds what a command runs.
+
+All eight commands run in-process on small configs under
+``sys.setprofile``; every function defined in ``src/nlslab`` must be
+called by one of them, except the entry point and the pool-worker hooks.
+Functions are matched by (file, name), not by line, because decorators
+move ``co_firstlineno``.
+"""
+
+import ast
+import importlib
+import os
+import pkgutil
+import sys
+from pathlib import Path
+
+import nlslab
+import nlslab.ground
+from nlslab.cli import cli_dispatch
+
+PACKAGE = Path(nlslab.__file__).resolve().parent
+
+# cli.main is the console entry point; parallel._install and _call run
+# only in pool workers (tests/test_parallel.py covers them)
+NEVER_CALLED = {("cli.py", "main"), ("parallel.py", "_install"),
+                ("parallel.py", "_call")}
+
+# names this package once exported, which only tests need now
+REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
+           "closed_form_W", "assemble_critical", "phi_quadratic_form", "step",
+           "variance", "variance_rate", "default_config", "DimensionError"}
+
+
+def _defined():
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.add((path.name, node.name))
+    return out
+
+
+def _run_commands(tmp: Path) -> list:
+    cfg = tmp / "small.cfg"
+    cfg.write_text("check.identity_n = 2000\n")
+    grid = ["--N", "3", "--p", "3", "--rmax", "20", "--n", "1000",
+            "--config", str(cfg)]
+    runs = [["ground"], ["spectrum"], ["construct"],
+            ["evolve", "--initial", "ground", "--t-end", "0.05"],
+            ["special", "--dt", "1e-3"], ["classify", "--t-end", "0.05"],
+            ["modulate", "--snapshots", str(tmp / "evolve" / "snapshots")],
+            ["check"]]
+    return [cli_dispatch([run[0], *grid, *run[1:], "--out", str(tmp / run[0])])
+            for run in runs]
+
+
+def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
+    # one CPU keeps every pmap in-process, where the profiler sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    # a memoized shooting from an earlier test would hide _shoot
+    nlslab.ground._shoot_ground.cache_clear()
+    called = set()
+    prefix = str(PACKAGE) + os.sep
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(prefix):
+            called.add((Path(frame.f_code.co_filename).name, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        codes = _run_commands(tmp_path)
+    finally:
+        sys.setprofile(None)
+    assert all(rc in (0, 1) for rc in codes), codes
+    assert _defined() - called == NEVER_CALLED
+
+
+def test_exports_resolve():
+    modules = [nlslab] + [importlib.import_module(f"nlslab.{m.name}")
+                          for m in pkgutil.iter_modules(nlslab.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+        assert not REMOVED & set(vars(module)), module.__name__

@@ -115,11 +115,16 @@ class Pipeline:
         return self._memo[key]
 
     def ground(self, n: int | None = None):
-        """Ground profile on the working grid, or on ``n`` nodes."""
+        """Ground profile on the working grid, or on ``n`` nodes.  Its shot
+        count goes to ``solver.shots`` (``solver.shots_n<n>`` off the
+        working grid)."""
         cfg = self.cfg
         n = n or cfg["grid.n"]
-        return self._once(("ground", n), "ground", lambda: solve_ground(
+        gp = self._once(("ground", n), "ground", lambda: solve_ground(
             make_grid(cfg["model.N"], cfg["grid.rmax"], n), cfg["model.p"]))
+        self.man.record("solver.shots" if n == cfg["grid.n"] else f"solver.shots_n{n}",
+                        gp.shots)
+        return gp
 
     def ops(self, n: int | None = None):
         gp = self.ground(n)

@@ -278,8 +278,8 @@ def read_field_csv(path, grid: RadialGrid) -> Field:
         raise UsageError(
             f"field file {path} has {data.shape[1]} columns, not 3 (r,re,im)")
     if data.shape[0] != grid.n + 1:
-        raise GridMismatchError(
-            f"snapshot has {data.shape[0]} rows, grid has {grid.n + 1} nodes")
+        raise UsageError(
+            f"field file {path} has {data.shape[0]} rows, grid has {grid.n + 1} nodes")
     if not np.allclose(data[:, 0], grid.r, rtol=0, atol=1e-12 * max(grid.rmax, 1.0)):
-        raise GridMismatchError("snapshot radii do not match the grid")
+        raise UsageError(f"field file {path} radii do not match the grid")
     return Field(grid, data[:, 1] + 1j * data[:, 2])

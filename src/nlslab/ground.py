@@ -6,9 +6,12 @@ N = 1, 2).  It is computed by shooting from the origin,
 
     Q'' + (N-1)/r Q' - Q + Q^p = 0,  Q(0) = a,  Q'(0) = 0,
 
-with bisection on a: an overshoot (Q < 0) means a is too large, an
-undershoot (Q' > 0 while 0 < Q < 1) means a is too small.  Beyond the
-matching radius (first node with Q < 1e-6) the profile is continued by
+on a bracket of a: an overshoot (Q < 0) means a is too large, an
+undershoot (Q' > 0 while 0 < Q < 1) means a is too small.  Inside the
+bracket a safeguarded secant (Illinois) on the tail-matching condition
+F(a) = Q'(R) + kappa(R) Q(R), which vanishes on the decaying tail, picks
+each next shot; it bisects where F is not defined.  Beyond
+the matching radius (first node with Q < 1e-6) the profile is continued by
 the asymptotic law  c_Q r^{-(N-1)/2} e^{-r},  and by default the grid
 profile is then polished by Newton iteration on the discretized equation
 Lap_h Q - Q + Q^p = 0 so that the discrete operator identities
@@ -44,9 +47,10 @@ __all__ = [
 ]
 
 MATCH_LEVEL = 1e-6       # Q-level at which the asymptotic tail takes over
-OVERSHOOT_CAP = 1e3      # |Q| beyond this counts as overshoot (bisection only)
+OVERSHOOT_CAP = 1e3      # |Q| beyond this counts as overshoot (shooting only)
 A_CAP = 0.5 * OVERSHOOT_CAP  # bracket widening stops here: shots clip at the cap
-A_TOL = 1e-13            # width at which the Q(0) bisection stops
+A_TOL = 1e-13            # bracket width at which the Q(0) search stops
+SECANT_LEVEL = 1e-2      # |Q(R)| below which a shot is in the linear tail (secant)
 NEWTON_MAX_ITER = 25     # cap on the Newton polish's iterations
 
 
@@ -71,10 +75,12 @@ def validate_intercritical(N: int, p: float) -> None:
 class GroundProfile:
     """Certified ground state on a grid.
 
-    ``q0`` is the shooting value Q(0) (grid-independent up to the event
-    tolerance); ``Q.values[0]`` is the discrete BVP's own central value.
-    ``c_q`` is the tail constant in Q ~ c_q r^{-(N-1)/2} e^{-r}.
-    ``ode_residual`` is sup |Lap_h Q - Q + Q^p| over the grid.
+    ``q0`` is the shooting value Q(0), the midpoint of a bracket narrower
+    than ``A_TOL`` whose ends under- and overshoot (grid-independent up to
+    the event tolerance); ``Q.values[0]`` is the discrete BVP's own central
+    value.  ``c_q`` is the tail constant in Q ~ c_q r^{-(N-1)/2} e^{-r}.
+    ``ode_residual`` is sup |Lap_h Q - Q + Q^p| over the grid.  ``shots``
+    counts the RK4 shots of the shooting key, the same on a memo hit.
     """
 
     Q: Field
@@ -84,6 +90,7 @@ class GroundProfile:
     c_q: float
     s_c: float
     ode_residual: float
+    shots: int
 
     @property
     def grid(self) -> RadialGrid:
@@ -179,18 +186,81 @@ def _shoot(a: float, p: float, N: int, h_sub: float, r_stop: float):
     return "end", out
 
 
-@lru_cache(maxsize=8)
-def _shoot_ground(p, N, h_sub, r_stop, bracket, a_cap):
-    """Q(0) = a bisected to A_TOL, and its shot's samples (read-only).
+def _decaying_tail(N: int, r: float) -> tuple[float, float]:
+    """(f, kappa) at r >= 2: the decaying solution f = r^{-nu} K_nu(r) of
+    the tail equation q'' + (N-1)/r q' - q = 0, nu = (N-2)/2, and
+    kappa = K_{nu+1}(r) / K_nu(r) = -f'/f.
 
-    Memoized: each key is shot once per process.  ``a_cap`` is ``A_CAP``,
-    passed so that the cap in force is part of the key.
+    K_mu and K_{mu+1} for |mu| <= 1/2 come from Steed's algorithm for the
+    continued fraction CF2 in Temme's form (as in Numerical Recipes'
+    ``bessik``), then the recurrence K_{m+1} = K_{m-1} + (2m/r) K_m climbs
+    to nu.  For odd N, mu = -1/2 and every term of the fraction vanishes:
+    K_{1/2} = K_{-1/2} = sqrt(pi/2r) e^{-r}, so kappa is exactly 1 at
+    N = 1 and 1 + 1/r at N = 3.
     """
+    nu = (N - 2) / 2.0
+    k = int(nu + 0.5)
+    mu = nu - k
+    a1 = 0.25 - mu * mu
+    h, s = 0.0, 1.0
+    if a1:
+        b = 2.0 * (1.0 + r)
+        d = h = delta = 1.0 / b
+        q1, q2, q, c, a = 0.0, 1.0, a1, a1, -a1
+        s = 1.0 + q * delta
+        for i in range(2, 1000):
+            a -= 2 * (i - 1)
+            c = -a * c / i
+            q1, q2 = q2, (q1 - b * q2) / a
+            q += c * q2
+            b += 2.0
+            d = 1.0 / (b + a * d)
+            delta *= b * d - 1.0
+            h += delta
+            s += q * delta
+            if abs(q * delta) < 1e-16 * abs(s):
+                break
+        h *= a1
+    k_mu = math.sqrt(math.pi / (2.0 * r)) * math.exp(-r) / s
+    k_next = k_mu * (mu + r + 0.5 - h) / r
+    for j in range(1, k + 1):
+        k_mu, k_next = k_next, k_mu + 2.0 * (mu + j) / r * k_next
+    return r ** -nu * k_mu, k_next / k_mu
+
+
+def _shot(a: float, p: float, N: int, h_sub: float, r_stop: float):
+    """(event, W) of one shot; its samples are not kept.
+
+    F = q'(R) + kappa(R) q(R) vanishes on the decaying tail; scaled by
+    R^{N-1} f(R) it is the Wronskian W(f, q), which is the same at every
+    R where q solves the linear tail equation: the shot's growing-mode
+    coefficient, positive for an undershoot and negative for an
+    overshoot.  R is the deepest sample the shot reaches (q' by
+    fourth-order central differences), no deeper than where it falls
+    below MATCH_LEVEL.  A shot whose event ends it before it is in the
+    linear tail there (|q(R)| > SECANT_LEVEL) has W = None: F = +-inf.
+    """
+    ev, q = _shoot(a, p, N, h_sub, r_stop)
+    i = min(len(q) - 3, int(np.argmax(q < MATCH_LEVEL)) or len(q))
+    R = i * h_sub
+    if R < 2.0 or abs(float(q[i])) > SECANT_LEVEL:
+        return ev, None
+    f, kappa = _decaying_tail(N, R)
+    q2, q1, q0, p1, p2 = q[i - 2:i + 3].tolist()
+    dq = (q2 - 8.0 * q1 + 8.0 * p1 - p2) / (12.0 * h_sub)
+    return ev, R ** (N - 1) * f * (dq + kappa * q0)
+
+
+def _bracket(p, N, h_sub, r_stop, bracket, a_cap):
+    """(lo, w_lo, hi, w_hi, shots): the configured bracket, its top doubled
+    while it undershoots, with each end's W (``_shot``; None for the
+    constant shot a = 1, which is never integrated)."""
     lo, hi = bracket
     # a = 1 is the constant solution Q = 1 (nl = 0 exactly): its shot runs
     # to r_stop without an event, which reads as 'under' below
-    ev_lo = "under" if lo == 1.0 else _shoot(lo, p, N, h_sub, r_stop)[0]
-    ev_hi, _ = _shoot(hi, p, N, h_sub, r_stop)
+    ev_lo, w_lo = ("under", None) if lo == 1.0 else _shot(lo, p, N, h_sub, r_stop)
+    ev_hi, w_hi = _shot(hi, p, N, h_sub, r_stop)
+    shots = 1 + (lo != 1.0)
     # a clean decay to rmax without events means a is within event
     # resolution of the ground state value; treat it as the side it ends
     if ev_lo == "end":
@@ -201,28 +271,74 @@ def _shoot_ground(p, N, h_sub, r_stop, bracket, a_cap):
             raise NoBracketError(
                 f"Q(0) exceeds {a_cap:g}: shots clip the nonlinearity at "
                 f"|Q| = {OVERSHOOT_CAP:g}, so no wider bracket is tried")
-        lo, hi = hi, min(2.0 * hi, a_cap)
-        ev_hi, _ = _shoot(hi, p, N, h_sub, r_stop)
+        lo, w_lo, hi = hi, w_hi, min(2.0 * hi, a_cap)
+        ev_hi, w_hi = _shot(hi, p, N, h_sub, r_stop)
+        shots += 1
     if ev_hi == "end":
         ev_hi = "over"
     if not (ev_lo == "under" and ev_hi == "over"):
         raise NoBracketError(
             f"bracket [{lo}, {hi}] does not separate undershoot from "
             f"overshoot (events: {ev_lo}, {ev_hi})")
+    return lo, w_lo, hi, w_hi, shots
+
+
+def _find_q0(p, N, h_sub, r_stop, bracket, a_cap):
+    """(lo, hi, shots): a bracket narrower than A_TOL around Q(0).
+
+    Each shot is classified by its event, as a bisection would: 'over'
+    moves hi, anything else moves lo.  The next point is the Illinois
+    (regula falsi) root of the ends' W (``_shot``), and an end that is
+    kept while the other end moves twice in a row has its value halved.
+    A bisection step is taken where an end has no W (or one of the wrong
+    sign), and after two interpolations that did not halve the bracket.
+    """
+    lo, w_lo, hi, w_hi, shots = _bracket(p, N, h_sub, r_stop, bracket, a_cap)
+    side = 0            # +1: the last shot moved hi, -1: it moved lo
+    widths = [hi - lo, hi - lo]
+    slow = False
     for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        ev, _ = _shoot(mid, p, N, h_sub, r_stop)
-        if ev == "over":
-            hi = mid
+        secant = (not slow and w_lo is not None and w_hi is not None
+                  and w_lo > 0.0 > w_hi)
+        if secant:
+            mid = lo + w_lo * (hi - lo) / (w_lo - w_hi)
+            # a point within A_TOL of an end could only move that end
+            mid = min(max(mid, lo + 0.4 * A_TOL), hi - 0.4 * A_TOL)
         else:
-            lo = mid
-        if hi - lo < A_TOL:
-            a = 0.5 * (lo + hi)
-            _, samples = _shoot(a, p, N, h_sub, r_stop)
-            samples.flags.writeable = False
-            return a, samples
+            mid = 0.5 * (lo + hi)
+        ev, w = _shot(mid, p, N, h_sub, r_stop)
+        shots += 1
+        if ev == "over":
+            hi, w_hi = mid, w
+            if side == 1 and w_lo is not None:
+                w_lo *= 0.5
+            side = 1
+        else:
+            lo, w_lo = mid, w
+            if side == -1 and w_hi is not None:
+                w_hi *= 0.5
+            side = -1
+        widths.append(hi - lo)
+        if widths[-1] < A_TOL:
+            return lo, hi, shots
+        slow = secant and widths[-1] > 0.5 * widths[-3]
     raise NonConvergenceError(
-        f"shooting bisection did not reach A_TOL={A_TOL} in 220 iterations")
+        f"shooting search did not reach A_TOL={A_TOL} in 220 iterations")
+
+
+@lru_cache(maxsize=8)
+def _shoot_ground(p, N, h_sub, r_stop, bracket, a_cap):
+    """(Q(0), its shot's samples (read-only), shots) for one shooting key.
+
+    Q(0) is the midpoint of ``_find_q0``'s final bracket.  Memoized: each
+    key is shot once per process.  ``a_cap`` is ``A_CAP``, passed so that
+    the cap in force is part of the key.
+    """
+    lo, hi, shots = _find_q0(p, N, h_sub, r_stop, bracket, a_cap)
+    a = 0.5 * (lo + hi)
+    _, samples = _shoot(a, p, N, h_sub, r_stop)
+    samples.flags.writeable = False
+    return a, samples, shots + 1
 
 
 def _residual(lap: Tridiag, q, p: float):
@@ -250,12 +366,13 @@ def _newton_polish(grid: RadialGrid, p: float, q_init):
 
 def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
                  bracket=(1.0, 20.0)) -> GroundProfile:
-    """Shooting + bisection + asymptotic tail (+ optional Newton polish).
+    """Shooting + bracketed secant search + asymptotic tail (+ optional
+    Newton polish).
 
     The RK4 substep is min(h, 0.02)/4 but never below 1.25e-3: the
     shooting value ``a`` is already resolved to ~1e-11 there, and the
     Newton polish owns the grid-level accuracy, so refining the substep
-    with the grid would only slow the bisection down.  A ``bracket`` whose
+    with the grid would only slow the search down.  A ``bracket`` whose
     top still undershoots is widened by doubling, up to ``A_CAP``.  Each
     (p, N, substep, rmax, bracket, A_CAP) is shot once per process, so
     grids with h <= 0.005 that differ only in n share one shooting.
@@ -266,8 +383,8 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
         raise InvalidParameterError(
             f"ground-state work needs h <= 0.02, got h = {grid.h}")
     h_sub = max(min(grid.h, 0.02) / 4.0, 1.25e-3)
-    a, samples = _shoot_ground(float(p), N, h_sub, grid.rmax,
-                               tuple(map(float, bracket)), A_CAP)
+    a, samples, shots = _shoot_ground(float(p), N, h_sub, grid.rmax,
+                                      tuple(map(float, bracket)), A_CAP)
     r_sub = np.arange(len(samples)) * h_sub
 
     below = np.nonzero(samples < MATCH_LEVEL)[0]
@@ -302,7 +419,7 @@ def solve_ground(grid: RadialGrid, p: float, polish: bool = True,
         Q=Field(grid, q.astype(complex), real=True),
         p=float(p), N=N, q0=float(a), c_q=float(c_q),
         s_c=N / 2.0 - 2.0 / (p - 1.0),
-        ode_residual=resid,
+        ode_residual=resid, shots=shots,
     )
     _certify(gp)
     return gp

@@ -5,7 +5,9 @@ import numpy as np
 
 from nlslab.evolve import Evolver, EvolverConfig
 from nlslab.grid import Field, RadialGrid, gradient_values
-from nlslab.ground import GroundProfile, validate_intercritical
+from nlslab.errors import NonConvergenceError
+from nlslab.ground import (A_TOL, GroundProfile, _bracket, _shoot,
+                           validate_intercritical)
 
 
 def closed_form_1d(p: float, grid: RadialGrid) -> GroundProfile:
@@ -31,8 +33,25 @@ def closed_form_1d(p: float, grid: RadialGrid) -> GroundProfile:
         p=float(p), N=1, q0=float(c),
         c_q=float(c * 2.0**alpha),  # sech^a ~ 2^a e^{-a beta x} = 2^a e^{-x}
         s_c=0.5 - 2.0 / (p - 1.0),
-        ode_residual=resid,
+        ode_residual=resid, shots=0,
     )
+
+
+def bisect_q0(p, N, h_sub, r_stop, bracket, a_cap):
+    """(lo, hi): the bracket of ``ground._bracket`` bisected to A_TOL on
+    the shots' events; the search that ``ground._find_q0`` replaced."""
+    lo, _, hi, _, _ = _bracket(p, N, h_sub, r_stop, bracket, a_cap)
+    for _ in range(220):
+        mid = 0.5 * (lo + hi)
+        ev, _ = _shoot(mid, p, N, h_sub, r_stop)
+        if ev == "over":
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < A_TOL:
+            return lo, hi
+    raise NonConvergenceError(
+        f"shooting bisection did not reach A_TOL={A_TOL} in 220 iterations")
 
 
 def closed_form_W(grid: RadialGrid) -> Field:

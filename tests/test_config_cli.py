@@ -2,10 +2,14 @@ import hashlib
 import multiprocessing as mp
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab import cli
 from nlslab.cli import cli_dispatch
 from nlslab.config import ENV_PREFIX, load_config
@@ -180,6 +184,21 @@ def test_ground_command_outputs(tmp_path):
     assert "--- config ---" in manifest
 
 
+def test_ground_command_leaves_scipy_optimize_unimported(tmp_path):
+    """The Q(0) search needs no root-finder library: ``import nlslab.cli``
+    and a ``ground`` run in a fresh interpreter import no scipy.optimize,
+    which would add about 0.2 s to every process."""
+    code = ("import sys, nlslab.cli\n"
+            "nlslab.cli.cli_dispatch(['ground', '--N', '3', '--p', '3', '--rmax', '20',"
+            " '--n', '1000', '--out', 'g'])\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(nlslab.__file__).resolve().parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert (tmp_path / "g" / "Q.csv").exists()
+    assert res.stdout.split()[-1] == "False"
+
+
 def test_ground_command_determinism(tmp_path):
     """Criterion-style check: identical config => bit-identical CSVs."""
     outs = []
@@ -206,17 +225,17 @@ def test_manifest_records_effective_config(tmp_path):
 # sha256 of the criterion-13 outputs; a change of discretization or of
 # the order of floating-point operations on these paths shows up here
 STORED_SHA256 = {
-    "Q.csv": "11f450fb162d6020720e011c0816c0b105345b39e7a95aa38a8c8f3dbb28a268",
-    "series.csv": "68b460bab128f19041a44cd70aa836294bcd2e4ea877a6a0ada176bd2e1077c4",
-    "snap_00000.csv": "e7158d3ae9efec203f0434570a6a384488fc780394f34cce74ad2ad0218b2d6a",
+    "Q.csv": "c4dc1a0792b3cb1b1bec1ed943311bb4cfee175568d3ae5a9d6e1bd2252161d3",
+    "series.csv": "7ffe7213a72ff9a18b15f02d32cf9e0002b6743ffe616fbb549921d200e5e2b6",
+    "snap_00000.csv": "06b053c8c06a54e94a70f5de59e4075fb2996efee163ae1eac8de038166b20fb",
 }
 
 # sha256 of the outputs that read mass, energy, ME and MG
 ROUNDTRIP_SHA256 = {
-    "series.csv": "17e05ab3e72b236647b35e4ec44c67adc6d5e8287d326f17263894cb7791fee0",
-    "frames.csv": "40515c5967d8a6395dd284ff15b97f893bef90abe5673a64b8931e0c06fd9d74",
+    "series.csv": "828a979e9e3dfe928d7807dd043a37de8d7704d64b156db76defdd9045119f54",
+    "frames.csv": "859f68ce5d108393cec3037fa72223578c477e3e54f7fd8e340d2edc50be897e",
 }
-SWEEP_SHA256 = "75c724a0ef9fec77e027cdcbb798395aa8b1367b7ad5e53b0257d4a8b0ffefe7"
+SWEEP_SHA256 = "c5ee9eca1100344a421ddd648587403f3645572e3274739e63a02be77c82ca0e"
 
 
 def sha256_of(path):
@@ -360,15 +379,21 @@ def test_evolve_non_finite_initial_data_is_numerical_failure(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["two-columns", "non-numeric", "missing",
-                                  "short-index-row"])
+                                  "short-index-row", "other-row-count",
+                                  "other-radii"])
 def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
-    """A field file that ``evolve --initial`` or ``modulate`` cannot read
-    exits 2 with a message that names the file."""
+    """A field file that ``evolve --initial`` or ``modulate`` cannot read,
+    or that holds another grid, exits 2 with a message that names the file."""
     bad = tmp_path / "field.csv"
     if case == "two-columns":
         bad.write_text("r,re\n" + "".join(f"{0.02 * i!r},1.0\n" for i in range(1001)))
     elif case == "non-numeric":
         bad.write_text("r,re,im\nzero,one,two\n")
+    elif case in ("other-row-count", "other-radii"):
+        # the run's grid is rmax 20, n 1000
+        other = (make_grid(1, 20.0, 500) if case == "other-row-count"
+                 else make_grid(1, 10.0, 1000))
+        write_field_csv(Field(other, np.exp(-other.r**2)), bad)
     if case == "short-index-row":
         bad = tmp_path / "snaps" / "index.csv"
         bad.parent.mkdir()

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import nlslab.ground
 from nlslab.errors import InvalidParameterError, NoBracketError
 from nlslab.grid import make_grid
-from nlslab.ground import (A_CAP, OVERSHOOT_CAP, _shoot, _shoot_ground,
-                           check_identities, critical_exponent, gn_quotient,
-                           solve_ground, validate_intercritical)
-from oracles import closed_form_1d, closed_form_W
+from nlslab.ground import (A_CAP, A_TOL, OVERSHOOT_CAP, _decaying_tail,
+                           _find_q0, _shoot, _shoot_ground, check_identities,
+                           critical_exponent, gn_quotient, solve_ground,
+                           validate_intercritical)
+from oracles import bisect_q0, closed_form_1d, closed_form_W
 
 # Q(0) for the 3d cubic ground state, frozen from an independent coarse
 # shooting-bisection oracle (RK4 at substep 1.25e-3, bisection to 1e-12);
@@ -75,7 +76,7 @@ def _shoot_closure(a, p, N, h_sub, r_stop):
 
 def _q0(p, N):
     """Bisected Q(0) on a cheap shooting grid (substep 5e-3, rmax 10)."""
-    return _shoot_ground(p, N, 5e-3, 10.0, (1.0, 20.0), A_CAP)[0]
+    return 0.5 * sum(bisect_q0(p, N, 5e-3, 10.0, (1.0, 20.0), A_CAP))
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,6 +106,57 @@ def test_each_event_is_bit_identical_to_the_closure_oracle(N, p, a, event):
     ev_ref, ref = _shoot_closure(a, p, N, 5e-3, 10.0)
     assert ev == ev_ref == event
     assert np.array_equal(values, ref)
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_decaying_tail_is_the_bessel_k_solution(N):
+    from scipy.special import kv
+    nu = (N - 2) / 2
+    for r in (2.0, 6.0, 12.3, 30.0):
+        f, kappa = _decaying_tail(N, r)
+        assert f == pytest.approx(r ** -nu * kv(nu, r), rel=1e-14)
+        assert kappa == pytest.approx(kv(nu + 1, r) / kv(nu, r), rel=1e-14)
+    assert _decaying_tail(1, 12.3)[1] == 1.0
+    assert _decaying_tail(3, 12.3)[1] == 1.0 + 1.0 / 12.3
+
+
+@settings(max_examples=15, deadline=None)
+@given(N=st.integers(1, 6), frac=st.floats(0.05, 0.95),
+       h_sub=st.sampled_from([1.25e-3, 3.125e-3, 5e-3]), rmax=st.floats(10.0, 30.0))
+def test_secant_search_matches_the_bisection_oracle(N, frac, h_sub, rmax):
+    p = 1.0 + 4.0 / N + frac * (min(critical_exponent(N), 9.0) - 1.0 - 4.0 / N)
+    key = (p, N, h_sub, rmax, (1.0, 20.0), A_CAP)
+    try:
+        ref_lo, ref_hi = bisect_q0(*key)
+    except NoBracketError:   # Q(0) above A_CAP: the shared set-up refuses both
+        with pytest.raises(NoBracketError):
+            _find_q0(*key)
+        return
+    lo, hi, _ = _find_q0(*key)
+    assert hi - lo < A_TOL
+    assert 0.5 * (lo + hi) == pytest.approx(0.5 * (ref_lo + ref_hi), rel=1e-11)
+
+    def overshoots(a):
+        return _shoot(a, p, N, h_sub, rmax)[0] == "over"
+
+    assert overshoots(lo) == overshoots(ref_lo)
+    assert overshoots(hi) == overshoots(ref_hi)
+
+
+def test_secant_search_halves_the_rk4_steps(monkeypatch):
+    # the bisection took 149,676 RK4 steps at this key, its final shot included
+    steps = []
+
+    def counting(*args):
+        ev, values = _shoot(*args)
+        steps.append(len(values) - 1)
+        return ev, values
+
+    monkeypatch.setattr(nlslab.ground, "_shoot", counting)
+    _shoot_ground.cache_clear()
+    *_, shots = _shoot_ground(3.0, 3, 3.125e-3, 30.0, (1.0, 20.0), A_CAP)
+    assert shots == len(steps)
+    assert sum(steps) <= 149_676 // 2
 
 
 def _count_shots(monkeypatch):

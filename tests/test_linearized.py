@@ -188,11 +188,15 @@ def test_banded_spectral_layer_matches_dense_oracle(case, request):
     s = ops.sym
     q = ops.restrict(ops.gp.Q).real
     Z = _null_space([s * q])
-    # e0^2 = -bottom of A L+ A on {Q}^perp, A = (L- on {Q}^perp)^{1/2}
+    # -1/e0^2 = bottom of B (L+)^{-1} B on {Q}^perp, B = (L- on {Q}^perp)^{-1/2}:
+    # the inverse of A L+ A (A = B^{-1}), whose bottom is -e0^2.  Its norm
+    # is O(1), so its roundoff stays far below the 1e-9 bound, where that
+    # of A L+ A (eps times its norm, ~1e-9 at (1, 7)) does not.
     lam, V = eigh(Z.T @ Lm @ Z)
-    A = (V * np.sqrt(np.clip(lam, 0.0, None))) @ V.T
-    mu = eigh(A @ (Z.T @ Lp @ Z) @ A, eigvals_only=True, subset_by_index=[0, 0])
-    assert spec.e0 == pytest.approx(math.sqrt(-mu[0]), rel=1e-9)
+    B = (V / np.sqrt(lam)) @ V.T
+    C = B @ np.linalg.solve(Z.T @ Lp @ Z, B)
+    mu = eigh(0.5 * (C + C.T), eigvals_only=True, subset_by_index=[0, 0])
+    assert spec.e0 == pytest.approx(1.0 / math.sqrt(-mu[0]), rel=1e-9)
     dense_count = np.count_nonzero(eigh(Z.T @ Lp @ Z, eigvals_only=True) < 0)
     assert spec.negative_directions == dense_count == 1
 

@@ -75,6 +75,22 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
     assert _defined() - called == NEVER_CALLED
 
 
+def test_every_command_records_its_shots(tmp_path, monkeypatch):
+    # the first command shoots, the others hit the memo: all report one count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    nlslab.ground._shoot_ground.cache_clear()
+    assert all(rc in (0, 1) for rc in _run_commands(tmp_path))
+    shots = set()
+    for manifest in sorted(tmp_path.glob("*/manifest.txt")):
+        lines = manifest.read_text().split("--- config ---")[0].splitlines()
+        entries = dict(line.split(" = ", 1) for line in lines)
+        shots.add(entries["solver.shots"])
+    assert len(list(tmp_path.glob("*/manifest.txt"))) == 8
+    assert len(shots) == 1 and int(shots.pop()) > 0
+    check = (tmp_path / "check" / "manifest.txt").read_text()
+    assert "solver.shots_n2000 = " in check
+
+
 def test_exports_resolve():
     modules = [nlslab] + [importlib.import_module(f"nlslab.{m.name}")
                           for m in pkgutil.iter_modules(nlslab.__path__)]

@@ -24,10 +24,10 @@ from .linearized import (
     linearized_energy_phi,
     resolvent_solve,
 )
-from .approx import ApproxSolution, LambdaPoly, build_Vk, expand_R, lp_mul, lp_pow_frac, residual_rate
+from .approx import ApproxSolution, build_Vk, expand_R, lp_mul, lp_pow_frac, residual_rate
 from .evolve import EvolverConfig, TimeSeries, Verdict, classify_run, diagnostics, evolve
 from .modulation import ModulationFrame, fit_parameters, track
-from .experiments import SpecialRunSpec, ThresholdReport, run_special, synthesize_UA, threshold_sweep
+from .experiments import ThresholdReport, run_special, synthesize_UA, threshold_sweep
 from .config import RunConfig, load_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,6 +18,10 @@ R is expanded through the factorization |1+z|^{p-1}(1+z)
 = (1+z)^{(p+1)/2} (1+zbar)^{(p-1)/2}, z = Q^{-1} V, whose Taylor
 coefficients are generalized binomials -- exact for every intercritical p,
 including non-integer p.
+
+A lambda-polynomial sum_{j<=K} lambda^j C_j is the complex array of its
+coefficient profiles, shape (K+1, n+1); lambda is real, so conjugation
+acts coefficient-wise, and products are truncated at K.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, RecursionDriftError, ValidityError
-from .grid import Field, RadialGrid, h1_norm
+from .grid import Field, h1_norm
 from .ground import GroundProfile
 from .linearized import Q_FLOOR, LinearizedOps, SpectrumData, resolvent_solve
 
 __all__ = [
-    "LambdaPoly",
     "ApproxSolution",
     "lp_mul",
     "lp_pow_frac",
@@ -45,68 +48,37 @@ __all__ = [
 DRIFT_TOL = 1e-7  # vanishing-coefficient tolerance, relative to ||Q^p||_inf
 
 
-@dataclass
-class LambdaPoly:
-    """Polynomial sum_{j<=K} lambda^j C_j with complex coefficient profiles.
-
-    lambda = e^{-e0 t} is real, so conjugation acts coefficient-wise.
-    Products are truncated at K.
-    """
-
-    grid: RadialGrid
-    K: int
-    coeffs: np.ndarray  # shape (K+1, n+1), complex
-
-    @classmethod
-    def zero(cls, grid: RadialGrid, K: int) -> "LambdaPoly":
-        return cls(grid, K, np.zeros((K + 1, grid.n + 1), dtype=complex))
-
-    @classmethod
-    def constant(cls, grid: RadialGrid, K: int, values) -> "LambdaPoly":
-        p = cls.zero(grid, K)
-        p.coeffs[0] = values
-        return p
-
-    def conj(self) -> "LambdaPoly":
-        return LambdaPoly(self.grid, self.K, np.conj(self.coeffs))
-
-    def _check(self, other: "LambdaPoly") -> None:
-        if not self.grid.same_as(other.grid) or self.K != other.K:
-            raise GridMismatchError("lambda-polynomials are not compatible")
-
-
-def lp_mul(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
+def lp_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cauchy product truncated at K (orders above K are discarded)."""
-    a._check(b)
-    out = LambdaPoly.zero(a.grid, a.K)
-    for i in range(a.K + 1):
-        ai = a.coeffs[i]
+    if a.shape != b.shape:
+        raise GridMismatchError("lambda-polynomials are not compatible")
+    out = np.zeros(a.shape, dtype=complex)
+    for i, ai in enumerate(a):
         if not np.any(ai):
             continue
-        for j in range(a.K + 1 - i):
-            bj = b.coeffs[j]
+        for j, bj in enumerate(b[:len(a) - i]):
             if not np.any(bj):
                 continue
-            out.coeffs[i + j] += ai * bj
+            out[i + j] += ai * bj
     return out
 
 
-def lp_pow_frac(s: float, w: LambdaPoly) -> LambdaPoly:
+def lp_pow_frac(s: float, w: np.ndarray) -> np.ndarray:
     """(1 + w)^s = sum_m binom(s, m) w^m for a poly with zero constant term."""
-    if np.any(w.coeffs[0]):
+    if np.any(w[0]):
         raise ValidityError("lp_pow_frac requires a zero constant term")
-    out = LambdaPoly.zero(w.grid, w.K)
-    out.coeffs[0] = 1.0
-    power = LambdaPoly.constant(w.grid, w.K, 1.0)
+    out = np.zeros(w.shape, dtype=complex)
+    out[0] = 1.0
+    power = out.copy()
     coef = 1.0
-    for m in range(1, w.K + 1):
+    for m in range(1, len(w)):
         coef *= (s - (m - 1)) / m
         power = lp_mul(power, w)
-        out.coeffs += coef * power.coeffs
+        out += coef * power
     return out
 
 
-def expand_R(V: LambdaPoly, gp: GroundProfile) -> LambdaPoly:
+def expand_R(V: np.ndarray, gp: GroundProfile) -> np.ndarray:
     """lambda-expansion of R(V) = Q^p J(Q^{-1} V).
 
     J(z) = (1+z)^{(p+1)/2} (1+zbar)^{(p-1)/2} - 1 - (p+1)/2 z - (p-1)/2 zbar.
@@ -114,18 +86,18 @@ def expand_R(V: LambdaPoly, gp: GroundProfile) -> LambdaPoly:
     there; the true profiles decay faster than Q).  The constant and
     linear lambda-coefficients vanish identically and are checked.
     """
-    if not V.grid.same_as(gp.grid):
+    if V.shape[-1] != gp.grid.n + 1:
         raise GridMismatchError("polynomial grid does not match the profile")
     p = gp.p
     q = gp.Q.values.real
     trusted = q >= Q_FLOOR * q[0]
     qsafe = np.where(trusted, q, 1.0)
 
-    z = LambdaPoly(V.grid, V.K, V.coeffs / qsafe)
-    z.coeffs[:, ~trusted] = 0.0
+    z = V / qsafe
+    z[:, ~trusted] = 0.0
     # validity: some lambda in (0, 1] must satisfy sum_j |z_j| lam^j <= 1/2
-    sup_abs = np.array([float(np.max(np.abs(z.coeffs[j][trusted]), initial=0.0))
-                        for j in range(1, V.K + 1)])
+    sup_abs = np.array([float(np.max(np.abs(zj[trusted]), initial=0.0))
+                        for zj in z[1:]])
     if sup_abs.size and sup_abs.sum() > 0:
         lam = 1.0
         while sum(m * lam**(j + 1) for j, m in enumerate(sup_abs)) > 0.5:
@@ -133,13 +105,11 @@ def expand_R(V: LambdaPoly, gp: GroundProfile) -> LambdaPoly:
             if lam < 1e-12:
                 raise ValidityError("z-polynomial violates the 1/2 bound for all lambda")
 
-    zb = z.conj()
-    t1 = lp_pow_frac((p + 1) / 2.0, z)
-    t2 = lp_pow_frac((p - 1) / 2.0, zb)
-    J = lp_mul(t1, t2)
-    J.coeffs[0] -= 1.0
-    J.coeffs[1:] -= (p + 1) / 2.0 * z.coeffs[1:] + (p - 1) / 2.0 * zb.coeffs[1:]
-    return LambdaPoly(V.grid, V.K, J.coeffs * (q**p))
+    zb = np.conj(z)
+    J = lp_mul(lp_pow_frac((p + 1) / 2.0, z), lp_pow_frac((p - 1) / 2.0, zb))
+    J[0] -= 1.0
+    J[1:] -= (p + 1) / 2.0 * z[1:] + (p - 1) / 2.0 * zb[1:]
+    return J * (q**p)
 
 
 def pointwise_R(f_values, gp: GroundProfile) -> np.ndarray:
@@ -165,8 +135,7 @@ class ApproxSolution:
     Z: list            # Z[j] for j = 1..k, Field entries (index 0 unused)
     e0: float
     t_min: float
-    gp: GroundProfile
-    ops: LinearizedOps
+    ops: LinearizedOps      # ops.gp is the ground profile
 
 
 def _sup_over_q(values, gp: GroundProfile) -> float:
@@ -204,35 +173,34 @@ def build_Vk(A: float, k: int, spectrum: SpectrumData,
 
     Z = [None, Field(grid, A * spectrum.y_plus_values())]
     for j in range(1, k):
-        K = j + 1
-        V = LambdaPoly.zero(grid, K)
+        V = np.zeros((j + 2, grid.n + 1), dtype=complex)
         for jj in range(1, j + 1):
-            V.coeffs[jj] = Z[jj].values
-        eps = LambdaPoly(grid, K, -1j * expand_R(V, gp).coeffs)
+            V[jj] = Z[jj].values
+        eps = -1j * expand_R(V, gp)
         for jj in range(1, j + 1):
             lz = ops.extend(ops.apply_script_l(ops.restrict(Z[jj]))).values
-            eps.coeffs[jj] += lz - jj * e0 * Z[jj].values
+            eps[jj] += lz - jj * e0 * Z[jj].values
         for jj in range(1, j + 1):
             # the recursion lives on the operator's rows; slaved origin
             # values are interpolated and carry O(h^2) warts
-            drift = float(np.max(np.abs(ops.op.rows(eps.coeffs[jj]))))
+            drift = float(np.max(np.abs(ops.op.rows(eps[jj]))))
             if drift > DRIFT_TOL * scale:
                 raise RecursionDriftError(
                     f"order-{jj} coefficient should vanish but has sup "
                     f"{drift:.3e} (tolerance {DRIFT_TOL * scale:.3e})")
-        F_next = Field(grid, eps.coeffs[j + 1])
+        F_next = Field(grid, eps[j + 1])
         # -(script_L - (j+1) e0)^{-1} F cancels the order-(j+1) coefficient
         Z_next = resolvent_solve(-(j + 1) * e0, F_next, ops)
         Z.append(Field(grid, -Z_next.values))
 
     sups = [_sup_over_q(Z[j].values, gp) for j in range(1, k + 1)]
     t_min = _validity_tmin(sups, e0)
-    return ApproxSolution(A=float(A), k=k, Z=Z, e0=e0, t_min=t_min, gp=gp, ops=ops)
+    return ApproxSolution(A=float(A), k=k, Z=Z, e0=e0, t_min=t_min, ops=ops)
 
 
 def eval_V(approx: ApproxSolution, t: float) -> np.ndarray:
     lam = math.exp(-approx.e0 * t)
-    out = np.zeros(approx.gp.grid.n + 1, dtype=complex)
+    out = np.zeros(approx.ops.grid.n + 1, dtype=complex)
     for j in range(approx.k, 0, -1):
         out = out + lam**j * approx.Z[j].values
     return out
@@ -243,13 +211,13 @@ def residual_values(approx: ApproxSolution, t: float) -> np.ndarray:
     ops = approx.ops
     e0 = approx.e0
     lam = math.exp(-e0 * t)
-    V = np.zeros(approx.gp.grid.n + 1, dtype=complex)
+    V = np.zeros(ops.grid.n + 1, dtype=complex)
     dV = np.zeros_like(V)
     for j in range(1, approx.k + 1):
         V += lam**j * approx.Z[j].values
         dV += -j * e0 * lam**j * approx.Z[j].values
-    LV = ops.extend(ops.apply_script_l(ops.restrict(Field(approx.gp.grid, V)))).values
-    return dV + LV - 1j * pointwise_R(V, approx.gp)
+    LV = ops.extend(ops.apply_script_l(ops.restrict(Field(ops.grid, V)))).values
+    return dV + LV - 1j * pointwise_R(V, ops.gp)
 
 
 def residual_rate(approx: ApproxSolution, times) -> float:
@@ -266,6 +234,6 @@ def residual_rate(approx: ApproxSolution, times) -> float:
             f"times below the validity window t_min = {approx.t_min:.6f}")
     lognorms = []
     for t in times:
-        eps = Field(approx.gp.grid, residual_values(approx, t))
+        eps = Field(approx.ops.grid, residual_values(approx, t))
         lognorms.append(math.log(h1_norm(eps)))
     return float(np.polyfit(times, lognorms, 1)[0])

@@ -256,7 +256,7 @@ def _cmd_evolve(pipe: Pipeline, out: Path, inputs: dict):
     series, snaps = run_evolution(u0, inputs["input.t0"], ecfg, gp.p, reference=gp)
     _write_series(out / "series.csv", series)
     _write_snapshots(out / "snapshots", snaps)
-    verdict = classify_run(series)
+    verdict = classify_run(series, gp)
     _write_kv(out / "verdict.txt", {
         "verdict": verdict.kind,
         "t_star": verdict.t_star if verdict.t_star is not None else "none",
@@ -269,25 +269,22 @@ def _cmd_evolve(pipe: Pipeline, out: Path, inputs: dict):
 
 def _cmd_special(pipe: Pipeline, out: Path, inputs: dict):
     cfg = pipe.cfg
-    rspec = xp.SpecialRunSpec(
-        A=cfg["experiment.A"], k=cfg["experiment.k"],
-        delta=cfg["experiment.delta"], cfg=pipe.evolver_config())
-    spec = pipe.spectrum
-    rep = xp.run_special(rspec, pipe.approx(rspec.A, rspec.k), pipe.ground(), spec)
+    sol = pipe.approx(cfg["experiment.A"], cfg["experiment.k"])
+    rep = xp.run_special(sol, cfg["experiment.delta"], pipe.evolver_config())
     _write_series(out / "forward_series.csv", rep.forward_series)
     _write_series(out / "backward_series.csv", rep.backward_series)
     write_field_csv(rep.initial, out / "initial.csv")
     entries = {
-        "A": rep.A, "k": rep.k, "delta": rep.delta, "t0": rep.t0,
-        "e0": spec.e0, "mass": rep.mass, "energy": rep.energy,
+        "A": sol.A, "k": sol.k, "delta": cfg["experiment.delta"], "t0": rep.t0,
+        "e0": sol.e0, "mass": rep.mass, "energy": rep.energy,
         "me": rep.me, "mg": rep.mg, "d0_sign": rep.d0_sign,
         "forward_rate": rep.forward_rate, "backward_verdict": rep.backward_verdict.kind,
         "mass_mismatch": rep.mass_mismatch, "energy_mismatch": rep.energy_mismatch}
     _report(pipe, out / "report.txt", entries)
     _write_kv(out / "verdict.txt", {"verdict": rep.backward_verdict.kind})
-    pipe.man.record_check("sign_matches_A", rep.d0_sign == int(math.copysign(1, rep.A)))
+    pipe.man.record_check("sign_matches_A", rep.d0_sign == int(math.copysign(1, sol.A)))
     pipe.man.record_check("forward_rate_within_10pct",
-                          abs(rep.forward_rate / (-spec.e0) - 1.0) <= 0.10)
+                          abs(rep.forward_rate / (-sol.e0) - 1.0) <= 0.10)
 
 
 def _cmd_classify(pipe: Pipeline, out: Path, inputs: dict):

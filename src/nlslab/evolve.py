@@ -262,11 +262,6 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     rows = []
     snaps = [(t0, u0.copy())]
     meta = {"terminated_blowup": False, "dt_final": abs(dt)}
-    if reference is not None:
-        ref = reference.obs
-        meta["ref_grad"] = ref.grad
-        meta["ref_potential"] = ref.potential
-        meta["ref_h1"] = math.sqrt(ref.mass) + ref.grad
 
     def sample():
         row = diagnostics(Field(grid, u), t, p, reference)
@@ -307,7 +302,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
             # zone (gradient tripled) dt is driven straight to its floor so
             # the saturation criterion can fire
             in_blowup_zone = (reference is not None
-                              and row["grad"] >= 3.0 * meta["ref_grad"])
+                              and row["grad"] >= 3.0 * reference.obs.grad)
             if (row["grad"] > ADAPT_TRIGGER * grad_prev or in_blowup_zone) \
                     and abs(dt) > dt_min:
                 dt = math.copysign(max(abs(dt) / 2.0, dt_min), dt)
@@ -329,8 +324,10 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     return series, snaps
 
 
-def classify_run(series: TimeSeries) -> Verdict:
-    """Blow-up / scatter / converge-to-Q trichotomy on a finished series.
+def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
+    """Blow-up / scatter / converge-to-Q trichotomy on a series that
+    ``evolve`` ran with ``reference=gp``; the thresholds scale with
+    ||grad Q||, P(Q) and ||Q||_{H1} = ||Q|| + ||grad Q|| of ``gp.obs``.
 
     BlowUp: the run terminated on the gradient-tripling criterion (or the
     gradient tripled with convex log-growth and dt at its floor).
@@ -339,24 +336,22 @@ def classify_run(series: TimeSeries) -> Verdict:
     ConvergeToQ: the modulation-aligned distance stayed in the window and
     fits an exponential with nonpositive rate (within fit noise).
     """
-    meta = series.meta
-    ref_grad = meta.get("ref_grad")
-    ref_pot = meta.get("ref_potential")
+    meta, ref = series.meta, gp.obs
+    ref_h1 = math.sqrt(ref.mass) + ref.grad
     n = series.t.size
 
-    if meta.get("terminated_blowup"):
-        return Verdict("BlowUp", t_star=meta.get("t_star"),
+    if meta["terminated_blowup"]:
+        return Verdict("BlowUp", t_star=meta["t_star"],
                        evidence={"grad_max": float(np.max(series.grad))})
-    if ref_grad is not None and np.max(series.grad) >= 3.0 * ref_grad:
+    if np.max(series.grad) >= 3.0 * ref.grad:
         lg = np.log(np.maximum(series.grad, 1e-300))
         if n >= 3 and lg[-1] - 2 * lg[-2] + lg[-3] > 0:
             return Verdict("BlowUp", t_star=float(series.t[-1]),
                            evidence={"grad_max": float(np.max(series.grad))})
 
     dist = series.dist_q
-    have_dist = np.all(np.isfinite(dist)) and ref_grad is not None
-    near_q = (have_dist and np.max(series.d) <= 0.5 * ref_grad
-              and np.max(dist) <= 0.5 * meta.get("ref_h1", math.inf))
+    near_q = (np.all(np.isfinite(dist)) and np.max(series.d) <= 0.5 * ref.grad
+              and np.max(dist) <= 0.5 * ref_h1)
     if near_q:
         half = n // 2
         tt, dd = series.t[half:], np.maximum(dist[half:], 1e-300)
@@ -367,22 +362,21 @@ def classify_run(series: TimeSeries) -> Verdict:
             direction = 1.0 if series.t[-1] >= series.t[0] else -1.0
             # a trajectory pinned to the standing wave at the numerical
             # floor is converged regardless of the noise-level slope sign
-            floor_pinned = np.max(dist) <= 1e-3 * meta.get("ref_h1", math.inf)
+            floor_pinned = np.max(dist) <= 1e-3 * ref_h1
             if direction * rate <= noise or floor_pinned:
                 return Verdict("ConvergeToQ", rate=rate,
                                evidence={"dist_final": float(dist[-1]),
                                          "fit_noise": noise})
 
-    pot = meta.get("potential_series")
-    if pot is not None and ref_pot is not None:
-        quarter = max(n // 4, 2)
-        linf_tail = series.linf[-quarter:]
-        # dispersing fields carry small boundary-layer ripples; require a
-        # net decrease with only sub-5% upticks
-        monotone = bool(np.all(np.diff(linf_tail) <= 0.05 * max(linf_tail[0], 1e-300))
-                        and linf_tail[-1] <= linf_tail[0] * (1 - 1e-3))
-        if pot[-1] < 0.1 * ref_pot and monotone:
-            return Verdict("Scatter",
-                           evidence={"potential_ratio": float(pot[-1] / ref_pot),
-                                     "linf_final": float(series.linf[-1])})
+    pot = meta["potential_series"]
+    quarter = max(n // 4, 2)
+    linf_tail = series.linf[-quarter:]
+    # dispersing fields carry small boundary-layer ripples; require a
+    # net decrease with only sub-5% upticks
+    monotone = bool(np.all(np.diff(linf_tail) <= 0.05 * max(linf_tail[0], 1e-300))
+                    and linf_tail[-1] <= linf_tail[0] * (1 - 1e-3))
+    if pot[-1] < 0.1 * ref.potential and monotone:
+        return Verdict("Scatter",
+                       evidence={"potential_ratio": float(pot[-1] / ref.potential),
+                                 "linf_final": float(series.linf[-1])})
     return Verdict("Undecided", evidence={"grad_final": float(series.grad[-1])})

@@ -5,6 +5,8 @@ u(t0) = e^{i t0}(Q + V_k^A(t0)) with t0 = -ln(delta)/e0, so that the
 forward flow approaches the standing wave at rate e0 while the backward
 flow leaves the threshold neighbourhood: gradient above ||grad Q||
 (A > 0) ends in finite-time blow-up, below it (A < 0) in dispersion.
+A, k, e0 and the ground profile of a run all come from its
+``ApproxSolution``.
 
 ``threshold_sweep`` probes the mass-energy threshold manifold
 M = M(Q), E = E(Q) with shape-perturbed matched data, classifying each
@@ -14,21 +16,19 @@ member by the sign of MG - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .approx import ApproxSolution, eval_V
-from .errors import InvalidParameterError, NewtonFailureError, ValidityError
+from .errors import NewtonFailureError, ValidityError
 from .evolve import EvolverConfig, TimeSeries, Verdict, classify_run, evolve
 from .grid import Field
 from .ground import GroundProfile, observables
-from .linearized import SpectrumData
 from .modulation import aligned_distance
 from .parallel import pmap
 
 __all__ = [
-    "SpecialRunSpec",
     "ThresholdReport",
     "synthesize_UA",
     "run_special",
@@ -41,28 +41,8 @@ MATCH_TOL = 1e-11        # relative mass and energy mismatch the matching reache
 MATCH_MAX_ITER = 40      # cap on the matching's Newton steps
 
 
-@dataclass(frozen=True)
-class SpecialRunSpec:
-    """Parameters of one special-solution run.
-
-    delta fixes t0 = -ln(delta)/e0 (so ||V_1(t0)|| ~ delta).
-    """
-
-    A: float = 1.0
-    k: int = 3
-    delta: float = 0.1
-    cfg: EvolverConfig = field(default_factory=lambda: EvolverConfig(dt=1e-4))
-
-    def __post_init__(self):
-        if not (0 < self.delta <= 0.2):
-            raise InvalidParameterError("delta must lie in (0, 0.2]")
-
-
 @dataclass
 class ThresholdReport:
-    A: float
-    k: int
-    delta: float
     t0: float
     mass: float
     energy: float
@@ -78,18 +58,15 @@ class ThresholdReport:
     initial: Field                  # the synthesized u(t0) both legs start from
 
 
-def synthesize_UA(spec: SpecialRunSpec, approx: ApproxSolution,
-                  gp: GroundProfile) -> tuple[Field, float]:
-    """Initial data u(t0) = e^{i t0} (Q + V_k^A(t0)); returns (field, t0)."""
-    if approx.A != spec.A or approx.k != spec.k:
-        raise InvalidParameterError(
-            f"approximate solution was built for (A={approx.A}, k={approx.k}), "
-            f"spec wants (A={spec.A}, k={spec.k})")
-    t0 = -math.log(spec.delta) / approx.e0
+def synthesize_UA(approx: ApproxSolution, delta: float) -> tuple[Field, float]:
+    """Initial data u(t0) = e^{i t0} (Q + V_k^A(t0)) with t0 = -ln(delta)/e0,
+    so ||V_1(t0)|| ~ delta; returns (field, t0)."""
+    t0 = -math.log(delta) / approx.e0
     if t0 < approx.t_min:
         raise ValidityError(
             f"t0 = {t0:.4f} sits below the validity window t_min = "
             f"{approx.t_min:.4f}; decrease delta")
+    gp = approx.ops.gp
     vals = (gp.Q.values + eval_V(approx, t0)) * np.exp(1j * t0)
     return Field(gp.grid, vals), t0
 
@@ -100,24 +77,26 @@ def _fit_rate(times, dists):
     return float(np.polyfit(times, np.log(dists), 1)[0])
 
 
-def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
-                gp: GroundProfile, spectrum: SpectrumData) -> ThresholdReport:
-    """Forward rate fit plus backward classification for one amplitude A.
+def run_special(approx: ApproxSolution, delta: float,
+                cfg: EvolverConfig) -> ThresholdReport:
+    """Forward rate fit plus backward classification of V_k^A's datum.
 
-    The forward leg runs sponge-off (conservation transfers to the report);
-    the backward leg runs from t0 down to t0 - t_back, t_back = t0 + 5,
-    with the absorbing layer on so dispersing mass leaves the domain cleanly.
+    Each leg runs ``cfg`` with its own t_end and sponge.  The forward leg
+    runs sponge-off (conservation transfers to the report) and keeps a
+    snapshot every 0.05/e0; the backward leg runs from t0 down to
+    t0 - t_back, t_back = t0 + 5, with the absorbing layer on so
+    dispersing mass leaves the domain cleanly.
     """
-    u0, t0 = synthesize_UA(spec, approx, gp)
-    e0 = spectrum.e0
+    u0, t0 = synthesize_UA(approx, delta)
+    gp, e0 = approx.ops.gp, approx.e0
     obs, ref = observables(u0, gp.p), gp.obs
     me, mg = gp.me_mg(obs)
     d0_sign = int(math.copysign(1.0, obs.grad - ref.grad))
 
     span = 3.0 / e0
-    fwd_cfg = replace(spec.cfg, sponge=False, t_end=t0 + span,
+    fwd_cfg = replace(cfg, sponge=False, t_end=t0 + span,
                       snapshot_every=max(1, int(round(
-                          0.05 / (e0 * spec.cfg.dt * spec.cfg.sample_every)))))
+                          0.05 / (e0 * cfg.dt * cfg.sample_every)))))
     fseries, fsnaps = evolve(u0, t0, fwd_cfg, gp.p, reference=gp)
     # fit over the first 2/3 of the window, where the synthesis floor
     # (order delta^{k+1}) has not yet been amplified into the signal
@@ -130,13 +109,12 @@ def run_special(spec: SpecialRunSpec, approx: ApproxSolution,
     forward_rate = _fit_rate(ts, ds)
 
     t_back = t0 + 5.0
-    bwd_cfg = replace(spec.cfg, sponge=True, t_end=t0 - t_back)
+    bwd_cfg = replace(cfg, sponge=True, t_end=t0 - t_back)
     bseries, _ = evolve(u0, t0, bwd_cfg, gp.p, reference=gp)
-    verdict = classify_run(bseries)
+    verdict = classify_run(bseries, gp)
 
     return ThresholdReport(
-        A=spec.A, k=spec.k, delta=spec.delta, t0=t0,
-        mass=obs.mass, energy=obs.energy, me=me, mg=mg, d0_sign=d0_sign,
+        t0=t0, mass=obs.mass, energy=obs.energy, me=me, mg=mg, d0_sign=d0_sign,
         forward_rate=forward_rate, backward_verdict=verdict,
         mass_mismatch=abs(obs.mass / ref.mass - 1.0),
         energy_mismatch=abs((obs.energy - ref.energy) / ref.energy),
@@ -211,7 +189,7 @@ def threshold_sweep(family, cfg: EvolverConfig, gp: GroundProfile):
     data = sorted(family, key=lambda kv: kv[0])
     runs = [(fld, sign * abs(cfg.t_end)) for _, fld in data for sign in (1.0, -1.0)]
     verdicts = pmap(lambda run: classify_run(evolve(
-        run[0], 0.0, replace(cfg, t_end=run[1]), gp.p, reference=gp)[0]), runs)
+        run[0], 0.0, replace(cfg, t_end=run[1]), gp.p, reference=gp)[0], gp), runs)
     out = []
     for i, (label, fld) in enumerate(data):
         me, mg = gp.me_mg(observables(fld, gp.p))

@@ -268,8 +268,9 @@ def write_field_csv(f: Field, path) -> None:
 
 
 def read_field_csv(path, grid: RadialGrid) -> Field:
-    """A snapshot-format file on ``grid``.  A file that cannot be read or
-    is not an ``r,re,im`` table is a ``UsageError``."""
+    """A snapshot-format file on ``grid``.  A file that cannot be read, is
+    not an ``r,re,im`` table or holds a non-finite value is a
+    ``UsageError``."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -277,6 +278,8 @@ def read_field_csv(path, grid: RadialGrid) -> Field:
     if data.shape[1] != 3:
         raise UsageError(
             f"field file {path} has {data.shape[1]} columns, not 3 (r,re,im)")
+    if not np.all(np.isfinite(data)):
+        raise UsageError(f"field file {path} holds a non-finite value")
     if data.shape[0] != grid.n + 1:
         raise UsageError(
             f"field file {path} has {data.shape[0]} rows, grid has {grid.n + 1} nodes")

@@ -17,7 +17,7 @@ import pytest
 from nlslab.approx import build_Vk, residual_rate
 from nlslab.cli import cli_dispatch
 from nlslab.evolve import Evolver, EvolverConfig, evolve
-from nlslab.experiments import SpecialRunSpec, match_mass_energy, run_special
+from nlslab.experiments import match_mass_energy, run_special
 from nlslab.grid import Field, gradient_values, make_grid
 from nlslab.ground import check_identities, gn_quotient, solve_ground
 from nlslab.linearized import (assemble, bilinear_B, coercivity_min,
@@ -259,8 +259,7 @@ def test_criterion_10_special_solutions():
         cfg = EvolverConfig(dt=2e-4 if n == 1500 else 1e-4, sample_every=10)
         for A in (1.0, -1.0):
             sol = build_Vk(A, 3, spectrum, ops)
-            rep = run_special(SpecialRunSpec(A=A, k=3, delta=0.1, cfg=cfg),
-                              sol, gp, spectrum)
+            rep = run_special(sol, 0.1, cfg)
             sign_ok = rep.d0_sign == int(math.copysign(1, A))
             rate_ok = abs(rep.forward_rate / (-spectrum.e0) - 1) <= 0.10
             verdicts.setdefault(A, []).append(rep.backward_verdict.kind)

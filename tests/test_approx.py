@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from nlslab.approx import (LambdaPoly, build_Vk, eval_V, expand_R, lp_mul,
-                           lp_pow_frac, pointwise_R, residual_rate,
-                           residual_values)
-from nlslab.errors import ValidityError
+from nlslab.approx import (build_Vk, eval_V, expand_R, lp_mul, lp_pow_frac,
+                           pointwise_R, residual_rate, residual_values)
+from nlslab.errors import GridMismatchError, ValidityError
 from nlslab.grid import Field, make_grid
 
 
 def poly_from(grid, K, coeff_map):
-    p = LambdaPoly.zero(grid, K)
+    p = np.zeros((K + 1, grid.n + 1), dtype=complex)
     for j, vals in coeff_map.items():
-        p.coeffs[j] = vals
+        p[j] = vals
     return p
 
 
@@ -28,16 +27,16 @@ def test_lp_mul_difference_of_squares(small_grid):
     one_plus = poly_from(g, 2, {0: np.ones(g.n + 1), 1: f})
     one_minus = poly_from(g, 2, {0: np.ones(g.n + 1), 1: -f})
     prod = lp_mul(one_plus, one_minus)
-    assert np.allclose(prod.coeffs[0], 1.0)
-    assert np.allclose(prod.coeffs[1], 0.0)
-    assert np.allclose(prod.coeffs[2], -f**2)
+    assert np.allclose(prod[0], 1.0)
+    assert np.allclose(prod[1], 0.0)
+    assert np.allclose(prod[2], -f**2)
 
 
 def test_lp_mul_zero(small_grid):
     g = small_grid
     a = poly_from(g, 3, {1: np.exp(-g.r)})
-    z = LambdaPoly.zero(g, 3)
-    assert np.all(lp_mul(a, z).coeffs == 0)
+    z = poly_from(g, 3, {})
+    assert np.all(lp_mul(a, z) == 0)
 
 
 def test_lp_mul_associative(small_grid, rng):
@@ -50,7 +49,7 @@ def test_lp_mul_associative(small_grid, rng):
     a, b, c = polys
     left = lp_mul(lp_mul(a, b), c)
     right = lp_mul(a, lp_mul(b, c))
-    assert np.allclose(left.coeffs, right.coeffs, atol=1e-12)
+    assert np.allclose(left, right, atol=1e-12)
 
 
 def test_lp_pow_integer(small_grid):
@@ -58,9 +57,9 @@ def test_lp_pow_integer(small_grid):
     f = np.exp(-g.r**2)
     w = poly_from(g, 2, {1: f})
     sq = lp_pow_frac(2.0, w)
-    assert np.allclose(sq.coeffs[0], 1.0)
-    assert np.allclose(sq.coeffs[1], 2 * f)
-    assert np.allclose(sq.coeffs[2], f**2)
+    assert np.allclose(sq[0], 1.0)
+    assert np.allclose(sq[1], 2 * f)
+    assert np.allclose(sq[2], f**2)
 
 
 def test_lp_pow_half_roundtrip(small_grid):
@@ -70,7 +69,7 @@ def test_lp_pow_half_roundtrip(small_grid):
     root = lp_pow_frac(0.5, w)
     back = lp_mul(root, root)
     expect = poly_from(g, 4, {0: np.ones(g.n + 1), 1: f, 2: 0.1 * f})
-    assert np.allclose(back.coeffs, expect.coeffs, atol=1e-10)
+    assert np.allclose(back, expect, atol=1e-10)
 
 
 def test_lp_pow_terminates_for_p3(small_grid):
@@ -79,9 +78,9 @@ def test_lp_pow_terminates_for_p3(small_grid):
     f = np.exp(-g.r)
     w = poly_from(g, 4, {1: f})
     out = lp_pow_frac(2.0, w)
-    assert np.allclose(out.coeffs[1], 2 * f)
-    assert np.allclose(out.coeffs[2], f**2)
-    assert np.all(out.coeffs[3] == 0) and np.all(out.coeffs[4] == 0)
+    assert np.allclose(out[1], 2 * f)
+    assert np.allclose(out[2], f**2)
+    assert np.all(out[3] == 0) and np.all(out[4] == 0)
 
 
 def test_lp_pow_requires_zero_constant(small_grid):
@@ -91,27 +90,28 @@ def test_lp_pow_requires_zero_constant(small_grid):
         lp_pow_frac(0.5, w)
 
 
-def test_conjugation_acts_coefficientwise(small_grid, rng):
+def test_shape_guards_raise_grid_mismatch(small_grid, gp33):
+    """Polynomials of different orders or grids do not combine."""
     g = small_grid
-    cm = {j: rng.standard_normal(g.n + 1) + 1j * rng.standard_normal(g.n + 1)
-          for j in range(3)}
-    p = poly_from(g, 2, cm)
-    assert np.allclose(p.conj().coeffs, np.conj(p.coeffs))
+    with pytest.raises(GridMismatchError):
+        lp_mul(poly_from(g, 2, {}), poly_from(g, 3, {}))
+    with pytest.raises(GridMismatchError):
+        expand_R(poly_from(g, 3, {1: np.exp(-g.r)}), gp33)
 
 
 # ------------------------------------------------------------- expand_R
 
 def test_expand_R_zero(gp33):
-    V = LambdaPoly.zero(gp33.grid, 3)
+    V = poly_from(gp33.grid, 3, {})
     R = expand_R(V, gp33)
-    assert np.max(np.abs(R.coeffs)) == 0.0
+    assert np.max(np.abs(R)) == 0.0
 
 
 def test_expand_R_low_coefficients_vanish(gp33, spec33):
     V = poly_from(gp33.grid, 3, {1: 0.5 * spec33.y_plus_values()})
     R = expand_R(V, gp33)
-    assert np.max(np.abs(R.coeffs[0])) < 1e-12
-    assert np.max(np.abs(R.coeffs[1])) < 1e-12
+    assert np.max(np.abs(R[0])) < 1e-12
+    assert np.max(np.abs(R[1])) < 1e-12
 
 
 def test_expand_R_matches_pointwise_evaluation(gp33, spec33, sol33):
@@ -127,7 +127,7 @@ def test_expand_R_matches_pointwise_evaluation(gp33, spec33, sol33):
     t = math.log(10.0) / sol33.e0
     lam = math.exp(-sol33.e0 * t)
     direct = pointwise_R(eval_V(sol33, t), gp33)
-    series = lam ** np.arange(Rpoly.K + 1) @ Rpoly.coeffs
+    series = lam ** np.arange(len(Rpoly)) @ Rpoly
     q = gp33.Q.values.real
     trusted = q >= 1e-10 * q[0]
     assert np.max(np.abs(series[trusted] - direct[trusted])) <= 1e-8
@@ -147,9 +147,9 @@ def test_expand_R_p3_is_polynomial_identity(gp33, rng):
     V = poly_from(g, 3, {1: f})
     R = expand_R(V, gp33)
     trusted = q >= 1e-10 * q[0]
-    assert np.allclose(R.coeffs[2][trusted],
+    assert np.allclose(R[2][trusted],
                        (q * (2 * np.abs(f) ** 2 + f**2))[trusted], atol=1e-10)
-    assert np.allclose(R.coeffs[3][trusted], (np.abs(f) ** 2 * f)[trusted],
+    assert np.allclose(R[3][trusted], (np.abs(f) ** 2 * f)[trusted],
                        atol=1e-10)
 
 
@@ -189,15 +189,15 @@ def test_conjugation_symmetry(gp33, ops33, sol33):
     k = sol33.k
     V = poly_from(gp33.grid, k + 1,
                   {j: np.conj(sol33.Z[j].values) for j in range(1, k + 1)})
-    eps = LambdaPoly(gp33.grid, k + 1, 1j * expand_R(V, gp33).coeffs)
+    eps = 1j * expand_R(V, gp33)
     for j in range(1, k + 1):
         zc = np.conj(sol33.Z[j].values)
         lz = ops33.extend(ops33.apply_script_l(
             ops33.restrict(Field(gp33.grid, zc)))).values
-        eps.coeffs[j] += -lz - j * sol33.e0 * zc
+        eps[j] += -lz - j * sol33.e0 * zc
     scale = np.max(gp33.Q.values.real ** gp33.p)
     for j in range(1, k + 1):
-        assert np.max(np.abs(ops33.op.rows(eps.coeffs[j]))) <= 1e-8 * scale
+        assert np.max(np.abs(ops33.op.rows(eps[j]))) <= 1e-8 * scale
 
 
 def test_minus_A_homogeneity(spec33, ops33, sol33):
@@ -214,13 +214,13 @@ def test_recursion_self_consistency(gp33, ops33, sol33):
     k = sol33.k
     V = poly_from(gp33.grid, k + 1,
                   {j: sol33.Z[j].values for j in range(1, k + 1)})
-    eps = LambdaPoly(gp33.grid, k + 1, -1j * expand_R(V, gp33).coeffs)
+    eps = -1j * expand_R(V, gp33)
     for j in range(1, k + 1):
         lz = ops33.extend(ops33.apply_script_l(ops33.restrict(sol33.Z[j]))).values
-        eps.coeffs[j] += lz - j * sol33.e0 * sol33.Z[j].values
+        eps[j] += lz - j * sol33.e0 * sol33.Z[j].values
     scale = np.max(gp33.Q.values.real ** gp33.p)
     for j in range(1, k + 1):
-        assert np.max(np.abs(ops33.op.rows(eps.coeffs[j]))) <= 1e-8 * scale
+        assert np.max(np.abs(ops33.op.rows(eps[j]))) <= 1e-8 * scale
 
 
 def test_validity_window(sol33):

@@ -237,6 +237,17 @@ ROUNDTRIP_SHA256 = {
 }
 SWEEP_SHA256 = "c5ee9eca1100344a421ddd648587403f3645572e3274739e63a02be77c82ca0e"
 
+# sha256 of the special-solution path at (N, p) = (3, 3), rmax 20, n 1000:
+# construct's profiles Z_j, and the special run's datum and both legs
+SPECIAL_SHA256 = {
+    "Z1.csv": "8a9c6cc2049b7efd53ab727053762c4e5b508cc8c9a6a9c77357513f970ce7ac",
+    "Z2.csv": "fc67e35505654bb9b8d2d4507896c4b696fbac694bb58a301f4c737ef07fa074",
+    "Z3.csv": "ef79e609aeba5b7a8dacb2d84c6d924a9bdd98d2760a058b87601c0ff3b3a6d6",
+    "initial.csv": "46b049e8416d5aff6d30a51995ee858fca2b56b03ada3c017eb604cd9deb2314",
+    "forward_series.csv": "0e2728c05f3137b7f3e6f02568b7eef4d2ce7ccdfae90805c7bae195c76d1711",
+    "backward_series.csv": "df22599e2185fd8a8ecef0650014e00d25cc00bab8ad2821f7cbfdb7e214f9d2",
+}
+
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -253,6 +264,18 @@ def test_outputs_match_stored_hashes(tmp_path):
              "snap_00000.csv": e / "snapshots" / "snap_00000.csv"}
     got = {name: sha256_of(path) for name, path in files.items()}
     assert got == STORED_SHA256
+
+
+def test_special_path_matches_stored_hashes(tmp_path):
+    c, sp = tmp_path / "c", tmp_path / "sp"
+    grid = ["--N", "3", "--p", "3", "--rmax", "20", "--n", "1000"]
+    assert run_cli(["construct", *grid, "--k", "3", "--out", str(c)]) == 0
+    assert run_cli(["special", *grid, "--A", "1", "--dt", "1e-3",
+                    "--out", str(sp)]) == 0
+    files = [c / f"Z{j}.csv" for j in (1, 2, 3)] + [
+        sp / name for name in ("initial.csv", "forward_series.csv",
+                               "backward_series.csv")]
+    assert {f.name: sha256_of(f) for f in files} == SPECIAL_SHA256
 
 
 def read_kv(path):
@@ -364,40 +387,37 @@ def test_pool_and_one_cpu_outputs_are_byte_identical(tmp_path, monkeypatch):
     assert mp.active_children() == []
 
 
-def test_evolve_non_finite_initial_data_is_numerical_failure(tmp_path):
-    grid = make_grid(1, 20.0, 1000)
-    vals = np.exp(-grid.r**2)
-    vals[10] = np.nan
-    bad = tmp_path / "bad.csv"
-    write_field_csv(Field(grid, vals), bad)
-    out = tmp_path / "e"
-    rc = run_cli(["evolve", "--N", "1", "--p", "5.2", "--rmax", "20",
-                  "--n", "1000", "--initial", str(bad), "--t-end", "0.01",
-                  "--out", str(out)])
-    assert rc == 3
-    assert "status = numerical-failure" in (out / "manifest.txt").read_text()
-
-
 @pytest.mark.parametrize("case", ["two-columns", "non-numeric", "missing",
                                   "short-index-row", "other-row-count",
-                                  "other-radii"])
+                                  "other-radii", "non-finite",
+                                  "non-finite-snapshot"])
 def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
     """A field file that ``evolve --initial`` or ``modulate`` cannot read,
-    or that holds another grid, exits 2 with a message that names the file."""
+    that holds another grid or a non-finite value, exits 2 with a message
+    that names the file."""
+    grid = make_grid(1, 20.0, 1000)     # the run's grid
     bad = tmp_path / "field.csv"
     if case == "two-columns":
         bad.write_text("r,re\n" + "".join(f"{0.02 * i!r},1.0\n" for i in range(1001)))
     elif case == "non-numeric":
         bad.write_text("r,re,im\nzero,one,two\n")
     elif case in ("other-row-count", "other-radii"):
-        # the run's grid is rmax 20, n 1000
         other = (make_grid(1, 20.0, 500) if case == "other-row-count"
                  else make_grid(1, 10.0, 1000))
         write_field_csv(Field(other, np.exp(-other.r**2)), bad)
+    elif case in ("non-finite", "non-finite-snapshot"):
+        vals = np.exp(-grid.r**2)
+        vals[10] = np.nan
+        if case == "non-finite-snapshot":
+            bad = tmp_path / "snaps" / "snap_00000.csv"
+            bad.parent.mkdir()
+            (bad.parent / "index.csv").write_text(f"idx,t,file\n0,0,{bad.name}\n")
+        write_field_csv(Field(grid, vals), bad)
     if case == "short-index-row":
         bad = tmp_path / "snaps" / "index.csv"
         bad.parent.mkdir()
         bad.write_text("idx,t,file\n0,0\n")
+    if bad.parent.name == "snaps":
         args = ["modulate", "--snapshots", str(bad.parent)]
     else:
         args = ["evolve", "--initial", str(bad), "--t-end", "0.01"]
@@ -406,6 +426,19 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
                     "--out", str(out)]) == 2
     assert str(bad) in capsys.readouterr().err
     assert "status = usage-error" in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("args", [["special", "--delta", "0.5"],
+                                  ["special", "--delta", "0"],
+                                  ["construct", "--k", "0"]], ids=" ".join)
+def test_experiment_bounds_are_config_errors(tmp_path, capsys, args):
+    """delta must lie in (0, 0.2] and k be at least 1; the config layer is
+    the one place that checks them.  The message names the key."""
+    out = tmp_path / "o"
+    assert run_cli([*args, "--N", "3", "--p", "3", "--rmax", "20", "--n", "1000",
+                    "--out", str(out)]) == 2
+    assert f"experiment.{args[1][2:]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eps_values_flag_reaches_the_config_echo(tmp_path):

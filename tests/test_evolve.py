@@ -151,7 +151,7 @@ def test_evolve_seams_at_dt_halvings(gp33, monkeypatch):
     assert series.meta["dt_final"] < 2e-4
     assert np.array_equal(series.t, oracle.t)
     assert series.meta["dt_final"] == oracle.meta["dt_final"]
-    v, v_oracle = classify_run(series), classify_run(oracle)
+    v, v_oracle = classify_run(series, gp33), classify_run(oracle, gp33)
     assert (v.kind, v.t_star) == (v_oracle.kind, v_oracle.t_star)
 
 
@@ -304,7 +304,7 @@ def test_adaptive_halving_and_blowup_verdict(gp33):
     series, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
     assert series.meta["terminated_blowup"]
     assert series.meta["dt_final"] < 2e-4
-    v = classify_run(series)
+    v = classify_run(series, gp33)
     assert v.kind == "BlowUp"
     assert v.t_star is not None
     # d grows monotonically until termination (instability of the wave)
@@ -317,14 +317,14 @@ def test_small_data_scatters(gp33):
     cfg = EvolverConfig(dt=2e-4, t_end=3.0, sample_every=10, sponge=True)
     u0 = Field(gp33.grid, 0.5 * gp33.Q.values)
     series, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
-    v = classify_run(series)
+    v = classify_run(series, gp33)
     assert v.kind == "Scatter"
 
 
 def test_standing_wave_classifies_as_converged(gp33):
     cfg = EvolverConfig(dt=2e-4, t_end=0.5, sample_every=10, order=4)
     series, _ = evolve(standing_wave(gp33), 0.0, cfg, gp33.p, reference=gp33)
-    v = classify_run(series)
+    v = classify_run(series, gp33)
     assert v.kind == "ConvergeToQ"
     assert v.evidence["dist_final"] <= 1e-4
 

@@ -4,37 +4,24 @@ import numpy as np
 import pytest
 
 from nlslab.approx import build_Vk
-from nlslab.errors import InvalidParameterError, ValidityError
+from nlslab.errors import ValidityError
 from nlslab.evolve import EvolverConfig
-from nlslab.experiments import (SpecialRunSpec, match_mass_energy, run_special,
-                                synthesize_UA, threshold_family, threshold_sweep)
+from nlslab.experiments import (match_mass_energy, run_special, synthesize_UA,
+                                threshold_family, threshold_sweep)
 from nlslab.grid import Field, gradient_values, h1_norm
-
-
-def test_spec_validation():
-    with pytest.raises(InvalidParameterError):
-        SpecialRunSpec(delta=0.5)
 
 
 def test_synthesize_zero_amplitude(gp33, spec33, ops33):
     sol0 = build_Vk(0.0, 3, spec33, ops33)
-    spec = SpecialRunSpec(A=0.0, k=3, delta=0.1)
-    u0, t0 = synthesize_UA(spec, sol0, gp33)
+    u0, t0 = synthesize_UA(sol0, 0.1)
     assert np.allclose(u0.values, np.exp(1j * t0) * gp33.Q.values, atol=1e-15)
-
-
-def test_synthesize_amplitude_mismatch(gp33, spec33, ops33, sol33):
-    spec = SpecialRunSpec(A=-1.0, k=3, delta=0.1)
-    with pytest.raises(InvalidParameterError):
-        synthesize_UA(spec, sol33, gp33)
 
 
 def test_synthesis_leading_correction(gp33, spec33, sol33):
     """|| u(t0) - e^{it0}Q - A e^{-e0 t0 + i t0} Y+ ||_{H1} <= 2 delta^2
     (the quadratic profile dominates the remainder)."""
     delta = 0.1
-    spec = SpecialRunSpec(A=1.0, k=3, delta=delta)
-    u0, t0 = synthesize_UA(spec, sol33, gp33)
+    u0, t0 = synthesize_UA(sol33, delta)
     lead = np.exp(1j * t0) * (gp33.Q.values
                               + delta * spec33.y_plus_values())
     rem = Field(gp33.grid, u0.values - lead)
@@ -42,11 +29,9 @@ def test_synthesis_leading_correction(gp33, spec33, sol33):
 
 
 def test_gradient_sign_tracks_amplitude(gp33, spec33, ops33, sol33):
-    specp = SpecialRunSpec(A=1.0, k=3, delta=0.1)
-    u0p, _ = synthesize_UA(specp, sol33, gp33)
+    u0p, _ = synthesize_UA(sol33, 0.1)
     solm = build_Vk(-1.0, 3, spec33, ops33)
-    specm = SpecialRunSpec(A=-1.0, k=3, delta=0.1)
-    u0m, _ = synthesize_UA(specm, solm, gp33)
+    u0m, _ = synthesize_UA(solm, 0.1)
     grad2_q = gp33.obs.grad2
     for u0, sign in ((u0p, 1.0), (u0m, -1.0)):
         g2 = float(np.dot(gp33.grid.w,
@@ -59,12 +44,11 @@ def test_validity_window_guard(gp33, sol33):
     import dataclasses
     narrow = dataclasses.replace(sol33, t_min=5.0)
     with pytest.raises(ValidityError):
-        synthesize_UA(SpecialRunSpec(A=1.0, k=3, delta=0.1), narrow, gp33)
+        synthesize_UA(narrow, 0.1)
 
 
 def test_conservation_transfer(gp33, spec33, sol33):
-    spec = SpecialRunSpec(A=1.0, k=3, delta=0.1)
-    u0, _ = synthesize_UA(spec, sol33, gp33)
+    u0, _ = synthesize_UA(sol33, 0.1)
     mass_q, energy_q = gp33.obs.mass, gp33.obs.energy
     M = float(np.dot(gp33.grid.w, np.abs(u0.values) ** 2))
     assert abs(M / mass_q - 1) <= 0.1  # delta^2 * 10
@@ -77,14 +61,12 @@ def test_conservation_transfer(gp33, spec33, sol33):
 
 def test_run_special_both_amplitudes(gp33, spec33, ops33, sol33):
     cfg = EvolverConfig(dt=2e-4, sample_every=10)
-    repp = run_special(SpecialRunSpec(A=1.0, k=3, delta=0.1, cfg=cfg),
-                       sol33, gp33, spec33)
+    repp = run_special(sol33, 0.1, cfg)
     assert repp.d0_sign == 1
     assert abs(repp.forward_rate / (-spec33.e0) - 1) <= 0.10
     assert repp.backward_verdict.kind == "BlowUp"
     solm = build_Vk(-1.0, 3, spec33, ops33)
-    repm = run_special(SpecialRunSpec(A=-1.0, k=3, delta=0.1, cfg=cfg),
-                       solm, gp33, spec33)
+    repm = run_special(solm, 0.1, cfg)
     assert repm.d0_sign == -1
     assert abs(repm.forward_rate / (-spec33.e0) - 1) <= 0.10
     assert repm.backward_verdict.kind == "Scatter"
@@ -141,8 +123,7 @@ def test_k_robustness_of_forward_rate(gp33, spec33, ops33):
     rates = {}
     for k in (2, 3):
         sol = build_Vk(1.0, k, spec33, ops33)
-        rep = run_special(SpecialRunSpec(A=1.0, k=k, delta=0.1, cfg=cfg),
-                          sol, gp33, spec33)
+        rep = run_special(sol, 0.1, cfg)
         rates[k] = rep.forward_rate
     assert abs(rates[2] / rates[3] - 1) <= 0.05
 
@@ -156,12 +137,10 @@ def test_time_shift_covariance(gp33, spec33, ops33, sol33):
     e0 = spec33.e0
     s = 0.3 / e0
     delta = 0.1
-    spec_a = SpecialRunSpec(A=1.0, k=3, delta=delta)
-    u_a, t0 = synthesize_UA(spec_a, sol33, gp33)
+    u_a, t0 = synthesize_UA(sol33, delta)
     a_shift = math.exp(-e0 * s)
     sol_shift = build_Vk(a_shift, 3, spec33, ops33)
-    u_shift, t0_shift = synthesize_UA(
-        SpecialRunSpec(A=a_shift, k=3, delta=delta), sol_shift, gp33)
+    u_shift, t0_shift = synthesize_UA(sol_shift, delta)
     # V^{A'}(t) = V^A(t + s) exactly, so u_{A'}(t0) = e^{-is} u_A(t0 + s)
     cfg = EvolverConfig(dt=1e-4, t_end=t0 + s, sample_every=10, order=4)
     _, snaps = evolve_run(u_a, t0, cfg, gp33.p, reference=gp33)

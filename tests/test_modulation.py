@@ -115,8 +115,8 @@ def test_aligned_distance_far_field_fallback(gp33):
 def test_h_and_d_decay_rates_agree_on_special_run(gp33, spec33, ops33, sol33):
     """Forward special-solution run: the fitted decay rates of ||h||_{H1}
     and of d(t) agree within 15% (both close to e0)."""
-    from nlslab.experiments import SpecialRunSpec, synthesize_UA
-    u0, t0 = synthesize_UA(SpecialRunSpec(A=1.0, k=3, delta=0.1), sol33, gp33)
+    from nlslab.experiments import synthesize_UA
+    u0, t0 = synthesize_UA(sol33, 0.1)
     e0 = spec33.e0
     cfg = EvolverConfig(dt=1e-4, t_end=t0 + 2.0 / e0, sample_every=20,
                         snapshot_every=2, order=4)

@@ -28,7 +28,8 @@ NEVER_CALLED = {("cli.py", "main"), ("parallel.py", "_install"),
 # names this package once exported, which only tests need now
 REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
            "closed_form_W", "assemble_critical", "phi_quadratic_form", "step",
-           "variance", "variance_rate", "default_config", "DimensionError"}
+           "variance", "variance_rate", "default_config", "DimensionError",
+           "LambdaPoly", "SpecialRunSpec"}
 
 
 def _defined():

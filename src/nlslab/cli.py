@@ -115,15 +115,16 @@ class Pipeline:
         return self._memo[key]
 
     def ground(self, n: int | None = None):
-        """Ground profile on the working grid, or on ``n`` nodes.  Its shot
-        count goes to ``solver.shots`` (``solver.shots_n<n>`` off the
-        working grid)."""
+        """Ground profile on the working grid, or on ``n`` nodes.  Its
+        iteration counts go to ``solver.petviashvili_iters`` and
+        ``solver.newton_iters`` (suffixed ``_n<n>`` off the working grid)."""
         cfg = self.cfg
         n = n or cfg["grid.n"]
         gp = self._once(("ground", n), "ground", lambda: solve_ground(
             make_grid(cfg["model.N"], cfg["grid.rmax"], n), cfg["model.p"]))
-        self.man.record("solver.shots" if n == cfg["grid.n"] else f"solver.shots_n{n}",
-                        gp.shots)
+        suffix = "" if n == cfg["grid.n"] else f"_n{n}"
+        self.man.record(f"solver.petviashvili_iters{suffix}", gp.petviashvili_iters)
+        self.man.record(f"solver.newton_iters{suffix}", gp.newton_iters)
         return gp
 
     def ops(self, n: int | None = None):
@@ -215,14 +216,15 @@ def _cmd_ground(pipe: Pipeline, out: Path, inputs: dict):
     gp = pipe.ground()
     write_field_csv(gp.Q, out / "Q.csv")
     rep = pipe.identities()
+    q0 = float(gp.Q.values[0].real)
     _write_kv(out / "identity_report.txt", {
-        "q0": gp.q0, "c_q": gp.c_q, "s_c": gp.s_c, "ode_residual": gp.ode_residual,
+        "q0": q0, "c_q": gp.c_q, "s_c": gp.s_c, "ode_residual": gp.ode_residual,
         "ratio_pohozaev": rep.ratio_pohozaev, "target_pohozaev": rep.target_pohozaev,
         "ratio_mass": rep.ratio_mass, "target_mass": rep.target_mass,
         "gn_constant": rep.gn_constant, "gn_constant_derived": rep.gn_constant_derived,
         "energy": rep.energy, "energy_target": rep.energy_target,
         "tail_deviation": rep.tail_deviation})
-    pipe.man.record("q0", _fmt(gp.q0))
+    pipe.man.record("q0", _fmt(q0))
     pipe.man.record("ode_residual", _fmt(gp.ode_residual))
 
 

@@ -13,10 +13,6 @@ class GridMismatchError(NlslabError, ValueError):
     """Fields defined on different grids were combined."""
 
 
-class NoBracketError(NlslabError, RuntimeError):
-    """The shooting bracket does not separate undershoot from overshoot."""
-
-
 class NonConvergenceError(NlslabError, RuntimeError):
     """An iterative solver exceeded its iteration cap."""
 

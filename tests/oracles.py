@@ -4,10 +4,8 @@ computes, kept beside the tests that hold the package against them."""
 import numpy as np
 
 from nlslab.evolve import Evolver, EvolverConfig
-from nlslab.grid import Field, RadialGrid, gradient_values
-from nlslab.errors import NonConvergenceError
-from nlslab.ground import (A_TOL, GroundProfile, _bracket, _shoot,
-                           validate_intercritical)
+from nlslab.grid import Field, RadialGrid, gradient_values, make_grid
+from nlslab.ground import GroundProfile, solve_ground, validate_intercritical
 
 
 def closed_form_1d(p: float, grid: RadialGrid) -> GroundProfile:
@@ -30,28 +28,20 @@ def closed_form_1d(p: float, grid: RadialGrid) -> GroundProfile:
     qgrid[-1] = 0.0
     return GroundProfile(
         Q=Field(grid, qgrid.astype(complex), real=True),
-        p=float(p), N=1, q0=float(c),
+        p=float(p), N=1,
         c_q=float(c * 2.0**alpha),  # sech^a ~ 2^a e^{-a beta x} = 2^a e^{-x}
         s_c=0.5 - 2.0 / (p - 1.0),
-        ode_residual=resid, shots=0,
+        ode_residual=resid, petviashvili_iters=0, newton_iters=0,
     )
 
 
-def bisect_q0(p, N, h_sub, r_stop, bracket, a_cap):
-    """(lo, hi): the bracket of ``ground._bracket`` bisected to A_TOL on
-    the shots' events; the search that ``ground._find_q0`` replaced."""
-    lo, _, hi, _, _ = _bracket(p, N, h_sub, r_stop, bracket, a_cap)
-    for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        ev, _ = _shoot(mid, p, N, h_sub, r_stop)
-        if ev == "over":
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < A_TOL:
-            return lo, hi
-    raise NonConvergenceError(
-        f"shooting bisection did not reach A_TOL={A_TOL} in 220 iterations")
+def extrapolated_ground(N: int, p: float, rmax: float, n: int):
+    """Richardson's (4 Q_{2n} - Q_n)/3 on the nodes of the n-grid: the
+    O(h^2) error of the discrete ground states removed, an oracle for the
+    continuum Q that no command computes."""
+    coarse = solve_ground(make_grid(N, rmax, n), p).Q.values.real
+    fine = solve_ground(make_grid(N, rmax, 2 * n), p).Q.values.real
+    return (4.0 * fine[::2] - coarse) / 3.0
 
 
 def closed_form_W(grid: RadialGrid) -> Field:

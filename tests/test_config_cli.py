@@ -184,8 +184,19 @@ def test_ground_command_outputs(tmp_path):
     assert "--- config ---" in manifest
 
 
+def test_ground_report_q0_is_row_0_of_q_csv(tmp_path):
+    """``q0`` has one home: the report's and the manifest's value is Q_h(0),
+    the first row of Q.csv."""
+    out = tmp_path / "g"
+    assert run_cli(["ground", "--N", "3", "--p", "3", "--n", "1500",
+                    "--out", str(out)]) == 0
+    q_row0 = (out / "Q.csv").read_text().splitlines()[1].split(",")[1]
+    assert float(read_kv(out / "identity_report.txt")["q0"]) == float(q_row0)
+    assert float(read_kv(out / "manifest.txt")["q0"]) == float(q_row0)
+
+
 def test_ground_command_leaves_scipy_optimize_unimported(tmp_path):
-    """The Q(0) search needs no root-finder library: ``import nlslab.cli``
+    """The ground-state solver needs no root-finder library: ``import nlslab.cli``
     and a ``ground`` run in a fresh interpreter import no scipy.optimize,
     which would add about 0.2 s to every process."""
     code = ("import sys, nlslab.cli\n"
@@ -225,27 +236,27 @@ def test_manifest_records_effective_config(tmp_path):
 # sha256 of the criterion-13 outputs; a change of discretization or of
 # the order of floating-point operations on these paths shows up here
 STORED_SHA256 = {
-    "Q.csv": "c4dc1a0792b3cb1b1bec1ed943311bb4cfee175568d3ae5a9d6e1bd2252161d3",
-    "series.csv": "7ffe7213a72ff9a18b15f02d32cf9e0002b6743ffe616fbb549921d200e5e2b6",
-    "snap_00000.csv": "06b053c8c06a54e94a70f5de59e4075fb2996efee163ae1eac8de038166b20fb",
+    "Q.csv": "1c4f27ee64b53b5fbfda5de91861f8a20b448c3a2ff68147e4383b427e1b38d8",
+    "series.csv": "048268361321ca4849fa4a18cf5228d6a6a02872b01b06cdfa65e7d8996fd3cf",
+    "snap_00000.csv": "f43cf831014b50272a8b5bee39dd8c0ada492ea03d4743131ccdae53b82b1e11",
 }
 
 # sha256 of the outputs that read mass, energy, ME and MG
 ROUNDTRIP_SHA256 = {
-    "series.csv": "828a979e9e3dfe928d7807dd043a37de8d7704d64b156db76defdd9045119f54",
-    "frames.csv": "859f68ce5d108393cec3037fa72223578c477e3e54f7fd8e340d2edc50be897e",
+    "series.csv": "c28ad693af03a0f20f532a98a67f82ee0ab84d65197d7774ed9027ed2a5cec44",
+    "frames.csv": "e17055dfda6f7805909c373d9599f973ecb563be3a5a17aafa925ce2cfd43ee7",
 }
-SWEEP_SHA256 = "c5ee9eca1100344a421ddd648587403f3645572e3274739e63a02be77c82ca0e"
+SWEEP_SHA256 = "9d652ef915f53fd0beb14ea54c2a95ee5fc4063d98ef5c24309a7284f53675a7"
 
 # sha256 of the special-solution path at (N, p) = (3, 3), rmax 20, n 1000:
 # construct's profiles Z_j, and the special run's datum and both legs
 SPECIAL_SHA256 = {
-    "Z1.csv": "8a9c6cc2049b7efd53ab727053762c4e5b508cc8c9a6a9c77357513f970ce7ac",
-    "Z2.csv": "fc67e35505654bb9b8d2d4507896c4b696fbac694bb58a301f4c737ef07fa074",
-    "Z3.csv": "ef79e609aeba5b7a8dacb2d84c6d924a9bdd98d2760a058b87601c0ff3b3a6d6",
-    "initial.csv": "46b049e8416d5aff6d30a51995ee858fca2b56b03ada3c017eb604cd9deb2314",
-    "forward_series.csv": "0e2728c05f3137b7f3e6f02568b7eef4d2ce7ccdfae90805c7bae195c76d1711",
-    "backward_series.csv": "df22599e2185fd8a8ecef0650014e00d25cc00bab8ad2821f7cbfdb7e214f9d2",
+    "Z1.csv": "b86c7edd1b7dee2b8e02e2ee04376f56f728aa3b196264dc3b45af0c666fb765",
+    "Z2.csv": "e5f953a60fc951c27a5962f4e6861829fefe5d6d057a5b6d6eb63724c202cbfe",
+    "Z3.csv": "80bef8868b1ab99a70964d199fb9cf520fafd174bdcc78350bbffa4a3c439eef",
+    "initial.csv": "34a4891314f9cacb5ec2d47c5240585685a95499944d2512b22b0a00beeff336",
+    "forward_series.csv": "9eb9e291219c21be4475c72454a8a42b1406212874e8a2cab8ca088cb549bf8d",
+    "backward_series.csv": "70889e5b04cfe2207e316fa5017dd82cde2e0aa73c1d5929f546988ce7f12499",
 }
 
 

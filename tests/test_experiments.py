@@ -76,7 +76,7 @@ def test_run_special_both_amplitudes(gp33, spec33, ops33, sol33):
 
 def test_match_mass_energy(gp33):
     seed = Field(gp33.grid,
-                 gp33.Q.values + 0.1 * gp33.q0 * np.exp(-gp33.grid.r**2))
+                 gp33.Q.values + 0.1 * gp33.Q.values[0].real * np.exp(-gp33.grid.r**2))
     matched = match_mass_energy(gp33, seed)
     mass_q, energy_q = gp33.obs.mass, gp33.obs.energy
     M = float(np.dot(gp33.grid.w, np.abs(matched.values) ** 2))

@@ -2,17 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import nlslab.ground
-from nlslab.errors import InvalidParameterError, NoBracketError
+from nlslab.errors import InvalidParameterError, NlslabError, NonConvergenceError
 from nlslab.grid import make_grid
-from nlslab.ground import (A_CAP, A_TOL, OVERSHOOT_CAP, _decaying_tail,
-                           _find_q0, _shoot, _shoot_ground, check_identities,
-                           critical_exponent, gn_quotient, solve_ground,
-                           validate_intercritical)
-from oracles import bisect_q0, closed_form_1d, closed_form_W
+from nlslab.ground import (NEWTON_FLOOR_FACTOR, check_identities, critical_exponent,
+                           gn_quotient, solve_ground, validate_intercritical)
+from oracles import closed_form_1d, closed_form_W, extrapolated_ground
 
 # Q(0) for the 3d cubic ground state, frozen from an independent coarse
 # shooting-bisection oracle (RK4 at substep 1.25e-3, bisection to 1e-12);
@@ -37,186 +33,47 @@ def test_solve_ground_rejects_coarse_grid():
         solve_ground(g, 3.0)
 
 
-def test_bracket_widening_stops_at_cap(monkeypatch):
-    # Q(0) = 4.34 lies above both the bracket and the lowered cap
-    monkeypatch.setattr(nlslab.ground, "A_CAP", 3.0)
-    with pytest.raises(NoBracketError, match="exceeds 3"):
-        solve_ground(make_grid(3, 20.0, 1000), 3.0, bracket=(1.0, 2.0))
+def _floor(gp):
+    """The Newton polish's roundoff floor eps (4/h^2 + max Q^{p-1}) max Q."""
+    qmax = float(np.max(gp.Q.values.real))
+    return np.finfo(float).eps * (4.0 / gp.grid.h ** 2 + qmax ** (gp.p - 1)) * qmax
 
 
-def _shoot_closure(a, p, N, h_sub, r_stop):
-    """``_shoot`` as it was with a right-hand-side closure: the bit-for-bit oracle."""
-    nsteps = int(round(r_stop / h_sub))
-    q, s = a, 0.0
-    out = np.empty(nsteps + 1)
-    out[0] = a
-
-    def rhs(r, q, s):
-        qc = q if abs(q) < OVERSHOOT_CAP else math.copysign(OVERSHOOT_CAP, q)
-        nl = qc - abs(qc) ** (p - 1) * qc
-        if r < 1e-12:
-            return s, nl / N
-        return s, nl - (N - 1) / r * s
-
-    for i in range(nsteps):
-        r = i * h_sub
-        k1q, k1s = rhs(r, q, s)
-        k2q, k2s = rhs(r + h_sub / 2, q + h_sub / 2 * k1q, s + h_sub / 2 * k1s)
-        k3q, k3s = rhs(r + h_sub / 2, q + h_sub / 2 * k2q, s + h_sub / 2 * k2s)
-        k4q, k4s = rhs(r + h_sub, q + h_sub * k3q, s + h_sub * k3s)
-        q += h_sub / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        s += h_sub / 6 * (k1s + 2 * k2s + 2 * k3s + k4s)
-        out[i + 1] = q
-        if q < 0 or abs(q) > OVERSHOOT_CAP:
-            return "over", out[: i + 2]
-        if s > 0 and 0 < q < 1:
-            return "under", out[: i + 2]
-    return "end", out
+def _intercritical_points():
+    for N in range(1, 7):
+        lo = 1.0 + 4.0 / N
+        hi = critical_exponent(N) if N >= 3 else lo + 8.0
+        for frac in (0.02, 0.5, 0.98):
+            yield N, round(lo + frac * (hi - lo), 4)
 
 
-def _q0(p, N):
-    """Bisected Q(0) on a cheap shooting grid (substep 5e-3, rmax 10)."""
-    return 0.5 * sum(bisect_q0(p, N, 5e-3, 10.0, (1.0, 20.0), A_CAP))
-
-
-@settings(max_examples=40, deadline=None)
-@given(N=st.integers(1, 5), frac=st.floats(0.05, 0.95),
-       h_sub=st.sampled_from([1.25e-3, 3.125e-3, 5e-3]), rmax=st.floats(10.0, 30.0),
-       near=st.booleans(), offset=st.floats(-15.0, 0.0), sign=st.sampled_from([-1, 1]),
-       far=st.floats(0.01, A_CAP))
-def test_shoot_is_bit_identical_to_the_closure_oracle(N, frac, h_sub, rmax, near,
-                                                      offset, sign, far):
-    # p inside the intercritical range (capped at 9 for N <= 2); a either
-    # within a relative 1e-15..1 of Q(0) or anywhere up to A_CAP
-    p = 1.0 + 4.0 / N + frac * (min(critical_exponent(N), 9.0) - 1.0 - 4.0 / N)
-    a = _q0(p, N) * (1 + sign * 10.0 ** offset) if near else far
-    ev, values = _shoot(a, p, N, h_sub, rmax)
-    ev_ref, ref = _shoot_closure(a, p, N, h_sub, rmax)
-    assert ev == ev_ref
-    assert np.array_equal(values, ref)
-
-
-# at (1, 7) a = A_CAP drives a stage past OVERSHOOT_CAP: the clip branch
-@pytest.mark.parametrize("N, p, a, event", [(3, 3.0, 2.0, "under"),
-                                            (1, 7.0, A_CAP, "over"),
-                                            (3, 3.0, None, "end")])
-def test_each_event_is_bit_identical_to_the_closure_oracle(N, p, a, event):
-    a = _q0(p, N) if a is None else a
-    ev, values = _shoot(a, p, N, 5e-3, 10.0)
-    ev_ref, ref = _shoot_closure(a, p, N, 5e-3, 10.0)
-    assert ev == ev_ref == event
-    assert np.array_equal(values, ref)
-
-
-@pytest.mark.parametrize("N", range(1, 8))
-def test_decaying_tail_is_the_bessel_k_solution(N):
-    from scipy.special import kv
-    nu = (N - 2) / 2
-    for r in (2.0, 6.0, 12.3, 30.0):
-        f, kappa = _decaying_tail(N, r)
-        assert f == pytest.approx(r ** -nu * kv(nu, r), rel=1e-14)
-        assert kappa == pytest.approx(kv(nu + 1, r) / kv(nu, r), rel=1e-14)
-    assert _decaying_tail(1, 12.3)[1] == 1.0
-    assert _decaying_tail(3, 12.3)[1] == 1.0 + 1.0 / 12.3
-
-
-@settings(max_examples=15, deadline=None)
-@given(N=st.integers(1, 6), frac=st.floats(0.05, 0.95),
-       h_sub=st.sampled_from([1.25e-3, 3.125e-3, 5e-3]), rmax=st.floats(10.0, 30.0))
-def test_secant_search_matches_the_bisection_oracle(N, frac, h_sub, rmax):
-    p = 1.0 + 4.0 / N + frac * (min(critical_exponent(N), 9.0) - 1.0 - 4.0 / N)
-    key = (p, N, h_sub, rmax, (1.0, 20.0), A_CAP)
+@pytest.mark.parametrize("N, p", list(_intercritical_points()))
+def test_intercritical_range_solves_or_fails_typed(N, p):
+    # near the critical end the core outgrows h (lambda h ~ 1.2 at
+    # (4, 2.98)), where the polish stalls: that must raise, not return
     try:
-        ref_lo, ref_hi = bisect_q0(*key)
-    except NoBracketError:   # Q(0) above A_CAP: the shared set-up refuses both
-        with pytest.raises(NoBracketError):
-            _find_q0(*key)
+        gp = solve_ground(make_grid(N, 30.0, 1500), p)
+    except NlslabError:
         return
-    lo, hi, _ = _find_q0(*key)
-    assert hi - lo < A_TOL
-    assert 0.5 * (lo + hi) == pytest.approx(0.5 * (ref_lo + ref_hi), rel=1e-11)
-
-    def overshoots(a):
-        return _shoot(a, p, N, h_sub, rmax)[0] == "over"
-
-    assert overshoots(lo) == overshoots(ref_lo)
-    assert overshoots(hi) == overshoots(ref_hi)
+    assert gp.ode_residual <= NEWTON_FLOOR_FACTOR * _floor(gp)
 
 
-def test_secant_search_halves_the_rk4_steps(monkeypatch):
-    # the bisection took 149,676 RK4 steps at this key, its final shot included
-    steps = []
-
-    def counting(*args):
-        ev, values = _shoot(*args)
-        steps.append(len(values) - 1)
-        return ev, values
-
-    monkeypatch.setattr(nlslab.ground, "_shoot", counting)
-    _shoot_ground.cache_clear()
-    *_, shots = _shoot_ground(3.0, 3, 3.125e-3, 30.0, (1.0, 20.0), A_CAP)
-    assert shots == len(steps)
-    assert sum(steps) <= 149_676 // 2
-
-
-def _count_shots(monkeypatch):
-    shots = []
-
-    def counting(*args):
-        shots.append(args)
-        return _shoot(*args)
-
-    monkeypatch.setattr(nlslab.ground, "_shoot", counting)
-    return shots
-
-
-def test_each_shooting_key_is_shot_once(monkeypatch):
-    _shoot_ground.cache_clear()
-    shots = _count_shots(monkeypatch)
-    first = solve_ground(make_grid(1, 10.0, 2000), 7.0)   # h = 0.005: substep 1.25e-3
-    assert shots
-    shots.clear()
-    again = solve_ground(make_grid(1, 10.0, 2000), 7.0)
-    assert shots == []
-    assert again.q0 == first.q0
-    assert np.array_equal(again.Q.values, first.Q.values)
-    finer = solve_ground(make_grid(1, 10.0, 4000), 7.0)   # same substep, other n
-    assert shots == []
-    assert finer.q0 == first.q0
-    assert not _shoot_ground(7.0, 1, 1.25e-3, 10.0, (1.0, 20.0), A_CAP)[1].flags.writeable
-
-
-def test_constant_shot_is_skipped(monkeypatch):
-    # a = 1 is the constant solution: its shot ends without an event, which
-    # the bisection reads as 'under', so skipping it keeps every bit
-    ev, values = _shoot(1.0, 7.0, 1, 5e-3, 10.0)
-    assert ev == "end" and np.all(values == 1.0)
-    _shoot_ground.cache_clear()
-    shots = _count_shots(monkeypatch)
-    solve_ground(make_grid(1, 10.0, 500), 7.0)   # h = 0.02: substep 5e-3
-    assert shots and all(args[0] != 1.0 for args in shots)
-    shots.clear()
-    solve_ground(make_grid(1, 10.0, 500), 7.0, bracket=(1.1, 20.0))
-    assert shots[0][0] == 1.1   # any other low end is still shot
-
-
-def test_memo_key_holds_the_cap(monkeypatch):
-    # a cached success under the default cap must not answer a lower cap
-    solve_ground(make_grid(3, 20.0, 1000), 3.0, bracket=(1.0, 2.0))
-    monkeypatch.setattr(nlslab.ground, "A_CAP", 3.0)
-    with pytest.raises(NoBracketError, match="exceeds 3"):
-        solve_ground(make_grid(3, 20.0, 1000), 3.0, bracket=(1.0, 2.0))
+def test_stalled_newton_polish_raises(monkeypatch):
+    # Petviashvili cut after one step leaves Newton too far out at (3, 3)
+    monkeypatch.setattr(nlslab.ground, "PETVIASHVILI_MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError, match="roundoff floor"):
+        solve_ground(make_grid(3, 30.0, 1500), 3.0)
 
 
 def test_1d_p7_against_closed_form():
-    """Shooting solver against the sech profile (unpolished = continuum)."""
+    """Extrapolated grid ground state against the sech profile."""
     g = make_grid(1, 20.0, 4000)  # h = 0.005
-    gp = solve_ground(g, 7.0, polish=False)
+    q = extrapolated_ground(1, 7.0, 20.0, 4000)
     exact = closed_form_1d(7.0, g)
     window = g.r <= 10.0
-    err = np.max(np.abs(gp.Q.values.real[window] - exact.Q.values.real[window]))
+    err = np.max(np.abs(q[window] - exact.Q.values.real[window]))
     assert err <= 1e-8
-    assert gp.q0 == pytest.approx(4.0 ** (1 / 6), abs=1e-9)
+    assert q[0] == pytest.approx(4.0 ** (1 / 6), abs=1e-9)
 
 
 def test_closed_form_1d_values_and_residual():
@@ -227,14 +84,15 @@ def test_closed_form_1d_values_and_residual():
     assert gp.ode_residual <= 1e-12
 
 
-def test_3d_cubic_central_value(gp33):
-    assert gp33.q0 == pytest.approx(Q0_3D_CUBIC, abs=2e-5)
+def test_3d_cubic_central_value():
+    assert extrapolated_ground(3, 3.0, 30.0, 1500)[0] == pytest.approx(
+        Q0_3D_CUBIC, abs=2e-5)
 
 
-def test_q0_stable_under_grid_doubling(grid33, gp33):
-    g2 = make_grid(3, 30.0, 3000)
-    gp2 = solve_ground(g2, 3.0)
-    assert abs(gp2.q0 / gp33.q0 - 1) < 1e-6
+def test_q0_stable_under_grid_doubling():
+    q0 = extrapolated_ground(3, 3.0, 30.0, 1500)[0]
+    q0_fine = extrapolated_ground(3, 3.0, 30.0, 3000)[0]
+    assert abs(q0_fine / q0 - 1) < 1e-6
 
 
 def test_profile_positive_and_decreasing(gp33):

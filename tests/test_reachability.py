@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import nlslab
-import nlslab.ground
 from nlslab.cli import cli_dispatch
 
 PACKAGE = Path(nlslab.__file__).resolve().parent
@@ -25,11 +24,11 @@ PACKAGE = Path(nlslab.__file__).resolve().parent
 NEVER_CALLED = {("cli.py", "main"), ("parallel.py", "_install"),
                 ("parallel.py", "_call")}
 
-# names this package once exported, which only tests need now
+# names this package once exported: gone, or kept only for tests
 REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
            "closed_form_W", "assemble_critical", "phi_quadratic_form", "step",
            "variance", "variance_rate", "default_config", "DimensionError",
-           "LambdaPoly", "SpecialRunSpec"}
+           "LambdaPoly", "SpecialRunSpec", "NoBracketError"}
 
 
 def _defined():
@@ -58,8 +57,6 @@ def _run_commands(tmp: Path) -> list:
 def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
     # one CPU keeps every pmap in-process, where the profiler sees it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    # a memoized shooting from an earlier test would hide _shoot
-    nlslab.ground._shoot_ground.cache_clear()
     called = set()
     prefix = str(PACKAGE) + os.sep
 
@@ -77,19 +74,21 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
 
 
 def test_every_command_records_its_shots(tmp_path, monkeypatch):
-    # the first command shoots, the others hit the memo: all report one count
+    # every command solves the same ground state: all report one pair of
+    # solver iteration counts, and check's identity grid its own
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    nlslab.ground._shoot_ground.cache_clear()
     assert all(rc in (0, 1) for rc in _run_commands(tmp_path))
-    shots = set()
+    counts = set()
     for manifest in sorted(tmp_path.glob("*/manifest.txt")):
         lines = manifest.read_text().split("--- config ---")[0].splitlines()
         entries = dict(line.split(" = ", 1) for line in lines)
-        shots.add(entries["solver.shots"])
+        counts.add((entries["solver.petviashvili_iters"], entries["solver.newton_iters"]))
     assert len(list(tmp_path.glob("*/manifest.txt"))) == 8
-    assert len(shots) == 1 and int(shots.pop()) > 0
+    assert len(counts) == 1
+    assert all(int(c) > 0 for c in counts.pop())
     check = (tmp_path / "check" / "manifest.txt").read_text()
-    assert "solver.shots_n2000 = " in check
+    assert "solver.petviashvili_iters_n2000 = " in check
+    assert "solver.newton_iters_n2000 = " in check
 
 
 def test_exports_resolve():

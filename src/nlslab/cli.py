@@ -30,7 +30,7 @@ from .grid import (FLOAT_FMT, Field, h1_norm, make_grid, read_field_csv,
                    write_csv, write_field_csv)
 from .ground import check_identities, solve_ground
 from .manifest import RunManifest
-from .parallel import pmap
+from .parallel import OrderedMap, imap
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -50,22 +50,36 @@ def _write_series(path: Path, series: TimeSeries) -> None:
     write_csv(path, TimeSeries.HEADER, *series.rows().T)
 
 
-def _write_snapshots(out: Path, snaps) -> None:
-    """One ``snap_<i>.csv`` per (t, Field) and the ``index.csv`` that lists
-    them; the files are written by forked workers (``parallel.pmap``)."""
+@contextmanager
+def _snapshot_sink(out: Path, grid):
+    """An ``evolve`` sink that writes each (t, values) to ``snap_<i>.csv``
+    as it comes, through forked workers (``parallel.OrderedMap``), and, once
+    the block ends without an exception, the ``index.csv`` that lists them."""
     out.mkdir(parents=True, exist_ok=True)
-    names = [f"snap_{i:05d}.csv" for i in range(len(snaps))]
-    pmap(lambda i: write_field_csv(snaps[i][1], out / names[i]), range(len(snaps)))
-    index = ["idx,t,file"] + [f"{i},{FLOAT_FMT % t},{name}"
-                              for i, ((t, _), name) in enumerate(zip(snaps, names))]
+    times = []
+
+    def write(item):
+        i, values = item
+        write_field_csv(Field(grid, values), out / f"snap_{i:05d}.csv")
+
+    with OrderedMap(write) as writer:
+        def sink(t, values):
+            writer.put((len(times), values))
+            times.append(t)
+
+        yield sink
+        for _ in writer.drain():
+            pass
+    index = ["idx,t,file"] + [f"{i},{FLOAT_FMT % t},snap_{i:05d}.csv"
+                              for i, t in enumerate(times)]
     (out / "index.csv").write_text("\n".join(index) + "\n", encoding="utf-8")
 
 
 def _read_snapshots(path: Path, grid):
-    """The (t, Field) list of a snapshot directory, in ``index.csv`` order.
-    Forked workers (``parallel.pmap``) parse the files and return their
-    values; each Field is built here, on ``grid``.  A missing or malformed
-    index or snapshot file is a ``UsageError``."""
+    """The (t, Field) snapshots of a directory, in ``index.csv`` order, as
+    an iterator: forked workers (``parallel.imap``) parse the files ahead
+    of it and return their values; each Field is built here, on ``grid``.
+    A missing or malformed index or snapshot file is a ``UsageError``."""
     idx_file = path / "index.csv"
     if not idx_file.exists():
         raise UsageError(f"snapshot directory {path} has no index.csv")
@@ -74,9 +88,9 @@ def _read_snapshots(path: Path, grid):
         rows = [(float(t), name) for _, t, name in (line.split(",") for line in lines)]
     except ValueError as exc:
         raise UsageError(f"{idx_file} is not an idx,t,file table: {exc}") from exc
-    values = pmap(lambda name: read_field_csv(path / name, grid).values,
+    values = imap(lambda name: read_field_csv(path / name, grid).values,
                   [name for _, name in rows])
-    return [(t, Field(grid, v)) for (t, _), v in zip(rows, values)]
+    return ((t, Field(grid, v)) for (t, _), v in zip(rows, values))
 
 
 # ---------------------------------------------------------------- pipeline
@@ -255,9 +269,10 @@ def _cmd_evolve(pipe: Pipeline, out: Path, inputs: dict):
     u0 = (Field(gp.grid, gp.Q.values.copy()) if initial == "ground"
           else read_field_csv(initial, gp.grid))
     ecfg = pipe.evolver_config(snapshot_every=pipe.cfg["evolve.snapshot_every"] or 10)
-    series, snaps = run_evolution(u0, inputs["input.t0"], ecfg, gp.p, reference=gp)
+    with _snapshot_sink(out / "snapshots", gp.grid) as sink:
+        series, _ = run_evolution(u0, inputs["input.t0"], ecfg, gp.p,
+                                  reference=gp, sink=sink)
     _write_series(out / "series.csv", series)
-    _write_snapshots(out / "snapshots", snaps)
     verdict = classify_run(series, gp)
     _write_kv(out / "verdict.txt", {
         "verdict": verdict.kind,
@@ -319,13 +334,16 @@ def _cmd_modulate(pipe: Pipeline, out: Path, inputs: dict):
         raise UsageError("modulate requires --snapshots DIR")
     gp = pipe.ground()
     snaps = _read_snapshots(Path(inputs["input.snapshots"]), gp.grid)
-    frames = mo.track(snaps, gp)
-    fitted = [f for f in frames if f is not None]
-    rows = ["t,theta,alpha,hnorm,d,res1,res2"] + [",".join(_fmt(v) for v in (
-        f.t, f.theta, f.alpha, f.h_norm, f.d, f.res_iq, f.res_qp)) for f in fitted]
+    rows, gaps = ["t,theta,alpha,hnorm,d,res1,res2"], 0
+    for f in mo.track(snaps, gp):
+        if f is None:
+            gaps += 1
+        else:
+            rows.append(",".join(_fmt(v) for v in (
+                f.t, f.theta, f.alpha, f.h_norm, f.d, f.res_iq, f.res_qp)))
     (out / "frames.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    pipe.man.record("frames", len(fitted))
-    pipe.man.record("gaps", len(frames) - len(fitted))
+    pipe.man.record("frames", len(rows) - 1)
+    pipe.man.record("gaps", gaps)
 
 
 def _cmd_check(pipe: Pipeline, out: Path, inputs: dict) -> int:

@@ -240,7 +240,7 @@ def diagnostics(u: Field, t: float, p: float,
 
 
 def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
-           reference: GroundProfile | None = None):
+           reference: GroundProfile | None = None, sink=None):
     """Integrate from t0 to cfg.t_end (either direction).
 
     Samples diagnostics every ``sample_every`` steps, halves dt when the
@@ -249,7 +249,13 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     A step is closed exactly when it is sampled or the next step has
     another dt, so every state read here (samples, snapshots, the mass
     guard, the blow-up stop) is closed.
-    Returns (TimeSeries, snapshots) with snapshots a list of (t, Field).
+
+    Snapshots stream: ``sink(t, values)`` receives the n + 1 node values
+    at t0, at every ``snapshot_every``-th sample (if nonzero) and at the
+    final time, as it takes them, and nothing here keeps them.  The
+    arrays are never modified afterwards, so a sink may hold on to them.
+    Without a sink no snapshot is taken.  Returns (TimeSeries, Field): the
+    series and the final state.
     """
     grid = u0.grid
     ev = Evolver(grid, p, cfg)
@@ -260,8 +266,14 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     u = u0.values.copy()
     t = t0
     rows = []
-    snaps = [(t0, u0.copy())]
+    t_snap = None
     meta = {"terminated_blowup": False, "dt_final": abs(dt)}
+
+    def snapshot():
+        nonlocal t_snap
+        if sink is not None:
+            sink(t, u)
+            t_snap = t
 
     def sample():
         row = diagnostics(Field(grid, u), t, p, reference)
@@ -270,6 +282,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
         rows.append(row)
 
     sample()
+    snapshot()
     mass0 = rows[0]["mass"]
     grad_prev = rows[0]["grad"]
     step_count = 0
@@ -297,7 +310,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
                     f"mass drifted by {abs(row['mass'] / mass0 - 1):.2e} "
                     f"with the sponge off")
             if cfg.snapshot_every and (len(rows) - 1) % cfg.snapshot_every == 0:
-                snaps.append((t, Field(grid, u.copy())))
+                snapshot()
             # adaptive step control on gradient growth; inside the blow-up
             # zone (gradient tripled) dt is driven straight to its floor so
             # the saturation criterion can fire
@@ -316,12 +329,12 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
                     meta["t_star"] = t
                     break
 
-    if snaps[-1][0] != t:
-        snaps.append((t, Field(grid, u.copy())))
+    if t_snap != t:
+        snapshot()
     cols = {k: np.array([r[k] for r in rows]) for k in SERIES_COLUMNS}
     series = TimeSeries(meta=meta, **cols)
     series.meta["potential_series"] = np.array([r["potential"] for r in rows])
-    return series, snaps
+    return series, Field(grid, u)
 
 
 def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:

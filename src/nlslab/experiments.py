@@ -82,10 +82,11 @@ def run_special(approx: ApproxSolution, delta: float,
     """Forward rate fit plus backward classification of V_k^A's datum.
 
     Each leg runs ``cfg`` with its own t_end and sponge.  The forward leg
-    runs sponge-off (conservation transfers to the report) and keeps a
-    snapshot every 0.05/e0; the backward leg runs from t0 down to
-    t0 - t_back, t_back = t0 + 5, with the absorbing layer on so
-    dispersing mass leaves the domain cleanly.
+    runs sponge-off (conservation transfers to the report) and takes a
+    snapshot every 0.05/e0; its sink computes each snapshot's aligned
+    distance as it comes.  The backward leg takes no snapshot and runs
+    from t0 down to t0 - t_back, t_back = t0 + 5, with the absorbing
+    layer on so dispersing mass leaves the domain cleanly.
     """
     u0, t0 = synthesize_UA(approx, delta)
     gp, e0 = approx.ops.gp, approx.e0
@@ -97,15 +98,17 @@ def run_special(approx: ApproxSolution, delta: float,
     fwd_cfg = replace(cfg, sponge=False, t_end=t0 + span,
                       snapshot_every=max(1, int(round(
                           0.05 / (e0 * cfg.dt * cfg.sample_every)))))
-    fseries, fsnaps = evolve(u0, t0, fwd_cfg, gp.p, reference=gp)
     # fit over the first 2/3 of the window, where the synthesis floor
     # (order delta^{k+1}) has not yet been amplified into the signal
     tcut = t0 + 2.0 * span / 3.0
     ts, ds = [], []
-    for t, fld in fsnaps:
+
+    def fit_sink(t, values):
         if t <= tcut + 1e-12:
             ts.append(t)
-            ds.append(aligned_distance(fld, t, gp))
+            ds.append(aligned_distance(Field(gp.grid, values), t, gp))
+
+    fseries, _ = evolve(u0, t0, fwd_cfg, gp.p, reference=gp, sink=fit_sink)
     forward_rate = _fit_rate(ts, ds)
 
     t_back = t0 + 5.0
@@ -182,10 +185,10 @@ def match_mass_energy(gp: GroundProfile, seed: Field) -> Field:
 def threshold_sweep(family, cfg: EvolverConfig, gp: GroundProfile):
     """Run each (label, field) datum in both time directions and classify.
 
-    The 2 x len(family) runs are independent and go to forked workers
-    (``parallel.pmap``), which return their ``Verdict``s.  Returns a list
-    of dicts {label, me, mg, verdict_forward, verdict_backward}, merged
-    deterministically in label order.
+    The 2 x len(family) runs are independent, take no snapshot and go to
+    forked workers (``parallel.pmap``), which return their ``Verdict``s.
+    Returns a list of dicts {label, me, mg, verdict_forward,
+    verdict_backward}, merged deterministically in label order.
     """
     data = sorted(family, key=lambda kv: kv[0])
     runs = [(fld, sign * abs(cfg.t_end)) for _, fld in data for sign in (1.0, -1.0)]

@@ -161,9 +161,6 @@ class Field:
         if self.real and np.any(self.values.imag != 0.0):
             raise InvalidParameterError("field flagged real has nonzero imaginary part")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), real=self.real)
-
 
 def fill_origin(v) -> None:
     """Fill a slaved node 0 from f'(0) = 0 to second order (in place)."""

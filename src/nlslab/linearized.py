@@ -317,14 +317,20 @@ def _decay_margin(grid: RadialGrid, gp: GroundProfile, Y1: Field, Y2: Field) -> 
 
     The window [rmax/3, 2 rmax/3] is additionally clipped to nodes where Q
     is above its relative floor and |Y| is above the eigen-solver noise,
-    so the fit never touches roundoff-dominated tails.
+    so the fit never touches roundoff-dominated tails.  A fast-decaying Y
+    (large e0) can fall below its floor before rmax/3 with fewer than 8
+    nodes left there; the fit then takes [r_last/2, r_last] instead,
+    r_last the largest radius above both floors.
     """
     q = gp.Q.values.real
     absy = np.abs(Y1.values.real + 1j * Y2.values.real)
     yfloor = 1e-11 * float(np.max(absy))
     qfloor = Q_FLOOR * q[0]
-    mask = ((grid.r >= grid.rmax / 3.0) & (grid.r <= 2.0 * grid.rmax / 3.0)
-            & (q > qfloor) & (absy > yfloor))
+    resolved = (q > qfloor) & (absy > yfloor)
+    mask = resolved & (grid.r >= grid.rmax / 3.0) & (grid.r <= 2.0 * grid.rmax / 3.0)
+    if np.count_nonzero(mask) < 8 and resolved.any():
+        r_last = float(grid.r[resolved].max())
+        mask = resolved & (grid.r >= r_last / 2.0) & (grid.r <= r_last)
     if np.count_nonzero(mask) < 8:
         return float("nan")
     slope = np.polyfit(grid.r[mask], np.log(absy[mask] / q[mask]), 1)[0]

@@ -95,23 +95,23 @@ def fit_parameters(u: Field, t: float, gp: GroundProfile,
                            h_norm=h1_norm(h), dist=dist)
 
 
-def track(snapshots, gp: GroundProfile) -> list:
-    """Fit every (t, Field) snapshot in the ``DEFAULT_WINDOW``, seeding each
+def track(snapshots, gp: GroundProfile):
+    """Fit each (t, Field) snapshot in the ``DEFAULT_WINDOW``, seeding each
     Newton from the previous angle.
 
-    Returns one ``ModulationFrame`` per snapshot; a snapshot outside the
-    window is recorded as a gap (None) rather than aborting the track.
+    A generator: it draws a snapshot only when its frame is asked for and
+    keeps nothing but the last angle, so ``snapshots`` may be a stream.
+    Yields one ``ModulationFrame`` per snapshot; a snapshot outside the
+    window yields a gap (None) rather than aborting the track.
     """
-    frames = []
     theta_prev = None
     for t, fld in snapshots:
         try:
             frame = fit_parameters(fld, t, gp, theta_seed=theta_prev)
             theta_prev = frame.theta
-            frames.append(frame)
         except OutOfWindowError:
-            frames.append(None)
-    return frames
+            frame = None
+        yield frame
 
 
 def aligned_distance(u: Field, t: float, gp: GroundProfile) -> float:

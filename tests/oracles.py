@@ -1,9 +1,10 @@
 """Test oracles: closed forms and reference quantities that no command
-computes, kept beside the tests that hold the package against them."""
+computes, kept beside the tests that hold the package against them, and
+``evolve_snapshots``, the snapshot list no command keeps."""
 
 import numpy as np
 
-from nlslab.evolve import Evolver, EvolverConfig
+from nlslab.evolve import Evolver, EvolverConfig, evolve
 from nlslab.grid import Field, RadialGrid, gradient_values, make_grid
 from nlslab.ground import GroundProfile, solve_ground, validate_intercritical
 
@@ -49,6 +50,15 @@ def closed_form_W(grid: RadialGrid) -> Field:
     N = grid.N
     w = (1.0 + grid.r**2 / (N * (N - 2))) ** (-(N - 2) / 2.0)
     return Field(grid, w.astype(complex), real=True)
+
+
+def evolve_snapshots(u0: Field, t0: float, cfg: EvolverConfig, p: float,
+                     reference: GroundProfile | None = None):
+    """``evolve`` with a sink that keeps every snapshot: (series, [(t, Field)])."""
+    snaps = []
+    series, _ = evolve(u0, t0, cfg, p, reference,
+                       sink=lambda t, values: snaps.append((t, Field(u0.grid, values))))
+    return series, snaps
 
 
 def step(u: Field, dt: float, cfg: EvolverConfig, p: float,

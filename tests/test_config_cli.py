@@ -398,6 +398,29 @@ def test_pool_and_one_cpu_outputs_are_byte_identical(tmp_path, monkeypatch):
     assert mp.active_children() == []
 
 
+def test_failed_evolve_leaves_no_snapshot_index(tmp_path):
+    """A run that raises after its sink took a snapshot exits 3, writes no
+    index.csv, and modulate reads that directory as a usage error."""
+    grid = make_grid(1, 20.0, 1000)
+    vals = 0.05 * np.exp(-grid.r**2)
+    vals[-1] = 1.0      # pinned to zero by the solver: the mass guard fires
+    datum = tmp_path / "datum.csv"
+    write_field_csv(Field(grid, vals), datum)
+    cfg = tmp_path / "every_step.cfg"
+    cfg.write_text("evolve.sample_every = 1\nevolve.snapshot_every = 1\n")
+    args = ["--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000"]
+    out = tmp_path / "e"
+    assert run_cli(["evolve", *args, "--config", str(cfg), "--initial", str(datum),
+                    "--t-end", "0.05", "--out", str(out)]) == 3
+    assert "status = numerical-failure" in (out / "manifest.txt").read_text()
+    assert (out / "snapshots").is_dir()
+    assert not (out / "snapshots" / "index.csv").exists()
+    assert not (out / "series.csv").exists()
+    assert mp.active_children() == []
+    assert run_cli(["modulate", *args, "--snapshots", str(out / "snapshots"),
+                    "--out", str(tmp_path / "m")]) == 2
+
+
 @pytest.mark.parametrize("case", ["two-columns", "non-numeric", "missing",
                                   "short-index-row", "other-row-count",
                                   "other-radii", "non-finite",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from nlslab.evolve import (GAMMA1, GAMMA2, Evolver, EvolverConfig, classify_run,
                            diagnostics, evolve)
 from nlslab.grid import Field, make_grid
 from nlslab.ground import solve_ground
-from oracles import step, variance, variance_rate
+from oracles import evolve_snapshots, step, variance, variance_rate
 
 # the small-e0 pair used for long standing-wave runs: at (3,3) the
 # e0 ~ 5.5 instability amplifies the splitting noise by e^{e0 t}
@@ -129,9 +130,9 @@ def test_evolve_closes_before_a_clipped_step(gentle, monkeypatch, order):
     u0 = Field(g, gentle.Q.values * np.exp(1j * 0.2 * np.exp(-g.r ** 2)))
     cfg = EvolverConfig(dt=1e-3, t_end=0.1234, sample_every=7,
                         snapshot_every=1, order=order)
-    series, snaps = evolve(u0, 0.0, cfg, gentle.p)
+    series, snaps = evolve_snapshots(u0, 0.0, cfg, gentle.p)
     _close_every_step(monkeypatch)
-    oracle, snaps_o = evolve(u0, 0.0, cfg, gentle.p)
+    oracle, snaps_o = evolve_snapshots(u0, 0.0, cfg, gentle.p)
     assert np.array_equal(series.t, oracle.t)
     assert [t for t, _ in snaps] == [t for t, _ in snaps_o]
     for (_, u), (_, ref) in zip(snaps, snaps_o):
@@ -197,10 +198,10 @@ def test_standing_wave_run_and_conservation(gentle):
 def test_round_trip_field_level(gentle):
     gp = gentle
     cfg = EvolverConfig(dt=1e-3, t_end=0.5, sample_every=10)
-    series, snaps = evolve(standing_wave(gp), 0.0, cfg, gp.p, reference=gp)
+    series, snaps = evolve_snapshots(standing_wave(gp), 0.0, cfg, gp.p, reference=gp)
     t_end, u_end = snaps[-1]
     cfg_back = EvolverConfig(dt=1e-3, t_end=0.0, sample_every=10)
-    series_b, snaps_b = evolve(u_end, t_end, cfg_back, gp.p, reference=gp)
+    series_b, snaps_b = evolve_snapshots(u_end, t_end, cfg_back, gp.p, reference=gp)
     _, u_back = snaps_b[-1]
     assert np.max(np.abs(u_back.values - gp.Q.values)) <= 1e-8
 
@@ -211,10 +212,10 @@ def test_time_reversal_symmetry(gentle):
     g = gp.grid
     u0 = Field(g, gp.Q.values * np.exp(1j * 0.2 * np.exp(-g.r**2)))
     cfg = EvolverConfig(dt=1e-3, t_end=0.3, sample_every=10)
-    _, snaps = evolve(u0, 0.0, cfg, gp.p)
+    _, snaps = evolve_snapshots(u0, 0.0, cfg, gp.p)
     u_fwd_conj = np.conj(snaps[-1][1].values)
     cfg_b = EvolverConfig(dt=1e-3, t_end=-0.3, sample_every=10)
-    _, snaps_b = evolve(Field(g, np.conj(u0.values)), 0.0, cfg_b, gp.p)
+    _, snaps_b = evolve_snapshots(Field(g, np.conj(u0.values)), 0.0, cfg_b, gp.p)
     u_back = snaps_b[-1][1].values
     assert np.max(np.abs(u_fwd_conj - u_back)) <= 1e-8
 
@@ -223,9 +224,9 @@ def test_phase_equivariance(gentle):
     gp = gentle
     cfg = EvolverConfig(dt=1e-3, t_end=0.2, sample_every=10)
     theta = 0.7
-    _, s1 = evolve(standing_wave(gp), 0.0, cfg, gp.p)
+    _, s1 = evolve_snapshots(standing_wave(gp), 0.0, cfg, gp.p)
     u_rot = Field(gp.grid, np.exp(1j * theta) * gp.Q.values)
-    _, s2 = evolve(u_rot, 0.0, cfg, gp.p)
+    _, s2 = evolve_snapshots(u_rot, 0.0, cfg, gp.p)
     assert np.max(np.abs(s2[-1][1].values
                          - np.exp(1j * theta) * s1[-1][1].values)) <= 1e-12
 
@@ -296,6 +297,26 @@ def test_mass_guard_triggers(gentle):
     cfg = EvolverConfig(dt=1e-3, t_end=0.1, sample_every=5)
     with pytest.raises(InstabilityError):
         evolve(Field(g, vals), 0.0, cfg, gentle.p)
+
+
+def test_snapshots_stream_through_the_sink():
+    """With a snapshot at every step and a sink that drops them, the
+    traced peak stays below a fixed number of field sizes, whatever the
+    snapshot count: evolve keeps no snapshot."""
+    g = make_grid(1, 30.0, 10000)
+    u0 = Field(g, np.exp(-g.r**2))
+    for steps in (30, 120):
+        cfg = EvolverConfig(dt=1e-3, t_end=steps * 1e-3, sample_every=1,
+                            snapshot_every=1)
+        times = []
+        tracemalloc.start()
+        try:
+            evolve(u0, 0.0, cfg, 5.2, sink=lambda t, values: times.append(t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(times) == steps + 1
+        assert peak < 25 * u0.values.nbytes
 
 
 def test_adaptive_halving_and_blowup_verdict(gp33):

@@ -143,8 +143,8 @@ def test_time_shift_covariance(gp33, spec33, ops33, sol33):
     u_shift, t0_shift = synthesize_UA(sol_shift, delta)
     # V^{A'}(t) = V^A(t + s) exactly, so u_{A'}(t0) = e^{-is} u_A(t0 + s)
     cfg = EvolverConfig(dt=1e-4, t_end=t0 + s, sample_every=10, order=4)
-    _, snaps = evolve_run(u_a, t0, cfg, gp33.p, reference=gp33)
-    evolved = snaps[-1][1].values
+    _, final = evolve_run(u_a, t0, cfg, gp33.p, reference=gp33)
+    evolved = final.values
     target = np.exp(1j * s) * u_shift.values
     err = h1_norm(Field(gp33.grid, evolved - target))
     scale = h1_norm(Field(gp33.grid, u_shift.values))

@@ -242,6 +242,22 @@ def test_eigenfunction_decay_margin(spec33, spec17):
         assert spec.decay_eta == pytest.approx(kappa - 1.0, rel=0.1)
 
 
+@pytest.mark.parametrize("p", [3.667, 4.0])
+def test_decay_margin_of_a_fast_decaying_eigenfunction(p):
+    """At large e0 the eigenfunction falls below its noise floor before
+    rmax/3; the fit moves inward and still finds Re sqrt(1 + i e0) - 1."""
+    spec = compute_spectrum(assemble(solve_ground(make_grid(3, 30.0, 1500), p)))
+    assert spec.e0 > 25
+    expected = (1 + 1j * spec.e0) ** 0.5
+    assert spec.decay_eta > 0
+    assert spec.decay_eta == pytest.approx(expected.real - 1.0, rel=0.01)
+
+
+def test_decay_margin_keeps_its_window_at_3_3(spec33):
+    # the inner window [rmax/3, 2 rmax/3] still resolves Y at (3, 3)
+    assert spec33.decay_eta == 0.8176209486181477
+
+
 def test_e0_against_independent_linearized_flow(gp33, spec33):
     """Power iteration on the time-domain linearized flow dv/dt = -script_L v
     reproduces e0 (the growing mode is Y-)."""

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nlslab.errors import OutOfWindowError
-from nlslab.evolve import EvolverConfig, evolve
+from nlslab.evolve import EvolverConfig
 from nlslab.grid import Field, h1_norm
 from nlslab.modulation import aligned_distance, fit_parameters, track
-from oracles import track_ratios
+from oracles import evolve_snapshots, track_ratios
 
 
 def test_pure_standing_wave(gp33):
@@ -77,8 +77,8 @@ def test_track_ratio_corridor(gp33, spec33):
     u0 = Field(gp33.grid, gp33.Q.values + 0.01 * spec33.Y1.values.real)
     cfg = EvolverConfig(dt=2e-4, t_end=1.0, sample_every=25, snapshot_every=4,
                         order=4)
-    _, snaps = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
-    frames = track(snaps, gp33)
+    _, snaps = evolve_snapshots(u0, 0.0, cfg, gp33.p, reference=gp33)
+    frames = list(track(snaps, gp33))
     ratios = track_ratios(frames, gp33)
     valid = [i for i, f in enumerate(frames) if f is not None and f.d > 1e-9]
     assert len(valid) > 20
@@ -94,8 +94,8 @@ def test_theta_drift_bounded_by_d(gp33, spec33):
     u0 = Field(gp33.grid, gp33.Q.values + 0.01 * spec33.Y1.values.real)
     cfg = EvolverConfig(dt=2e-4, t_end=1.0, sample_every=25, snapshot_every=2,
                         order=4)
-    _, snaps = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
-    frames = track(snaps, gp33)
+    _, snaps = evolve_snapshots(u0, 0.0, cfg, gp33.p, reference=gp33)
+    frames = list(track(snaps, gp33))
     frames = [f for f in frames if f is not None]
     ts = np.array([f.t for f in frames])
     th = np.unwrap(np.array([f.theta for f in frames]))
@@ -120,8 +120,8 @@ def test_h_and_d_decay_rates_agree_on_special_run(gp33, spec33, ops33, sol33):
     e0 = spec33.e0
     cfg = EvolverConfig(dt=1e-4, t_end=t0 + 2.0 / e0, sample_every=20,
                         snapshot_every=2, order=4)
-    _, snaps = evolve(u0, t0, cfg, gp33.p, reference=gp33)
-    frames = track(snaps, gp33)
+    _, snaps = evolve_snapshots(u0, t0, cfg, gp33.p, reference=gp33)
+    frames = list(track(snaps, gp33))
     frames = [f for f in frames if f is not None]
     ts = np.array([f.t for f in frames])
     h_rate = np.polyfit(ts, np.log([max(f.h_norm, 1e-300) for f in frames]), 1)[0]

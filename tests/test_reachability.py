@@ -55,7 +55,7 @@ def _run_commands(tmp: Path) -> list:
 
 
 def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
-    # one CPU keeps every pmap in-process, where the profiler sees it
+    # one CPU keeps every parallel map in-process, where the profiler sees it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     called = set()
     prefix = str(PACKAGE) + os.sep

@@ -207,13 +207,15 @@ class Pipeline:
         self.man.record_check("coercivity_positive", co_g > 0 and co_t > 0)
         return {"coercivity_Gperp": co_g, "coercivity_Gtildeperp": co_t}
 
+    RATE_MARGIN = 0.95      # the share of -(k+1) e0 the fitted rate must reach
+
     def residual_order(self, A: float, k: int, check: str) -> float:
         """Fitted decay rate of the V_k^A residual, checked against -(k+1) e0."""
         sol, e0 = self.approx(A, k), self.spectrum.e0
         times = [sol.t_min + (1.0 + 0.25 * i) / e0 for i in range(6)]
         rate = ap.residual_rate(sol, times)
         self.man.record_check(
-            check, rate <= -(k + 1) * e0 * self.cfg["check.rate_margin"])
+            check, rate <= -(k + 1) * e0 * self.RATE_MARGIN)
         return rate
 
 
@@ -268,10 +270,9 @@ def _cmd_evolve(pipe: Pipeline, out: Path, inputs: dict):
     gp = pipe.ground()
     u0 = (Field(gp.grid, gp.Q.values.copy()) if initial == "ground"
           else read_field_csv(initial, gp.grid))
-    ecfg = pipe.evolver_config(snapshot_every=pipe.cfg["evolve.snapshot_every"] or 10)
     with _snapshot_sink(out / "snapshots", gp.grid) as sink:
-        series, _ = run_evolution(u0, inputs["input.t0"], ecfg, gp.p,
-                                  reference=gp, sink=sink)
+        series, _ = run_evolution(u0, inputs["input.t0"], pipe.evolver_config(),
+                                  gp.p, reference=gp, sink=sink)
     _write_series(out / "series.csv", series)
     verdict = classify_run(series, gp)
     _write_kv(out / "verdict.txt", {
@@ -307,11 +308,10 @@ def _cmd_special(pipe: Pipeline, out: Path, inputs: dict):
 def _cmd_classify(pipe: Pipeline, out: Path, inputs: dict):
     gp = pipe.ground()
     eps = parse_eps(pipe.cfg["experiment.sweep_eps"])
-    family = [(label, fld) for label, fld, _ in xp.threshold_family(gp, eps)]
     # verdict-quality path: the composed step keeps the Q member pinned to
     # the standing wave over the sweep horizon at stiff (N, p)
     ecfg = pipe.evolver_config(sponge=True, order=4)
-    results = xp.threshold_sweep(family, ecfg, gp)
+    results = xp.threshold_sweep(xp.threshold_family(gp, eps), ecfg, gp)
     lines = ["label,me,mg,verdict_forward,verdict_backward,mg_prediction_ok"]
     all_ok = True
     for res in results:
@@ -349,7 +349,7 @@ def _cmd_modulate(pipe: Pipeline, out: Path, inputs: dict):
 def _cmd_check(pipe: Pipeline, out: Path, inputs: dict) -> int:
     """Full identity suite; every line feeds the manifest check ledger."""
     man = pipe.man
-    rng = np.random.default_rng(pipe.cfg["run.seed"])
+    rng = np.random.default_rng(12345)      # a fixed seed: reproducible test fields
 
     # --- static identities on the auto-refined grid
     n_id = pipe.identity_n()
@@ -449,7 +449,7 @@ FLAGS = {
     "--t-end": ("evolve.t_end", float, ("evolve", "classify")), "--dt": ("evolve.dt", float, RUNS),
     "--A": ("experiment.A", float, ("construct", "special")),
     "--k": ("experiment.k", int, ("construct", "special")),
-    "--delta": ("experiment.delta", float, ("construct", "special")),
+    "--delta": ("experiment.delta", float, ("special",)),
     "--eps-values": ("experiment.sweep_eps", str, ("classify",)),
     "--initial": ("input.initial", str, ("evolve",)),
     "--t0": ("input.t0", float, ("evolve",)),

@@ -4,7 +4,7 @@ Parsing is strict: unknown keys, duplicate keys, or out-of-range values
 are errors (with line diagnostics).  Defaults are filled in and recorded,
 so a loaded config always echoes every effective key.  Environment
 variables with the prefix ``NLSLAB_`` override file values (dots become
-double underscores: ``NLSLAB_MODEL__N=3``).
+double underscores: ``NLSLAB_MODEL__N=3``); an unknown one is an error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = ["RunConfig", "load_config", "parse_eps", "evolver_config",
 ENV_PREFIX = "NLSLAB_"
 
 # key -> (type, default).  The evolve.* keys are EvolverConfig's fields,
-# with its defaults; evolve.dt_min and check.identity_n use 0 for "auto".
+# with its defaults; check.identity_n uses 0 for "auto".
 DEFAULTS: dict[str, tuple[type, object]] = {
     "model.N": (int, 3),
     "model.p": (float, 3.0),
@@ -40,9 +40,7 @@ DEFAULTS: dict[str, tuple[type, object]] = {
     "check.gn_tol": (float, 1e-6),
     "check.tail_tol": (float, 1e-2),
     "check.spectrum_tol": (float, 1e-6),
-    "check.rate_margin": (float, 0.95),
     "check.identity_n": (int, 0),
-    "run.seed": (int, 12345),
 }
 
 ALIASES = {"N": "model.N", "p": "model.p"}
@@ -160,10 +158,12 @@ def _parse_text(text: str) -> dict:
 
 
 def _apply_env(values: dict) -> None:
-    for key in DEFAULTS:
-        env_key = ENV_PREFIX + key.replace(".", "__").upper()
-        if env_key in os.environ:
-            values[key] = _coerce(key, os.environ[env_key], 0)
+    keys = {ENV_PREFIX + key.replace(".", "__").upper(): key for key in DEFAULTS}
+    for env_key, text in os.environ.items():
+        if env_key.startswith(ENV_PREFIX):
+            if env_key not in keys:
+                raise ConfigError(f"environment variable {env_key} names no config key")
+            values[keys[env_key]] = _coerce(keys[env_key], text, 0)
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

@@ -50,29 +50,28 @@ GAMMA1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 GAMMA2 = 1.0 - 2.0 * GAMMA1
 ADAPT_TRIGGER = 1.25    # dt halves when the gradient norm grows by this factor
 MASS_GUARD = 1e-3       # a sponge-free run stops once its mass drifts this far
+SPONGE_STRENGTH = 5.0   # sigma0 of the absorbing layer
+SPONGE_WIDTH = 0.15     # the layer's share of the domain, at its outer end
 
 
 @dataclass(frozen=True)
 class EvolverConfig:
     """Knobs for a single run; the ``evolve.*`` config keys are its fields.
 
-    ``sponge`` switches the absorbing layer on the outer ``sponge_width``
-    fraction of the domain, sigma(r) = sigma0 ((r - r_s)/(rmax - r_s))^2.
-    dt halves whenever the gradient norm grows by ``ADAPT_TRIGGER``
-    between samples, down to ``dt_min`` (0: dt/64); blow-up detection then
-    terminates the run once the gradient norm triples.  A sponge-free run
-    whose mass drifts by more than ``MASS_GUARD`` raises.  The checks are
-    written so that NaN fails them.
+    ``sponge`` switches the absorbing layer on the outer ``SPONGE_WIDTH``
+    fraction of the domain, sigma(r) = sigma0 ((r - r_s)/(rmax - r_s))^2
+    with sigma0 = ``SPONGE_STRENGTH``.  dt halves whenever the gradient
+    norm grows by ``ADAPT_TRIGGER`` between samples, down to dt/64;
+    blow-up detection then terminates the run once the gradient norm
+    triples.  A sponge-free run whose mass drifts by more than
+    ``MASS_GUARD`` raises.  The checks are written so that NaN fails them.
     """
 
     dt: float = 1e-3
     t_end: float = 1.0
     sponge: bool = False
-    sponge_strength: float = 5.0
-    sponge_width: float = 0.15
-    dt_min: float = 0.0            # 0: dt/64
     sample_every: int = 10
-    snapshot_every: int = 0        # 0: only first/last
+    snapshot_every: int = 10       # 0: only first/last
     order: int = 2
 
     def __post_init__(self):
@@ -80,12 +79,6 @@ class EvolverConfig:
             raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.t_end):
             raise InvalidParameterError(f"t_end must be finite, got {self.t_end}")
-        if not 0 <= self.sponge_strength < math.inf:
-            raise InvalidParameterError("sponge strength must be finite and >= 0")
-        if not 0 < self.sponge_width < 1:
-            raise InvalidParameterError("sponge width must lie in (0, 1)")
-        if not 0 <= self.dt_min < self.dt:
-            raise InvalidParameterError("minimum dt must lie in [0, dt)")
         if self.sample_every < 1:
             raise InvalidParameterError("sample_every must be >= 1")
         if self.snapshot_every < 0:
@@ -145,12 +138,12 @@ class Evolver:
         self.p = float(p)
         self.cfg = cfg
         self.op = radial_operator(grid)
-        rs = grid.rmax * (1.0 - cfg.sponge_width)
+        rs = grid.rmax * (1.0 - SPONGE_WIDTH)
         sig = np.zeros(grid.n + 1)
         if cfg.sponge:
             mask = grid.r > rs
-            sig[mask] = cfg.sponge_strength * ((grid.r[mask] - rs)
-                                               / (grid.rmax - rs)) ** 2
+            sig[mask] = SPONGE_STRENGTH * ((grid.r[mask] - rs)
+                                           / (grid.rmax - rs)) ** 2
         self.sigma = self.op.rows(sig)
         self._cn_cache: dict[float, Tridiag] = {}
         # the composition's stage weights and the merged phases between them
@@ -245,7 +238,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
 
     Samples diagnostics every ``sample_every`` steps, halves dt when the
     gradient norm grows by ``ADAPT_TRIGGER`` between samples (down to
-    dt_min) and terminates early once blow-up evidence is conclusive.
+    dt/64) and terminates early once blow-up evidence is conclusive.
     A step is closed exactly when it is sampled or the next step has
     another dt, so every state read here (samples, snapshots, the mass
     guard, the blow-up stop) is closed.
@@ -261,7 +254,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     ev = Evolver(grid, p, cfg)
     direction = 1.0 if cfg.t_end >= t0 else -1.0
     dt = cfg.dt * direction
-    dt_min = cfg.dt_min or cfg.dt / 64.0
+    dt_min = cfg.dt / 64.0
 
     u = u0.values.copy()
     t = t0

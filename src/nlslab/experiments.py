@@ -133,17 +133,15 @@ def threshold_family(gp: GroundProfile, eps_list):
     are both invariant along the scaling orbit, which is exactly the ME = 1
     curve through Q -- so the members are built from the genuinely deformed
     seeds Q + eps Q_h(0) e^{-r^2}, one per eps of ``eps_list``, and then
-    Newton-matched to the threshold manifold.  Each member returns with its
-    measured MG.
+    Newton-matched to the threshold manifold.  Returns (label, field)
+    pairs, the input of ``threshold_sweep``.
     """
     grid = gp.grid
     q0 = float(gp.Q.values[0].real)
-    out = [("Q", Field(grid, gp.Q.values.copy()), 1.0)]
+    out = [("Q", Field(grid, gp.Q.values.copy()))]
     for eps in eps_list:
         seed = Field(grid, gp.Q.values + eps * q0 * np.exp(-grid.r**2))
-        fld = match_mass_energy(gp, seed)
-        _, mg = gp.me_mg(observables(fld, gp.p))
-        out.append((f"eps={eps:+g}", fld, mg))
+        out.append((f"eps={eps:+g}", match_mass_energy(gp, seed)))
     return out
 
 

@@ -34,7 +34,7 @@ def test_minimal_config_fills_defaults(tmp_path):
     # every key is explicit in the echo
     rendered = cfg.render()
     assert "grid.rmax = 30.0" in rendered
-    assert "run.seed = 12345" in rendered
+    assert "check.identity_n = 0" in rendered
 
 
 # a key that never existed, and keys deleted because nothing set them
@@ -44,6 +44,8 @@ def test_minimal_config_fills_defaults(tmp_path):
     "ground.a_tol = 1e-13", "spectrum.refine_tol = 1e-12",
     "evolve.adapt_trigger = 1.25", "evolve.mass_guard = 1e-3",
     "experiment.t_back = 0.0",
+    "evolve.sponge_strength = 5.0", "evolve.sponge_width = 0.15",
+    "evolve.dt_min = 0", "check.rate_margin = 0.95", "run.seed = 12345",
 ])
 def test_unknown_key_rejected(tmp_path, line):
     f = tmp_path / "run.cfg"
@@ -51,6 +53,18 @@ def test_unknown_key_rejected(tmp_path, line):
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(f)
     assert cli_dispatch(["ground", "--config", str(f),
+                         "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("key", ["evolve.sponge_strength", "evolve.sponge_width",
+                                 "evolve.dt_min", "check.rate_margin", "run.seed"])
+def test_deleted_keys_rejected_from_env_and_overrides(tmp_path, monkeypatch, key):
+    with pytest.raises(ConfigError, match="unknown override key"):
+        load_config(overrides={key: 1})
+    monkeypatch.setenv(ENV_PREFIX + key.replace(".", "__").upper(), "1")
+    with pytest.raises(ConfigError, match="names no config key"):
+        load_config(None)
+    assert cli_dispatch(["ground", "--N", "1", "--p", "7", "--rmax", "20", "--n", "1000",
                          "--out", str(tmp_path / "o")]) == 2
 
 
@@ -121,15 +135,8 @@ def test_bad_config_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("keys", [
-    "evolve.dt_min = 0.5\n",
-    "evolve.sponge = true\nevolve.sponge_strength = -1\n",
-    "evolve.sponge_strength = -1\n",   # classify and special turn the sponge on
-    "evolve.sponge_width = 1.5\n",
-    "evolve.sponge_width = -0.5\n",
     "evolve.t_end = nan\n",
     "evolve.dt = nan\n",
-    "evolve.sponge = true\nevolve.sponge_strength = nan\n",
-    "evolve.dt_min = -1\n",          # the blow-up floor abs(dt) <= dt_min never holds
     "evolve.sample_every = 0\n",
     "evolve.snapshot_every = -1\n",
 ])
@@ -157,6 +164,12 @@ def test_non_finite_flags_are_config_errors(tmp_path, flags):
 def test_time_flags_only_on_run_commands(tmp_path, command, flag):
     assert run_cli([command, "--N", "1", "--p", "7", "--rmax", "20", "--n", "1000",
                     flag, "1e-3", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_delta_only_on_special(tmp_path):
+    """construct builds V_k^A without a datum, so it has no use for --delta."""
+    assert run_cli(["construct", "--N", "1", "--p", "7", "--rmax", "20", "--n", "1000",
+                    "--delta", "0.05", "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("n_id", [-5, 5])
@@ -419,6 +432,20 @@ def test_failed_evolve_leaves_no_snapshot_index(tmp_path):
     assert mp.active_children() == []
     assert run_cli(["modulate", *args, "--snapshots", str(out / "snapshots"),
                     "--out", str(tmp_path / "m")]) == 2
+
+
+def test_snapshot_every_zero_keeps_only_the_ends(tmp_path):
+    """An explicit evolve.snapshot_every = 0 is honoured: one snapshot at
+    t0 and one at the end, none between."""
+    cfg = tmp_path / "ends.cfg"
+    cfg.write_text("evolve.snapshot_every = 0\n")
+    out = tmp_path / "e"
+    assert run_cli(["evolve", "--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000",
+                    "--config", str(cfg), "--initial", "ground", "--t-end", "0.5",
+                    "--out", str(out)]) == 0
+    rows = (out / "snapshots" / "index.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == pytest.approx([0.0, 0.5])
+    assert len(list((out / "snapshots").glob("snap_*.csv"))) == 2
 
 
 @pytest.mark.parametrize("case", ["two-columns", "non-numeric", "missing",

@@ -31,13 +31,9 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         EvolverConfig(dt=-1e-3)
     with pytest.raises(InvalidParameterError):
-        EvolverConfig(dt=1e-3, dt_min=2e-3)
-    with pytest.raises(InvalidParameterError):
         EvolverConfig(order=3)
     for bad in ({"dt": math.nan}, {"dt": math.inf}, {"t_end": math.nan},
-                {"t_end": math.inf}, {"sponge_strength": math.nan},
-                {"dt_min": -1.0}, {"dt_min": math.nan}, {"sample_every": 0},
-                {"snapshot_every": -1}):
+                {"t_end": math.inf}, {"sample_every": 0}, {"snapshot_every": -1}):
         with pytest.raises(InvalidParameterError):
             EvolverConfig(**bad)
 

@@ -9,6 +9,7 @@ from nlslab.evolve import EvolverConfig
 from nlslab.experiments import (match_mass_energy, run_special, synthesize_UA,
                                 threshold_family, threshold_sweep)
 from nlslab.grid import Field, gradient_values, h1_norm
+from nlslab.ground import observables
 
 
 def test_synthesize_zero_amplitude(gp33, spec33, ops33):
@@ -90,7 +91,7 @@ def test_match_mass_energy(gp33):
 
 def test_threshold_family_brackets_mg(gp33):
     fam = threshold_family(gp33, (-0.1, 0.1))
-    labels = {lab: mg for lab, _, mg in fam}
+    labels = {lab: gp33.me_mg(observables(fld, gp33.p))[1] for lab, fld in fam}
     assert labels["Q"] == 1.0
     assert labels["eps=-0.1"] < 1.0 < labels["eps=+0.1"]
 
@@ -99,7 +100,7 @@ def test_threshold_sweep_trichotomy(gp33):
     fam = threshold_family(gp33, (-0.1, 0.1))
     cfg = EvolverConfig(dt=2e-4, t_end=1.2, sample_every=10, sponge=True,
                         order=4)
-    results = threshold_sweep([(lab, fld) for lab, fld, _ in fam], cfg, gp33)
+    results = threshold_sweep(fam, cfg, gp33)
     by_label = {r["label"]: r for r in results}
     assert all(abs(r["me"] - 1.0) < 1e-6 for r in results)
     q = by_label["Q"]

@@ -142,14 +142,10 @@ def make_grid(N: int, rmax: float, n: int) -> RadialGrid:
 
 @dataclass
 class Field:
-    """Complex-valued radial function sampled on a RadialGrid.
-
-    ``real``: the field is flagged real; the imaginary part must vanish.
-    """
+    """Complex-valued radial function sampled on a RadialGrid."""
 
     grid: RadialGrid
     values: NDArray[np.complex128]
-    real: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -158,8 +154,6 @@ class Field:
                 f"field length {self.values.shape} does not match grid "
                 f"node count {self.grid.n + 1}"
             )
-        if self.real and np.any(self.values.imag != 0.0):
-            raise InvalidParameterError("field flagged real has nonzero imaginary part")
 
 
 def fill_origin(v) -> None:

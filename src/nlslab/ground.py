@@ -74,9 +74,7 @@ class GroundProfile:
 
     Q: Field
     p: float
-    N: int
     c_q: float
-    s_c: float
     ode_residual: float
     petviashvili_iters: int
     newton_iters: int
@@ -84,6 +82,15 @@ class GroundProfile:
     @property
     def grid(self) -> RadialGrid:
         return self.Q.grid
+
+    @property
+    def N(self) -> int:
+        return self.grid.N
+
+    @property
+    def s_c(self) -> float:
+        """The critical regularity N/2 - 2/(p-1)."""
+        return self.N / 2.0 - 2.0 / (self.p - 1.0)
 
     @cached_property
     def obs(self) -> Observables:
@@ -217,9 +224,7 @@ def solve_ground(grid: RadialGrid, p: float) -> GroundProfile:
     rf = grid.r[i_fit]
     c_q = q[i_fit] * rf ** ((N - 1) / 2.0) * math.exp(rf)
     return GroundProfile(
-        Q=Field(grid, q.astype(complex), real=True),
-        p=float(p), N=N, c_q=float(c_q),
-        s_c=N / 2.0 - 2.0 / (p - 1.0),
+        Q=Field(grid, q), p=float(p), c_q=float(c_q),
         ode_residual=resid, petviashvili_iters=its, newton_iters=steps,
     )
 
@@ -273,21 +278,19 @@ class IdentityReport:
     gn_constant_derived: float
     energy: float
     energy_target: float
-    c_q: float
     tail_deviation: float
     passes: dict
 
 
 def gn_quotient(values, grid: RadialGrid, p: float) -> float:
-    """Gagliardo-Nirenberg quotient ||f||_{p+1}^{p+1} / (||grad f||^{N(p-1)/2} ||f||^{2-(N-2)(p-1)/2})."""
+    """Gagliardo-Nirenberg quotient ||f||_{p+1}^{p+1} / (||grad f||^{N(p-1)/2} ||f||^{2-(N-2)(p-1)/2})
+    of a real profile f."""
     N = grid.N
     w = grid.w
     f = np.asarray(values)
     P = float(np.dot(w, np.abs(f) ** (p + 1)))
     M = float(np.dot(w, np.abs(f) ** 2))
-    g = _gradient4_values(grid, f.real) if np.isrealobj(f) or np.all(f.imag == 0) \
-        else gradient_values(grid, f)
-    G = float(np.dot(w, np.abs(g) ** 2))
+    G = float(np.dot(w, np.abs(_gradient4_values(grid, f)) ** 2))
     return P / (G ** (N * (p - 1) / 4.0) * M ** (1.0 - (N - 2) * (p - 1) / 4.0))
 
 
@@ -338,6 +341,6 @@ def check_identities(gp: GroundProfile, pohozaev_tol: float = 1e-6,
         ratio_mass=ratio_mass, target_mass=t_mass,
         gn_constant=gn, gn_constant_derived=gn_derived,
         energy=energy, energy_target=energy_target,
-        c_q=gp.c_q, tail_deviation=tail_dev, passes=passes,
+        tail_deviation=tail_dev, passes=passes,
     )
 

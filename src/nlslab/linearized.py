@@ -131,10 +131,9 @@ class LinearizedOps:
             raise GridMismatchError("field does not live on the operator grid")
         return self.op.rows(f.values)
 
-    def extend(self, v, real=False) -> Field:
+    def extend(self, v) -> Field:
         """Row vector -> Field; a slaved origin node filled by regularity."""
-        full = self.op.extend(np.asarray(v, dtype=complex))
-        return Field(self.grid, full.real if real else full, real=real)
+        return Field(self.grid, self.op.extend(np.asarray(v, dtype=complex)))
 
 
 def assemble(gp: GroundProfile) -> LinearizedOps:
@@ -151,7 +150,7 @@ def scaling_generator(gp: GroundProfile) -> Field:
     q = gp.Q.values.real
     lam = 2.0 / (gp.p - 1.0) * q + grid.r * gradient_values(grid, q).real
     lam[-1] = 0.0
-    return Field(grid, lam.astype(complex), real=True)
+    return Field(grid, lam)
 
 
 def bilinear_B(f: Field, g: Field, ops: LinearizedOps) -> float:
@@ -282,12 +281,12 @@ def compute_spectrum(ops: LinearizedOps) -> SpectrumData:
     y2 *= sc
 
     # sign convention (Q, Y1)_{H1} > 0
-    Y1f = ops.extend(y1, real=True)
+    Y1f = ops.extend(y1)
     qy1 = _h1_inner(gp.Q, Y1f)
     if qy1 < 0:
         y1, y2 = -y1, -y2
-        Y1f = ops.extend(y1, real=True)
-    Y2f = ops.extend(y2, real=True)
+        Y1f = ops.extend(y1)
+    Y2f = ops.extend(y2)
 
     rp = float(np.linalg.norm(ops.apply_lplus(y1) - e0 * y2)
                / max(np.linalg.norm(e0 * y2), 1e-300))

@@ -28,10 +28,9 @@ def closed_form_1d(p: float, grid: RadialGrid) -> GroundProfile:
     qgrid = q.copy()
     qgrid[-1] = 0.0
     return GroundProfile(
-        Q=Field(grid, qgrid.astype(complex), real=True),
-        p=float(p), N=1,
+        Q=Field(grid, qgrid),
+        p=float(p),
         c_q=float(c * 2.0**alpha),  # sech^a ~ 2^a e^{-a beta x} = 2^a e^{-x}
-        s_c=0.5 - 2.0 / (p - 1.0),
         ode_residual=resid, petviashvili_iters=0, newton_iters=0,
     )
 
@@ -49,7 +48,7 @@ def closed_form_W(grid: RadialGrid) -> Field:
     """Static H1-critical profile W(r) = (1 + r^2/(N(N-2)))^{-(N-2)/2}, N >= 3."""
     N = grid.N
     w = (1.0 + grid.r**2 / (N * (N - 2))) ** (-(N - 2) / 2.0)
-    return Field(grid, w.astype(complex), real=True)
+    return Field(grid, w)
 
 
 def evolve_snapshots(u0: Field, t0: float, cfg: EvolverConfig, p: float,

@@ -257,7 +257,7 @@ STORED_SHA256 = {
 # sha256 of the outputs that read mass, energy, ME and MG
 ROUNDTRIP_SHA256 = {
     "series.csv": "c28ad693af03a0f20f532a98a67f82ee0ab84d65197d7774ed9027ed2a5cec44",
-    "frames.csv": "e17055dfda6f7805909c373d9599f973ecb563be3a5a17aafa925ce2cfd43ee7",
+    "frames.csv": "c199bd43990e42d7de78839b8ed16ccf978500c101050e3a52cce7fb61034778",
 }
 SWEEP_SHA256 = "9d652ef915f53fd0beb14ea54c2a95ee5fc4063d98ef5c24309a7284f53675a7"
 

@@ -149,12 +149,6 @@ def test_field_length_mismatch():
         Field(g, np.zeros(100))
 
 
-def test_field_real_flag():
-    g = make_grid(1, 10.0, 100)
-    with pytest.raises(InvalidParameterError):
-        Field(g, np.full(101, 1j), real=True)
-
-
 def test_field_csv_bytes_match_savetxt(tmp_path):
     g = make_grid(1, 10.0, 64)
     vals = np.exp(-g.r) * (1 + 0.5j * g.r)

@@ -165,7 +165,7 @@ def test_spectrum_rejects_a_profile_without_negative_direction(gp33):
     """At 0.1 Q the potential p (0.1 Q)^{p-1} is too shallow for L_+ to have
     a negative eigenvalue, so there is no e0 to find."""
     weak = dataclasses.replace(
-        gp33, Q=Field(gp33.grid, 0.1 * gp33.Q.values, real=True))
+        gp33, Q=Field(gp33.grid, 0.1 * gp33.Q.values))
     with pytest.raises(SpectralFailureError, match="no negative eigenvalue"):
         compute_spectrum(assemble(weak))
 

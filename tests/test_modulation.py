@@ -106,6 +106,18 @@ def test_theta_drift_bounded_by_d(gp33, spec33):
     assert np.max(slopes) <= 10.0 * dmax
 
 
+@pytest.mark.parametrize("j", [1.0, 2.0, 3.0])
+def test_track_keeps_the_branch_across_a_phase_jump(gp33, j):
+    """A jump of the phase by j between two frames: the fit stays on the
+    1 + alpha > 0 root, so alpha is unchanged and theta follows the jump."""
+    u = Field(gp33.grid, gp33.Q.values + 0.02 * np.exp(-gp33.grid.r**2))
+    jumped = Field(gp33.grid, np.exp(1j * (0.1 + j)) * u.values)
+    first, second = track([(0.0, u), (0.1, jumped)], gp33)
+    assert first.alpha > 0
+    assert second.alpha == pytest.approx(first.alpha, abs=1e-12)
+    assert second.theta == pytest.approx(j, abs=1e-12)
+
+
 def test_aligned_distance_far_field_fallback(gp33):
     u = Field(gp33.grid, 0.1 * gp33.Q.values)
     val = aligned_distance(u, 0.0, gp33)

@@ -28,7 +28,8 @@ NEVER_CALLED = {("cli.py", "main"), ("parallel.py", "_install"),
 REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
            "closed_form_W", "assemble_critical", "phi_quadratic_form", "step",
            "variance", "variance_rate", "default_config", "DimensionError",
-           "LambdaPoly", "SpecialRunSpec", "NoBracketError"}
+           "LambdaPoly", "SpecialRunSpec", "NoBracketError", "PHASE_MAX_ITER",
+           "PHASE_TOL", "ALIGNED_WINDOW"}
 
 
 def _defined():

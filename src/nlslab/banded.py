@@ -11,6 +11,7 @@ factored once per dt.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +19,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import dstebz
 
 from .errors import InvalidParameterError, SingularSystemError
 
@@ -52,19 +54,17 @@ class Tridiag:
     def count_negative(self) -> int:
         """Number of negative eigenvalues of a symmetric T (Sturm count).
 
-        The negative pivots of T = L D L^T, computed by the recurrence
-        d_i = diag_i - sub_{i-1}^2 / d_{i-1}.  A pivot smaller in magnitude
-        than pivmin, an exactly zero one included, is replaced by -pivmin,
-        as in LAPACK's bisection (dstebz), so no division overflows.
+        LAPACK's bisection (dstebz) counts the eigenvalues in (lo, 0], lo
+        below every Gershgorin disc, by the negative pivots of T = L D L^T,
+        d_i = diag_i - sub_{i-1}^2 / d_{i-1}; a pivot smaller in magnitude
+        than pivmin = tiny * max(1, sub^2), an exactly zero one included,
+        counts as -pivmin, so an eigenvalue within pivmin of 0 counts as
+        negative.  An infinite tolerance stops the bisection at once.
         """
-        b2 = (self.sub * self.sub).tolist()
-        pivmin = sys.float_info.min * max(1.0, max(b2, default=0.0))
-        count, d = 0, 1.0
-        for a, bb in zip(self.diag.tolist(), [0.0] + b2):
-            d = a - bb / d
-            if abs(d) < pivmin:
-                d = -pivmin
-            count += d < 0.0
+        if self.m < 2:  # scipy's dstebz wrapper rejects an empty off-diagonal
+            return int(np.count_nonzero(self.diag < sys.float_info.min))
+        lo = -1.0 - 2.0 * (np.max(np.abs(self.diag)) + 2.0 * np.max(np.abs(self.sub)))
+        count, *_ = dstebz(self.diag, self.sub, 1, lo, 0.0, 0, 0, math.inf, "B")
         return count
 
     @cached_property

@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 import time
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,13 +27,14 @@ from .evolve import EvolverConfig, TimeSeries, classify_run
 from .evolve import evolve as run_evolution
 from .config import DEFAULTS, RunConfig, evolver_config, load_config, parse_eps
 from .errors import ConfigError, NlslabError, UsageError
-from .grid import (FLOAT_FMT, Field, h1_norm, make_grid, read_field_csv,
-                   write_csv, write_field_csv)
+from .grid import (FLOAT_FMT, Field, field_from_table, h1_norm, make_grid,
+                   read_field_csv, write_csv, write_field_csv)
 from .ground import check_identities, solve_ground
 from .manifest import RunManifest
-from .parallel import OrderedMap, imap
 
 __all__ = ["cli_dispatch", "main"]
+
+SNAPSHOT_ARCHIVE = "snapshots.npz"
 
 
 def _fmt(x) -> str:
@@ -52,34 +54,34 @@ def _write_series(path: Path, series: TimeSeries) -> None:
 
 @contextmanager
 def _snapshot_sink(out: Path, grid):
-    """An ``evolve`` sink that writes each (t, values) to ``snap_<i>.csv``
-    as it comes, through forked workers (``parallel.OrderedMap``), and, once
-    the block ends without an exception, the ``index.csv`` that lists them."""
+    """An ``evolve`` sink that streams each (t, values), as it comes, into
+    the uncompressed archive ``snapshots.npz`` as member ``snap_<i>.npy``:
+    the (n + 1, 3) float64 ``r,re,im`` table, dated 1980-01-01, so equal
+    snapshots give equal archive bytes.  Once the block ends without an
+    exception, ``index.csv`` lists the members."""
     out.mkdir(parents=True, exist_ok=True)
-    times = []
-
-    def write(item):
-        i, values = item
-        write_field_csv(Field(grid, values), out / f"snap_{i:05d}.csv")
-
-    with OrderedMap(write) as writer:
+    index = ["idx,t,file"]
+    table = np.empty((grid.n + 1, 3))
+    table[:, 0] = grid.r
+    with zipfile.ZipFile(out / SNAPSHOT_ARCHIVE, "w") as archive:
         def sink(t, values):
-            writer.put((len(times), values))
-            times.append(t)
+            i = len(index) - 1
+            name = f"snap_{i:05d}.npy"
+            table[:, 1], table[:, 2] = values.real, values.imag
+            with archive.open(name, "w") as fh:
+                np.lib.format.write_array(fh, table, allow_pickle=False)
+            index.append(f"{i},{FLOAT_FMT % t},{name}")
 
         yield sink
-        for _ in writer.drain():
-            pass
-    index = ["idx,t,file"] + [f"{i},{FLOAT_FMT % t},snap_{i:05d}.csv"
-                              for i, t in enumerate(times)]
     (out / "index.csv").write_text("\n".join(index) + "\n", encoding="utf-8")
 
 
 def _read_snapshots(path: Path, grid):
-    """The (t, Field) snapshots of a directory, in ``index.csv`` order, as
-    an iterator: forked workers (``parallel.imap``) parse the files ahead
-    of it and return their values; each Field is built here, on ``grid``.
-    A missing or malformed index or snapshot file is a ``UsageError``."""
+    """The (t, Field) snapshots of a directory, in ``index.csv`` order,
+    reading one member of ``snapshots.npz`` at a time and checking it as a
+    field file (``grid.field_from_table``).  A missing or malformed index,
+    a damaged archive and a missing or malformed member are
+    ``UsageError``s that name the archive (and the member)."""
     idx_file = path / "index.csv"
     if not idx_file.exists():
         raise UsageError(f"snapshot directory {path} has no index.csv")
@@ -88,9 +90,20 @@ def _read_snapshots(path: Path, grid):
         rows = [(float(t), name) for _, t, name in (line.split(",") for line in lines)]
     except ValueError as exc:
         raise UsageError(f"{idx_file} is not an idx,t,file table: {exc}") from exc
-    values = imap(lambda name: read_field_csv(path / name, grid).values,
-                  [name for _, name in rows])
-    return ((t, Field(grid, v)) for (t, _), v in zip(rows, values))
+    archive = path / SNAPSHOT_ARCHIVE
+    try:
+        zf = zipfile.ZipFile(archive)
+    except (OSError, zipfile.BadZipFile) as exc:
+        raise UsageError(f"cannot read snapshot archive {archive}: {exc}") from exc
+    with zf:
+        for t, name in rows:
+            source = f"snapshot {name} of {archive}"
+            try:
+                with zf.open(name) as fh:
+                    table = np.lib.format.read_array(fh, allow_pickle=False)
+            except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+                raise UsageError(f"cannot read {source}: {exc}") from exc
+            yield t, field_from_table(table, grid, source)
 
 
 # ---------------------------------------------------------------- pipeline

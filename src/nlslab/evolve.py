@@ -245,10 +245,11 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
 
     Snapshots stream: ``sink(t, values)`` receives the n + 1 node values
     at t0, at every ``snapshot_every``-th sample (if nonzero) and at the
-    final time, as it takes them, and nothing here keeps them.  The
-    arrays are never modified afterwards, so a sink may hold on to them.
-    Without a sink no snapshot is taken.  Returns (TimeSeries, Field): the
-    series and the final state.
+    final time, as it takes them, and nothing here keeps them (the
+    command's sink archives each one at once, ``cli._snapshot_sink``).
+    The arrays are never modified afterwards, so a sink may hold on to
+    them.  Without a sink no snapshot is taken.  Returns (TimeSeries,
+    Field): the series and the final state.
     """
     grid = u0.grid
     ev = Evolver(grid, p, cfg)

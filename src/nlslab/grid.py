@@ -53,6 +53,7 @@ __all__ = [
     "omega_n",
     "write_csv",
     "write_field_csv",
+    "field_from_table",
     "read_field_csv",
 ]
 
@@ -83,8 +84,9 @@ class RadialGrid:
 
     @cached_property
     def snapshot_template(self) -> str:
-        """Snapshot text with the radii filled in (%.17g) and a ``%.17g``
-        slot for each real and imaginary part, formatted once per grid."""
+        """Field CSV text (``write_field_csv``; snapshots are binary) with
+        the radii filled in (%.17g) and a ``%.17g`` slot for each real and
+        imaginary part, formatted once per grid."""
         return "r,re,im\n" + "".join(f"{x:.17g},%.17g,%.17g\n" for x in self.r.tolist())
 
     @cached_property
@@ -250,30 +252,37 @@ def write_csv(path, header: str, *columns) -> None:
 
 
 def write_field_csv(f: Field, path) -> None:
-    """Snapshot format: header ``r,re,im``, one node per row, 17 digits,
-    the bytes ``write_csv`` would write; the parts fill
+    """Field CSV: header ``r,re,im``, one node per row, 17 digits, the
+    bytes ``write_csv`` would write; the parts fill
     ``grid.snapshot_template``."""
     parts = np.ascontiguousarray(f.values).view(np.float64)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f.grid.snapshot_template % tuple(parts.tolist()))
 
 
+def field_from_table(data: NDArray, grid: RadialGrid, source: str) -> Field:
+    """The Field of an (n + 1, 3) float64 ``r,re,im`` table on ``grid``.
+    A table of another shape or dtype, with a non-finite value or with
+    radii off the grid's by more than 1e-12 rmax is a ``UsageError`` whose
+    message begins with ``source``."""
+    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != 3:
+        raise UsageError(
+            f"{source} is a {data.dtype} table of shape {data.shape}, not r,re,im")
+    if not np.all(np.isfinite(data)):
+        raise UsageError(f"{source} holds a non-finite value")
+    if data.shape[0] != grid.n + 1:
+        raise UsageError(
+            f"{source} has {data.shape[0]} rows, grid has {grid.n + 1} nodes")
+    if not np.allclose(data[:, 0], grid.r, rtol=0, atol=1e-12 * max(grid.rmax, 1.0)):
+        raise UsageError(f"{source} radii do not match the grid")
+    return Field(grid, data[:, 1] + 1j * data[:, 2])
+
+
 def read_field_csv(path, grid: RadialGrid) -> Field:
-    """A snapshot-format file on ``grid``.  A file that cannot be read, is
-    not an ``r,re,im`` table or holds a non-finite value is a
-    ``UsageError``."""
+    """A field CSV on ``grid``, checked by ``field_from_table``.  A file
+    that cannot be read or is not a table of numbers is a ``UsageError``."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read field file {path}: {exc}") from exc
-    if data.shape[1] != 3:
-        raise UsageError(
-            f"field file {path} has {data.shape[1]} columns, not 3 (r,re,im)")
-    if not np.all(np.isfinite(data)):
-        raise UsageError(f"field file {path} holds a non-finite value")
-    if data.shape[0] != grid.n + 1:
-        raise UsageError(
-            f"field file {path} has {data.shape[0]} rows, grid has {grid.n + 1} nodes")
-    if not np.allclose(data[:, 0], grid.r, rtol=0, atol=1e-12 * max(grid.rmax, 1.0)):
-        raise UsageError(f"field file {path} radii do not match the grid")
-    return Field(grid, data[:, 1] + 1j * data[:, 2])
+    return field_from_table(data, grid, f"field file {path}")

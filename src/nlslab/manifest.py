@@ -8,18 +8,19 @@ from pathlib import Path
 
 from . import __version__
 
-__all__ = ["RunManifest", "sha256_file", "sha256_bytes"]
+__all__ = ["RunManifest", "sha256_file"]
 
 CONFIG_BEGIN = "--- config ---"
 CONFIG_END = "--- end config ---"
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+    """Read in 64 KiB blocks: a snapshot archive never sits whole in memory."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class RunManifest:
@@ -49,7 +50,9 @@ class RunManifest:
         self.checks[name] = bool(passed)
 
     def checksum_outputs(self) -> None:
-        for f in sorted(self.out_dir.rglob("*.csv")):
+        """sha256 of every CSV and snapshot archive under the run directory."""
+        outputs = [*self.out_dir.rglob("*.csv"), *self.out_dir.rglob("*.npz")]
+        for f in sorted(outputs):
             rel = f.relative_to(self.out_dir).as_posix().replace("/", "_")
             self.entries[f"sha256.{rel}"] = sha256_file(f)
 

@@ -1,6 +1,10 @@
 """Test oracles: closed forms and reference quantities that no command
-computes, kept beside the tests that hold the package against them, and
-``evolve_snapshots``, the snapshot list no command keeps."""
+computes, kept beside the tests that hold the package against them,
+``evolve_snapshots``, the snapshot list no command keeps, and
+``sturm_count``, the pivot loop that ``Tridiag.count_negative`` hands to
+LAPACK."""
+
+import sys
 
 import numpy as np
 
@@ -42,6 +46,22 @@ def extrapolated_ground(N: int, p: float, rmax: float, n: int):
     coarse = solve_ground(make_grid(N, rmax, n), p).Q.values.real
     fine = solve_ground(make_grid(N, rmax, 2 * n), p).Q.values.real
     return (4.0 * fine[::2] - coarse) / 3.0
+
+
+def sturm_count(diag, sub) -> int:
+    """Negative eigenvalues of the symmetric tridiagonal (sub, diag, sub):
+    the negative pivots of L D L^T, d_i = diag_i - sub_{i-1}^2 / d_{i-1},
+    a pivot smaller in magnitude than pivmin replaced by -pivmin, as in
+    LAPACK's bisection (dstebz)."""
+    b2 = (np.asarray(sub) ** 2).tolist()
+    pivmin = sys.float_info.min * max(1.0, max(b2, default=0.0))
+    count, d = 0, 1.0
+    for a, bb in zip(np.asarray(diag).tolist(), [0.0] + b2):
+        d = a - bb / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        count += d < 0.0
+    return count
 
 
 def closed_form_W(grid: RadialGrid) -> Field:

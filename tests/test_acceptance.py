@@ -371,8 +371,8 @@ def test_criterion_13_determinism(tmp_path):
                              "--initial", "ground", "--t-end", "0.1",
                              "--out", str(out)]) == 0
         blobs.append((out / "series.csv").read_bytes()
-                     + (out / "snapshots" / "snap_00000.csv").read_bytes())
+                     + (out / "snapshots" / "snapshots.npz").read_bytes())
     evolve_same = blobs[0] == blobs[1]
     report("criterion 13 (determinism)", ground_same and evolve_same,
            f"ground CSVs identical: {ground_same}; "
-           f"evolve CSVs identical: {evolve_same}")
+           f"evolve CSVs and snapshot archives identical: {evolve_same}")

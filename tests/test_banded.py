@@ -6,6 +6,7 @@ from scipy.linalg import solve_banded
 
 from nlslab.banded import Tridiag
 from nlslab.errors import InvalidParameterError, NlslabError, SingularSystemError
+from oracles import sturm_count
 
 
 def dense(t):
@@ -39,6 +40,21 @@ def test_sturm_count_through_an_exactly_zero_pivot(diag, off, negative):
     t = symmetric(diag, off)
     assert np.count_nonzero(np.linalg.eigvalsh(dense(t)) < 0) == negative
     assert t.count_negative() == negative
+
+
+band = st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5, 1e-200, 3.7, -1e5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(diag=st.lists(band | st.floats(-10, 10), min_size=1, max_size=39),
+       off=st.lists(band | st.floats(-10, 10), min_size=38, max_size=38),
+       scale=st.sampled_from([1.0, 1e-3, 1e3]))
+def test_sturm_count_matches_the_pivot_loop(diag, off, scale):
+    """LAPACK's count equals the pivot loop it replaces on any matrix,
+    singular ones included: exactly zero pivots, zero couplings, an
+    all-zero diagonal and a single row."""
+    t = symmetric(np.multiply(diag, scale), np.multiply(off, scale))
+    assert t.count_negative() == sturm_count(t.diag, t.sub)
 
 
 def oracle(t, rhs):

@@ -15,7 +15,7 @@ from nlslab.cli import cli_dispatch
 from nlslab.config import ENV_PREFIX, load_config
 from nlslab.approx import residual_rate
 from nlslab.errors import ConfigError
-from nlslab.evolve import EvolverConfig
+from nlslab.evolve import EvolverConfig, evolve
 from nlslab.grid import FLOAT_FMT, Field, make_grid, write_field_csv
 from nlslab.ground import solve_ground
 from nlslab.linearized import bilinear_B, coercivity_min, linearized_energy_phi
@@ -251,7 +251,7 @@ def test_manifest_records_effective_config(tmp_path):
 STORED_SHA256 = {
     "Q.csv": "1c4f27ee64b53b5fbfda5de91861f8a20b448c3a2ff68147e4383b427e1b38d8",
     "series.csv": "048268361321ca4849fa4a18cf5228d6a6a02872b01b06cdfa65e7d8996fd3cf",
-    "snap_00000.csv": "f43cf831014b50272a8b5bee39dd8c0ada492ea03d4743131ccdae53b82b1e11",
+    "snapshots.npz": "4970bf1e6bba9fb5eed9a669aa80869edb1ffa81177982abdf4d4e98bf7b50b3",
 }
 
 # sha256 of the outputs that read mass, energy, ME and MG
@@ -277,6 +277,12 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def members(archive):
+    """The member names of a snapshot archive, as ``np.load`` keys them."""
+    with np.load(archive, allow_pickle=False) as z:
+        return z.files
+
+
 def test_outputs_match_stored_hashes(tmp_path):
     g, e = tmp_path / "g", tmp_path / "e"
     assert run_cli(["ground", "--N", "3", "--p", "3", "--n", "1500",
@@ -285,7 +291,7 @@ def test_outputs_match_stored_hashes(tmp_path):
                     "--initial", "ground", "--t-end", "0.1",
                     "--out", str(e)]) == 0
     files = {"Q.csv": g / "Q.csv", "series.csv": e / "series.csv",
-             "snap_00000.csv": e / "snapshots" / "snap_00000.csv"}
+             "snapshots.npz": e / "snapshots" / "snapshots.npz"}
     got = {name: sha256_of(path) for name, path in files.items()}
     assert got == STORED_SHA256
 
@@ -385,8 +391,8 @@ def test_evolve_command_and_snapshot_roundtrip(tmp_path):
 
 
 def test_pool_and_one_cpu_outputs_are_byte_identical(tmp_path, monkeypatch):
-    """Snapshot writes and reads and the sweep's runs go to forked workers;
-    every output file must match a run under a one-CPU mask."""
+    """The sweep's runs go to forked workers; every output file, the
+    snapshot archive included, must match a run under a one-CPU mask."""
     cfg = tmp_path / "every_step.cfg"
     cfg.write_text("evolve.sample_every = 1\nevolve.snapshot_every = 1\n")
     runs = {}
@@ -404,9 +410,9 @@ def test_pool_and_one_cpu_outputs_are_byte_identical(tmp_path, monkeypatch):
                      for f in sorted(out.rglob("*")) if f.is_file()
                      and f.name != "manifest.txt"}
     names = set(runs["pool"])
-    assert {"e/series.csv", "e/snapshots/index.csv", "m/frames.csv",
-            "c/sweep_report.csv"} <= names
-    assert sum(n.startswith("e/snapshots/snap_") for n in names) == 51
+    assert {"e/series.csv", "e/snapshots/index.csv", "e/snapshots/snapshots.npz",
+            "m/frames.csv", "c/sweep_report.csv"} <= names
+    assert len(members(tmp_path / "pool" / "e" / "snapshots" / "snapshots.npz")) == 51
     assert runs["pool"] == runs["serial"]
     assert mp.active_children() == []
 
@@ -445,17 +451,20 @@ def test_snapshot_every_zero_keeps_only_the_ends(tmp_path):
                     "--out", str(out)]) == 0
     rows = (out / "snapshots" / "index.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[1]) for row in rows] == pytest.approx([0.0, 0.5])
-    assert len(list((out / "snapshots").glob("snap_*.csv"))) == 2
+    assert members(out / "snapshots" / "snapshots.npz") == ["snap_00000", "snap_00001"]
 
 
 @pytest.mark.parametrize("case", ["two-columns", "non-numeric", "missing",
                                   "short-index-row", "other-row-count",
                                   "other-radii", "non-finite",
-                                  "non-finite-snapshot"])
+                                  "non-finite-snapshot", "wrong-shape-snapshot",
+                                  "other-radii-snapshot", "missing-snapshot",
+                                  "truncated-archive"])
 def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
-    """A field file that ``evolve --initial`` or ``modulate`` cannot read,
-    that holds another grid or a non-finite value, exits 2 with a message
-    that names the file."""
+    """A field file that ``evolve --initial`` cannot read, a snapshot
+    archive or member that ``modulate`` cannot read, or either holding
+    another grid or a non-finite value, exits 2 with a message that names
+    the file (the archive, and the member)."""
     grid = make_grid(1, 20.0, 1000)     # the run's grid
     bad = tmp_path / "field.csv"
     if case == "two-columns":
@@ -466,14 +475,28 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
         other = (make_grid(1, 20.0, 500) if case == "other-row-count"
                  else make_grid(1, 10.0, 1000))
         write_field_csv(Field(other, np.exp(-other.r**2)), bad)
-    elif case in ("non-finite", "non-finite-snapshot"):
+    elif case == "non-finite":
         vals = np.exp(-grid.r**2)
         vals[10] = np.nan
-        if case == "non-finite-snapshot":
-            bad = tmp_path / "snaps" / "snap_00000.csv"
-            bad.parent.mkdir()
-            (bad.parent / "index.csv").write_text(f"idx,t,file\n0,0,{bad.name}\n")
         write_field_csv(Field(grid, vals), bad)
+    elif case.endswith(("-snapshot", "-archive")):
+        table = np.column_stack([grid.r, np.exp(-grid.r**2), np.zeros(grid.n + 1)])
+        names = ["snap_00000.npy"]
+        if case == "non-finite-snapshot":
+            table[10, 2] = np.inf
+        elif case == "wrong-shape-snapshot":
+            table = table[:, :2]
+        elif case == "other-radii-snapshot":
+            table[:, 0] *= 0.5
+        elif case == "missing-snapshot":
+            names.append("snap_00001.npy")
+        bad = tmp_path / "snaps" / "snapshots.npz"
+        bad.parent.mkdir()
+        np.savez(bad, snap_00000=table)
+        if case == "truncated-archive":
+            bad.write_bytes(bad.read_bytes()[:-100])
+        (bad.parent / "index.csv").write_text("idx,t,file\n" + "".join(
+            f"{i},{0.1 * i},{name}\n" for i, name in enumerate(names)))
     if case == "short-index-row":
         bad = tmp_path / "snaps" / "index.csv"
         bad.parent.mkdir()
@@ -485,8 +508,58 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
     out = tmp_path / "o"
     assert run_cli([*args, "--N", "1", "--p", "7", "--rmax", "20", "--n", "1000",
                     "--out", str(out)]) == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if case.endswith("-snapshot"):
+        assert names[-1] in err
     assert "status = usage-error" in (out / "manifest.txt").read_text()
+
+
+def test_archive_members_are_the_sink_arrays_bit_for_bit(tmp_path):
+    """Each member is the r,re,im table of the array evolve handed its
+    sink, every bit kept; the reader returns those values unchanged."""
+    gp = solve_ground(make_grid(1, 20.0, 1000), 5.2)
+    cfg = EvolverConfig(dt=1e-3, t_end=0.02, sample_every=1, snapshot_every=1)
+    handed = []
+    with cli._snapshot_sink(tmp_path, gp.grid) as sink:
+        def keep(t, values):
+            handed.append((t, values.copy()))
+            sink(t, values)
+
+        evolve(Field(gp.grid, gp.Q.values * np.exp(0.3j)), 0.0, cfg, gp.p, sink=keep)
+    assert len(handed) == 21
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    with np.load(tmp_path / "snapshots.npz", allow_pickle=False) as z:
+        assert z.files == [f"snap_{i:05d}" for i in range(len(handed))]
+        for (_, values), name in zip(handed, z.files):
+            table = z[name]
+            assert table.dtype == np.float64 and table.shape == (gp.grid.n + 1, 3)
+            assert np.array_equal(bits(table[:, 0]), bits(gp.grid.r))
+            assert np.array_equal(bits(table[:, 1]), bits(values.real))
+            assert np.array_equal(bits(table[:, 2]), bits(values.imag))
+    read = list(cli._read_snapshots(tmp_path, gp.grid))
+    assert [t for t, _ in read] == [float(FLOAT_FMT % t) for t, _ in handed]
+    for (_, u), (_, values) in zip(read, handed):
+        assert np.array_equal(bits(u.values), bits(values))
+
+
+def test_evolve_and_modulate_start_no_worker(tmp_path, monkeypatch):
+    """Snapshots are written and read in-process, even with CPUs to spare."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def no_fork():
+        raise AssertionError("a command forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    grid = ["--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000"]
+    assert run_cli(["evolve", *grid, "--initial", "ground", "--t-end", "0.05",
+                    "--out", str(tmp_path / "e")]) == 0
+    assert run_cli(["modulate", *grid, "--snapshots", str(tmp_path / "e" / "snapshots"),
+                    "--out", str(tmp_path / "m")]) == 0
+    assert mp.active_children() == []
 
 
 @pytest.mark.parametrize("args", [["special", "--delta", "0.5"],

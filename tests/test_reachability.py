@@ -1,6 +1,7 @@
 """The package holds what a command runs.
 
-All eight commands run in-process on small configs under
+All eight commands (``evolve`` twice: from the ground state and from a
+field CSV) run in-process on small configs under
 ``sys.setprofile``; every function defined in ``src/nlslab`` must be
 called by one of them, except the entry point and the pool-worker hooks.
 Functions are matched by (file, name), not by line, because decorators
@@ -29,7 +30,8 @@ REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
            "closed_form_W", "assemble_critical", "phi_quadratic_form", "step",
            "variance", "variance_rate", "default_config", "DimensionError",
            "LambdaPoly", "SpecialRunSpec", "NoBracketError", "PHASE_MAX_ITER",
-           "PHASE_TOL", "ALIGNED_WINDOW"}
+           "PHASE_TOL", "ALIGNED_WINDOW", "OrderedMap", "imap", "WINDOW", "CHUNK",
+           "sha256_bytes"}
 
 
 def _defined():
@@ -46,13 +48,17 @@ def _run_commands(tmp: Path) -> list:
     cfg.write_text("check.identity_n = 2000\n")
     grid = ["--N", "3", "--p", "3", "--rmax", "20", "--n", "1000",
             "--config", str(cfg)]
-    runs = [["ground"], ["spectrum"], ["construct"],
-            ["evolve", "--initial", "ground", "--t-end", "0.05"],
-            ["special", "--dt", "1e-3"], ["classify", "--t-end", "0.05"],
-            ["modulate", "--snapshots", str(tmp / "evolve" / "snapshots")],
-            ["check"]]
-    return [cli_dispatch([run[0], *grid, *run[1:], "--out", str(tmp / run[0])])
-            for run in runs]
+    # out directory -> argv; evolve runs once from ground, once from a field CSV
+    runs = {"ground": ["ground"], "spectrum": ["spectrum"], "construct": ["construct"],
+            "evolve": ["evolve", "--initial", "ground", "--t-end", "0.05"],
+            "evolve_csv": ["evolve", "--initial", str(tmp / "ground" / "Q.csv"),
+                           "--t-end", "0.05"],
+            "special": ["special", "--dt", "1e-3"],
+            "classify": ["classify", "--t-end", "0.05"],
+            "modulate": ["modulate", "--snapshots", str(tmp / "evolve" / "snapshots")],
+            "check": ["check"]}
+    return [cli_dispatch([argv[0], *grid, *argv[1:], "--out", str(tmp / out)])
+            for out, argv in runs.items()]
 
 
 def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
@@ -84,7 +90,7 @@ def test_every_command_records_its_shots(tmp_path, monkeypatch):
         lines = manifest.read_text().split("--- config ---")[0].splitlines()
         entries = dict(line.split(" = ", 1) for line in lines)
         counts.add((entries["solver.petviashvili_iters"], entries["solver.newton_iters"]))
-    assert len(list(tmp_path.glob("*/manifest.txt"))) == 8
+    assert len(list(tmp_path.glob("*/manifest.txt"))) == 9
     assert len(counts) == 1
     assert all(int(c) > 0 for c in counts.pop())
     check = (tmp_path / "check" / "manifest.txt").read_text()

@@ -89,8 +89,9 @@ class EvolverConfig:
 
 @dataclass
 class TimeSeries:
-    """Diagnostics sampled along a run (times strictly increasing); every
-    field but ``meta`` is one column of ``SERIES_COLUMNS``."""
+    """Diagnostics sampled along a run (times strictly monotone, in the
+    direction of integration); every field but ``meta`` is one column of
+    ``SERIES_COLUMNS``."""
 
     HEADER: ClassVar[str]
     t: np.ndarray
@@ -109,6 +110,26 @@ class TimeSeries:
 
     def rows(self):
         return np.column_stack([getattr(self, c) for c in SERIES_COLUMNS])
+
+    def time_reversed(self) -> TimeSeries:
+        """The series of t -> conj(u(-t)), which solves NLS when u does.
+
+        Of the ``diagnostics`` columns only t, ``momentum`` and ``frp``
+        (the imaginary part of conj(u) grad u) are odd under the map; they
+        change sign and every other column, ``potential_series`` included,
+        is kept.  ``t_star`` changes sign with t.  For a real datum this is
+        the series of its backward run, bit for bit: conjugation turns the
+        Crank-Nicolson matrix at dt into the one at -dt (the sponge term
+        |dt| sigma is real), and the phase map likewise.
+        """
+        odd = {"t", "momentum", "frp"}
+        # 0.0 - x, not -x: a zero stays +0.0, as the backward run has it at t = 0
+        cols = {c: 0.0 - getattr(self, c) if c in odd else getattr(self, c)
+                for c in SERIES_COLUMNS}
+        meta = dict(self.meta)
+        if "t_star" in meta:
+            meta["t_star"] = -meta["t_star"]
+        return TimeSeries(meta=meta, **cols)
 
 
 SERIES_COLUMNS = tuple(f.name for f in fields(TimeSeries) if f.name != "meta")

@@ -10,7 +10,9 @@ A, k, e0 and the ground profile of a run all come from its
 
 ``threshold_sweep`` probes the mass-energy threshold manifold
 M = M(Q), E = E(Q) with shape-perturbed matched data, classifying each
-member by the sign of MG - 1.
+member by the sign of MG - 1.  The members are real, so each runs forward
+only: its backward run is the time reversal u(t) -> conj(u(-t)) of the
+forward one.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approx import ApproxSolution, eval_V
-from .errors import NewtonFailureError, ValidityError
+from .errors import InvalidParameterError, NewtonFailureError, ValidityError
 from .evolve import EvolverConfig, TimeSeries, Verdict, classify_run, evolve
 from .grid import Field
 from .ground import GroundProfile, observables
 from .modulation import aligned_distance
-from .parallel import pmap
 
 __all__ = [
     "ThresholdReport",
@@ -181,21 +182,29 @@ def match_mass_energy(gp: GroundProfile, seed: Field) -> Field:
 
 
 def threshold_sweep(family, cfg: EvolverConfig, gp: GroundProfile):
-    """Run each (label, field) datum in both time directions and classify.
+    """Run each real (label, field) datum forward once and classify it in
+    both time directions.
 
-    The 2 x len(family) runs are independent, take no snapshot and go to
-    forked workers (``parallel.pmap``), which return their ``Verdict``s.
-    Returns a list of dicts {label, me, mg, verdict_forward,
-    verdict_backward}, merged deterministically in label order.
+    u(t) -> conj(u(-t)) maps solutions to solutions, in the scheme as in
+    NLS, so the backward run of a real datum is the mirror of its forward
+    run and its verdict is ``classify_run`` of ``TimeSeries.time_reversed``.
+    A datum with a nonzero imaginary part raises ``InvalidParameterError``
+    before any run.  The runs take no snapshot and go in label order,
+    in-process.  Returns a list of dicts {label, me, mg, verdict_forward,
+    verdict_backward} in that order.
     """
     data = sorted(family, key=lambda kv: kv[0])
-    runs = [(fld, sign * abs(cfg.t_end)) for _, fld in data for sign in (1.0, -1.0)]
-    verdicts = pmap(lambda run: classify_run(evolve(
-        run[0], 0.0, replace(cfg, t_end=run[1]), gp.p, reference=gp)[0], gp), runs)
+    for label, fld in data:
+        if np.any(fld.values.imag):
+            raise InvalidParameterError(
+                f"sweep datum {label} is not real; the backward verdict "
+                f"mirrors the forward run only for a real datum")
+    fwd_cfg = replace(cfg, t_end=abs(cfg.t_end))
     out = []
-    for i, (label, fld) in enumerate(data):
+    for label, fld in data:
+        series, _ = evolve(fld, 0.0, fwd_cfg, gp.p, reference=gp)
         me, mg = gp.me_mg(observables(fld, gp.p))
         out.append({"label": label, "me": me, "mg": mg,
-                    "verdict_forward": verdicts[2 * i],
-                    "verdict_backward": verdicts[2 * i + 1]})
+                    "verdict_forward": classify_run(series, gp),
+                    "verdict_backward": classify_run(series.time_reversed(), gp)})
     return out

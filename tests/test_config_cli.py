@@ -391,8 +391,8 @@ def test_evolve_command_and_snapshot_roundtrip(tmp_path):
 
 
 def test_pool_and_one_cpu_outputs_are_byte_identical(tmp_path, monkeypatch):
-    """The sweep's runs go to forked workers; every output file, the
-    snapshot archive included, must match a run under a one-CPU mask."""
+    """Outputs do not depend on the CPUs a run may use: every output file,
+    the snapshot archive included, matches a run under a one-CPU mask."""
     cfg = tmp_path / "every_step.cfg"
     cfg.write_text("evolve.sample_every = 1\nevolve.snapshot_every = 1\n")
     runs = {}
@@ -547,18 +547,25 @@ def test_archive_members_are_the_sink_arrays_bit_for_bit(tmp_path):
 
 
 def test_evolve_and_modulate_start_no_worker(tmp_path, monkeypatch):
-    """Snapshots are written and read in-process, even with CPUs to spare."""
+    """No command forks: snapshots are written and read, and the sweep runs,
+    in-process, even with CPUs to spare."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def no_fork():
         raise AssertionError("a command forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
+    cfg = tmp_path / "every_step.cfg"
+    cfg.write_text("evolve.sample_every = 1\nevolve.snapshot_every = 1\n")
     grid = ["--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000"]
-    assert run_cli(["evolve", *grid, "--initial", "ground", "--t-end", "0.05",
-                    "--out", str(tmp_path / "e")]) == 0
+    assert run_cli(["evolve", *grid, "--config", str(cfg), "--initial", "ground",
+                    "--t-end", "0.05", "--out", str(tmp_path / "e")]) == 0
     assert run_cli(["modulate", *grid, "--snapshots", str(tmp_path / "e" / "snapshots"),
                     "--out", str(tmp_path / "m")]) == 0
+    assert run_cli(["classify", "--N", "3", "--p", "3", "--rmax", "20", "--n", "1000",
+                    "--t-end", "0.05", "--out", str(tmp_path / "c")]) == 0
+    assert len(members(tmp_path / "e" / "snapshots" / "snapshots.npz")) == 51
+    assert (tmp_path / "c" / "sweep_report.csv").is_file()
     assert mp.active_children() == []
 
 

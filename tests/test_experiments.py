@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from nlslab import experiments
 from nlslab.approx import build_Vk
-from nlslab.errors import ValidityError
-from nlslab.evolve import EvolverConfig
+from nlslab.errors import InvalidParameterError, ValidityError
+from nlslab.evolve import SERIES_COLUMNS, EvolverConfig, classify_run, evolve
 from nlslab.experiments import (match_mass_energy, run_special, synthesize_UA,
                                 threshold_family, threshold_sweep)
 from nlslab.grid import Field, gradient_values, h1_norm
@@ -42,7 +44,6 @@ def test_gradient_sign_tracks_amplitude(gp33, spec33, ops33, sol33):
 
 def test_validity_window_guard(gp33, sol33):
     """t0 below t_min must be refused."""
-    import dataclasses
     narrow = dataclasses.replace(sol33, t_min=5.0)
     with pytest.raises(ValidityError):
         synthesize_UA(narrow, 0.1)
@@ -118,6 +119,56 @@ def test_threshold_sweep_trichotomy(gp33):
     assert [r["label"] for r in results] == sorted(r["label"] for r in results)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_time_reversed_forward_run_is_the_backward_run(gp33):
+    """For each real member, the mirror of the forward series is the series
+    of a real backward run, bit for bit; the backward runs are the oracle."""
+    cfg = EvolverConfig(dt=2e-3, t_end=1.2, sponge=True, order=4)
+    kinds = set()
+    for label, fld in threshold_family(gp33, (-0.1, 0.1)):
+        fwd, _ = evolve(fld, 0.0, cfg, gp33.p, reference=gp33)
+        bwd, _ = evolve(fld, 0.0, dataclasses.replace(cfg, t_end=-1.2), gp33.p,
+                        reference=gp33)
+        mirror = fwd.time_reversed()
+        for col in SERIES_COLUMNS:
+            assert np.array_equal(_bits(getattr(mirror, col)),
+                                  _bits(getattr(bwd, col))), (label, col)
+        assert np.array_equal(_bits(mirror.meta["potential_series"]),
+                              _bits(bwd.meta["potential_series"])), label
+        assert mirror.meta["terminated_blowup"] == bwd.meta["terminated_blowup"]
+        if fwd.meta["terminated_blowup"]:
+            assert mirror.meta["t_star"] == bwd.meta["t_star"] == -fwd.meta["t_star"]
+        verdict = classify_run(mirror, gp33)
+        assert verdict == classify_run(bwd, gp33), label
+        kinds.add(verdict.kind)
+    assert kinds == {"ConvergeToQ", "Scatter", "BlowUp"}
+
+
+def test_sweep_runs_each_member_once(gp33, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].t_end)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve", counted)
+    cfg = EvolverConfig(dt=2e-3, t_end=-0.02, sponge=True, order=4)
+    results = threshold_sweep(threshold_family(gp33, (-0.1, 0.1)), cfg, gp33)
+    assert [r["label"] for r in results] == ["Q", "eps=+0.1", "eps=-0.1"]
+    assert calls == [0.02] * 3
+
+
+def test_sweep_refuses_a_complex_datum(gp33, monkeypatch):
+    monkeypatch.setattr(experiments, "evolve", None)     # no run may start
+    fam = threshold_family(gp33, (0.1,))
+    fam.append(("kicked", Field(gp33.grid, gp33.Q.values * np.exp(0.1j * gp33.grid.r))))
+    with pytest.raises(InvalidParameterError, match="kicked"):
+        threshold_sweep(fam, EvolverConfig(dt=2e-3, t_end=0.02), gp33)
+
+
 def test_k_robustness_of_forward_rate(gp33, spec33, ops33):
     """Forward rate fits at k = 2 and k = 3 agree within 5%."""
     cfg = EvolverConfig(dt=2e-4, sample_every=10)
@@ -133,8 +184,6 @@ def test_time_shift_covariance(gp33, spec33, ops33, sol33):
     """A' = A e^{-e0 s} produces the time-shifted trajectory: evolving the
     A-datum forward by s lands on the A'-datum (up to the e^{is} phase and
     the synthesis/evolution error budget)."""
-    import dataclasses
-    from nlslab.evolve import evolve as evolve_run
     e0 = spec33.e0
     s = 0.3 / e0
     delta = 0.1
@@ -144,7 +193,7 @@ def test_time_shift_covariance(gp33, spec33, ops33, sol33):
     u_shift, t0_shift = synthesize_UA(sol_shift, delta)
     # V^{A'}(t) = V^A(t + s) exactly, so u_{A'}(t0) = e^{-is} u_A(t0 + s)
     cfg = EvolverConfig(dt=1e-4, t_end=t0 + s, sample_every=10, order=4)
-    _, final = evolve_run(u_a, t0, cfg, gp33.p, reference=gp33)
+    _, final = evolve(u_a, t0, cfg, gp33.p, reference=gp33)
     evolved = final.values
     target = np.exp(1j * s) * u_shift.values
     err = h1_norm(Field(gp33.grid, evolved - target))

@@ -3,7 +3,7 @@
 All eight commands (``evolve`` twice: from the ground state and from a
 field CSV) run in-process on small configs under
 ``sys.setprofile``; every function defined in ``src/nlslab`` must be
-called by one of them, except the entry point and the pool-worker hooks.
+called by one of them, except the entry point.
 Functions are matched by (file, name), not by line, because decorators
 move ``co_firstlineno``.
 """
@@ -20,10 +20,8 @@ from nlslab.cli import cli_dispatch
 
 PACKAGE = Path(nlslab.__file__).resolve().parent
 
-# cli.main is the console entry point; parallel._install and _call run
-# only in pool workers (tests/test_parallel.py covers them)
-NEVER_CALLED = {("cli.py", "main"), ("parallel.py", "_install"),
-                ("parallel.py", "_call")}
+# cli.main is the console entry point
+NEVER_CALLED = {("cli.py", "main")}
 
 # names this package once exported: gone, or kept only for tests
 REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
@@ -31,7 +29,7 @@ REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
            "variance", "variance_rate", "default_config", "DimensionError",
            "LambdaPoly", "SpecialRunSpec", "NoBracketError", "PHASE_MAX_ITER",
            "PHASE_TOL", "ALIGNED_WINDOW", "OrderedMap", "imap", "WINDOW", "CHUNK",
-           "sha256_bytes"}
+           "sha256_bytes", "pmap"}
 
 
 def _defined():
@@ -61,9 +59,7 @@ def _run_commands(tmp: Path) -> list:
             for out, argv in runs.items()]
 
 
-def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
-    # one CPU keeps every parallel map in-process, where the profiler sees it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+def test_every_function_is_reached_by_a_command(tmp_path):
     called = set()
     prefix = str(PACKAGE) + os.sep
 
@@ -80,10 +76,9 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
     assert _defined() - called == NEVER_CALLED
 
 
-def test_every_command_records_its_shots(tmp_path, monkeypatch):
+def test_every_command_records_its_shots(tmp_path):
     # every command solves the same ground state: all report one pair of
     # solver iteration counts, and check's identity grid its own
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert all(rc in (0, 1) for rc in _run_commands(tmp_path))
     counts = set()
     for manifest in sorted(tmp_path.glob("*/manifest.txt")):

@@ -310,6 +310,7 @@ def _cmd_special(pipe: Pipeline, out: Path, inputs: dict):
         "e0": sol.e0, "mass": rep.mass, "energy": rep.energy,
         "me": rep.me, "mg": rep.mg, "d0_sign": rep.d0_sign,
         "forward_rate": rep.forward_rate, "backward_verdict": rep.backward_verdict.kind,
+        "backward_t_reached": rep.backward_series.meta["t_stop"],
         "mass_mismatch": rep.mass_mismatch, "energy_mismatch": rep.energy_mismatch}
     _report(pipe, out / "report.txt", entries)
     _write_kv(out / "verdict.txt", {"verdict": rep.backward_verdict.kind})

@@ -52,6 +52,9 @@ ADAPT_TRIGGER = 1.25    # dt halves when the gradient norm grows by this factor
 MASS_GUARD = 1e-3       # a sponge-free run stops once its mass drifts this far
 SPONGE_STRENGTH = 5.0   # sigma0 of the absorbing layer
 SPONGE_WIDTH = 0.15     # the layer's share of the domain, at its outer end
+SCATTER_POTENTIAL = 0.1  # Scatter needs P(u) below this share of P(Q)
+SCATTER_HOLD = 4.0 / 3.0  # the scatter stop waits until Scatter has held
+                          # over the last quarter of the elapsed |t - t0|
 
 
 @dataclass(frozen=True)
@@ -61,10 +64,12 @@ class EvolverConfig:
     ``sponge`` switches the absorbing layer on the outer ``SPONGE_WIDTH``
     fraction of the domain, sigma(r) = sigma0 ((r - r_s)/(rmax - r_s))^2
     with sigma0 = ``SPONGE_STRENGTH``.  dt halves whenever the gradient
-    norm grows by ``ADAPT_TRIGGER`` between samples, down to dt/64;
-    blow-up detection then terminates the run once the gradient norm
-    triples.  A sponge-free run whose mass drifts by more than
-    ``MASS_GUARD`` raises.  The checks are written so that NaN fails them.
+    norm grows by ``ADAPT_TRIGGER`` between samples, down to dt/64.
+    ``t_end`` is the horizon: a run given a reference ground profile ends
+    earlier at a decided verdict, on the blow-up stop once the gradient
+    norm triples or on the scatter stop once Scatter has held (``evolve``).
+    A sponge-free run whose mass drifts by more than ``MASS_GUARD`` raises.
+    The checks are written so that NaN fails them.
     """
 
     dt: float = 1e-3
@@ -117,7 +122,8 @@ class TimeSeries:
         Of the ``diagnostics`` columns only t, ``momentum`` and ``frp``
         (the imaginary part of conj(u) grad u) are odd under the map; they
         change sign and every other column, ``potential_series`` included,
-        is kept.  ``t_star`` changes sign with t.  For a real datum this is
+        is kept.  The times in ``meta`` (``t_star``, ``t_stop``) change
+        sign with t.  For a real datum this is
         the series of its backward run, bit for bit: conjugation turns the
         Crank-Nicolson matrix at dt into the one at -dt (the sponge term
         |dt| sigma is real), and the phase map likewise.
@@ -127,12 +133,14 @@ class TimeSeries:
         cols = {c: 0.0 - getattr(self, c) if c in odd else getattr(self, c)
                 for c in SERIES_COLUMNS}
         meta = dict(self.meta)
-        if "t_star" in meta:
-            meta["t_star"] = -meta["t_star"]
+        for key in META_TIMES:
+            if key in meta:
+                meta[key] = -meta[key]
         return TimeSeries(meta=meta, **cols)
 
 
 SERIES_COLUMNS = tuple(f.name for f in fields(TimeSeries) if f.name != "meta")
+META_TIMES = ("t_star", "t_stop")     # the times ``evolve`` records in ``meta``
 TimeSeries.HEADER = ",".join(SERIES_COLUMNS)
 
 
@@ -255,14 +263,23 @@ def diagnostics(u: Field, t: float, p: float,
 
 def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
            reference: GroundProfile | None = None, sink=None):
-    """Integrate from t0 to cfg.t_end (either direction).
+    """Integrate from t0 towards cfg.t_end (either direction).
 
-    Samples diagnostics every ``sample_every`` steps, halves dt when the
-    gradient norm grows by ``ADAPT_TRIGGER`` between samples (down to
-    dt/64) and terminates early once blow-up evidence is conclusive.
-    A step is closed exactly when it is sampled or the next step has
-    another dt, so every state read here (samples, snapshots, the mass
-    guard, the blow-up stop) is closed.
+    Samples diagnostics every ``sample_every`` steps and halves dt when
+    the gradient norm grows by ``ADAPT_TRIGGER`` between samples (down to
+    dt/64).  With a ``reference`` the run ends at a decided verdict:
+    - blow-up: once the gradient norm has tripled, dt sits at its floor
+      and log ||grad u|| is convex over the last three samples;
+    - scatter: at the first sample where the Scatter test of
+      ``classify_run`` (on the potential series so far) has passed on
+      every sample of the last quarter of the elapsed |t - t0|, that is
+      once |t - t0| reaches ``SCATTER_HOLD`` times the elapsed time at
+      which it began to pass.
+    ``meta`` records why the run stopped (``stop_reason``: "t_end",
+    "blowup" or "scatter") and where (``t_stop``).  A step is closed
+    exactly when it is sampled or the next step has another dt, so every
+    state read here (samples, snapshots, the mass guard, the stops) is
+    closed.
 
     Snapshots stream: ``sink(t, values)`` receives the n + 1 node values
     at t0, at every ``snapshot_every``-th sample (if nonzero) and at the
@@ -281,8 +298,11 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     u = u0.values.copy()
     t = t0
     rows = []
+    potential = []
     t_snap = None
     meta = {"terminated_blowup": False, "dt_final": abs(dt)}
+    stop_reason = "t_end"
+    scatter_since = None        # elapsed |t - t0| from which Scatter held
 
     def snapshot():
         nonlocal t_snap
@@ -295,6 +315,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
         if not (math.isfinite(row["mass"]) and math.isfinite(row["grad"])):
             raise InstabilityError(f"the state is not finite at t = {t:.6g}")
         rows.append(row)
+        potential.append(row["potential"])
 
     sample()
     snapshot()
@@ -342,14 +363,40 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
                         and abs(dt) <= dt_min * (1 + 1e-9):
                     meta["terminated_blowup"] = True
                     meta["t_star"] = t
+                    stop_reason = "blowup"
                     break
+            if reference is not None:
+                if _scatters(potential, reference.obs.potential):
+                    elapsed = abs(t - t0)
+                    if scatter_since is None:
+                        scatter_since = elapsed
+                    if elapsed >= SCATTER_HOLD * scatter_since:
+                        stop_reason = "scatter"
+                        break
+                else:
+                    scatter_since = None
 
     if t_snap != t:
         snapshot()
+    meta["stop_reason"], meta["t_stop"] = stop_reason, t
     cols = {k: np.array([r[k] for r in rows]) for k in SERIES_COLUMNS}
     series = TimeSeries(meta=meta, **cols)
-    series.meta["potential_series"] = np.array([r["potential"] for r in rows])
+    series.meta["potential_series"] = np.array(potential)
     return series, Field(grid, u)
+
+
+def _scatters(potential, potential_q: float) -> bool:
+    """The Scatter test on a potential series P(u) = int |u|^{p+1}, the
+    one rule ``classify_run`` and ``evolve``'s scatter stop share: the
+    last value is below ``SCATTER_POTENTIAL`` P(Q), and over the last
+    quarter of the samples the series decays, net and with no uptick
+    above 5% of the quarter's first value (dispersing fields carry small
+    boundary-layer ripples)."""
+    if not potential[-1] < SCATTER_POTENTIAL * potential_q:
+        return False
+    tail = np.asarray(potential[-max(len(potential) // 4, 2):])
+    return bool(np.all(np.diff(tail) <= 0.05 * max(tail[0], 1e-300))
+                and tail[-1] <= tail[0] * (1 - 1e-3))
 
 
 def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
@@ -359,8 +406,11 @@ def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
 
     BlowUp: the run terminated on the gradient-tripling criterion (or the
     gradient tripled with convex log-growth and dt at its floor).
-    Scatter: the potential integral fell below 10% of the standing-wave
-    value and L_inf decayed monotonically over the last quarter.
+    Scatter: the potential P(u) = int |u|^{p+1}, whose decay is what
+    scattering means, fell below 10% of P(Q) and decayed over the last
+    quarter of the samples (``_scatters``).  The rule reads no L_inf: once
+    outgoing radiation reaches the absorbing layer, the maximum over the
+    nodes can rise while the potential decays.
     ConvergeToQ: the modulation-aligned distance stayed in the window and
     fits an exponential with nonpositive rate (within fit noise).
     """
@@ -397,13 +447,7 @@ def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
                                          "fit_noise": noise})
 
     pot = meta["potential_series"]
-    quarter = max(n // 4, 2)
-    linf_tail = series.linf[-quarter:]
-    # dispersing fields carry small boundary-layer ripples; require a
-    # net decrease with only sub-5% upticks
-    monotone = bool(np.all(np.diff(linf_tail) <= 0.05 * max(linf_tail[0], 1e-300))
-                    and linf_tail[-1] <= linf_tail[0] * (1 - 1e-3))
-    if pot[-1] < 0.1 * ref.potential and monotone:
+    if _scatters(pot, ref.potential):
         return Verdict("Scatter",
                        evidence={"potential_ratio": float(pot[-1] / ref.potential),
                                  "linf_final": float(series.linf[-1])})

@@ -86,8 +86,11 @@ def run_special(approx: ApproxSolution, delta: float,
     runs sponge-off (conservation transfers to the report) and takes a
     snapshot every 0.05/e0; its sink computes each snapshot's aligned
     distance as it comes.  The backward leg takes no snapshot and runs
-    from t0 down to t0 - t_back, t_back = t0 + 5, with the absorbing
-    layer on so dispersing mass leaves the domain cleanly.
+    from t0 towards t0 - t_back, t_back = t0 + 5 (t = -5), with the
+    absorbing layer on so dispersing mass leaves the domain cleanly; like
+    every run with a reference it ends at a decided verdict, the blow-up
+    or the scatter stop of ``evolve``, and ``backward_series.t[-1]`` is
+    the time it reached.
     """
     u0, t0 = synthesize_UA(approx, delta)
     gp, e0 = approx.ops.gp, approx.e0

@@ -664,6 +664,9 @@ def test_special_command_outputs(tmp_path):
     assert rc == 0
     rep = (out / "report.txt").read_text()
     assert "backward_verdict = BlowUp" in rep
+    last_row = (out / "backward_series.csv").read_text().splitlines()[-1]
+    assert float(read_kv(out / "report.txt")["backward_t_reached"]) \
+        == float(last_row.split(",")[0])
     assert (out / "forward_series.csv").exists()
     assert (out / "backward_series.csv").exists()
     assert (out / "initial.csv").exists()

@@ -338,6 +338,27 @@ def test_small_data_scatters(gp33):
     assert v.kind == "Scatter"
 
 
+def test_stops_are_recorded_and_time_reversed(gp33):
+    """``meta`` says why and where a run stopped, and the time reversal
+    negates each time it holds."""
+    runs = {"scatter": (0.5, EvolverConfig(dt=2e-4, t_end=3.0, sample_every=10,
+                                           sponge=True)),
+            "blowup": (1.1, EvolverConfig(dt=2e-4, t_end=1.5, sample_every=10)),
+            "t_end": (1.0, EvolverConfig(dt=2e-4, t_end=0.02, sample_every=10))}
+    for reason, (scale, cfg) in runs.items():
+        u0 = Field(gp33.grid, scale * gp33.Q.values)
+        series, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
+        meta = series.meta
+        assert meta["stop_reason"] == reason
+        assert meta["t_stop"] == series.t[-1]
+        assert (cfg.t_end - meta["t_stop"] > cfg.dt) == (reason != "t_end")
+        mirror = series.time_reversed().meta
+        assert mirror["stop_reason"] == reason
+        assert mirror["t_stop"] == -meta["t_stop"]
+        if reason == "blowup":
+            assert mirror["t_star"] == -meta["t_star"] == -meta["t_stop"]
+
+
 def test_standing_wave_classifies_as_converged(gp33):
     cfg = EvolverConfig(dt=2e-4, t_end=0.5, sample_every=10, order=4)
     series, _ = evolve(standing_wave(gp33), 0.0, cfg, gp33.p, reference=gp33)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ from nlslab.errors import InvalidParameterError, ValidityError
 from nlslab.evolve import SERIES_COLUMNS, EvolverConfig, classify_run, evolve
 from nlslab.experiments import (match_mass_energy, run_special, synthesize_UA,
                                 threshold_family, threshold_sweep)
-from nlslab.grid import Field, gradient_values, h1_norm
-from nlslab.ground import observables
+from nlslab.grid import Field, gradient_values, h1_norm, make_grid
+from nlslab.ground import observables, solve_ground
+from nlslab.linearized import assemble, compute_spectrum
 
 
 def test_synthesize_zero_amplitude(gp33, spec33, ops33):
@@ -74,6 +76,40 @@ def test_run_special_both_amplitudes(gp33, spec33, ops33, sol33):
     assert repm.backward_verdict.kind == "Scatter"
     for rep in (repp, repm):
         assert rep.mass_mismatch <= 0.1 and rep.energy_mismatch <= 0.1
+
+
+@pytest.mark.parametrize("N, p", [(3, 4.0), (5, 2.2)])
+def test_q_minus_scatters_where_linf_rises(N, p):
+    """Q^- scatters in negative time at (3, 4) and (5, 2.2).  There the
+    outgoing radiation reaches the absorbing layer and L_inf rises while
+    the potential decays, so only a verdict read from the potential sees
+    it."""
+    gp = solve_ground(make_grid(N, 30.0, 1500), p)
+    ops = assemble(gp)
+    sol = build_Vk(-1.0, 3, compute_spectrum(ops), ops)
+    rep = run_special(sol, 0.1, EvolverConfig(dt=2e-4, sample_every=10))
+    assert rep.backward_verdict.kind == "Scatter"
+
+
+def test_scatter_stop_is_a_prefix_of_the_full_horizon(spec33, ops33, monkeypatch):
+    """Q^-'s backward leg stops on Scatter, and what it ran is bit for bit
+    the start of the leg that runs to t = -5 with the stop held off."""
+    sol = build_Vk(-1.0, 3, spec33, ops33)
+    cfg = EvolverConfig(dt=1e-3, sample_every=10)
+    stopped = run_special(sol, 0.1, cfg)
+    monkeypatch.setattr(importlib.import_module("nlslab.evolve"),
+                        "SCATTER_HOLD", math.inf)
+    full = run_special(sol, 0.1, cfg)
+    s, f = stopped.backward_series, full.backward_series
+    assert (s.meta["stop_reason"], f.meta["stop_reason"]) == ("scatter", "t_end")
+    assert s.meta["t_stop"] == s.t[-1] > f.t[-1] == f.meta["t_stop"]
+    m = s.t.size
+    assert m < f.t.size
+    for col in SERIES_COLUMNS:
+        assert np.array_equal(_bits(getattr(s, col)), _bits(getattr(f, col)[:m])), col
+    assert np.array_equal(_bits(s.meta["potential_series"]),
+                          _bits(f.meta["potential_series"][:m]))
+    assert stopped.backward_verdict.kind == full.backward_verdict.kind == "Scatter"
 
 
 def test_match_mass_energy(gp33):

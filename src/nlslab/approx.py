@@ -95,15 +95,10 @@ def expand_R(V: np.ndarray, gp: GroundProfile) -> np.ndarray:
 
     z = V / qsafe
     z[:, ~trusted] = 0.0
-    # validity: some lambda in (0, 1] must satisfy sum_j |z_j| lam^j <= 1/2
-    sup_abs = np.array([float(np.max(np.abs(zj[trusted]), initial=0.0))
-                        for zj in z[1:]])
-    if sup_abs.size and sup_abs.sum() > 0:
-        lam = 1.0
-        while sum(m * lam**(j + 1) for j, m in enumerate(sup_abs)) > 0.5:
-            lam *= 0.5
-            if lam < 1e-12:
-                raise ValidityError("z-polynomial violates the 1/2 bound for all lambda")
+    # validity: some lambda in (0, 1] must satisfy sum_j sup|z_j| lam^j <= 1/2,
+    # the bound that gives ``t_min`` (a NaN sup fails it)
+    if math.isinf(_validity_tmin([_sup_over_q(v, gp) for v in V[1:]], 1.0)):
+        raise ValidityError("z-polynomial violates the 1/2 bound for all lambda")
 
     zb = np.conj(z)
     J = lp_mul(lp_pow_frac((p + 1) / 2.0, z), lp_pow_frac((p - 1) / 2.0, zb))

@@ -122,8 +122,8 @@ class TimeSeries:
         Of the ``diagnostics`` columns only t, ``momentum`` and ``frp``
         (the imaginary part of conj(u) grad u) are odd under the map; they
         change sign and every other column, ``potential_series`` included,
-        is kept.  The times in ``meta`` (``t_star``, ``t_stop``) change
-        sign with t.  For a real datum this is
+        is kept.  The one time in ``meta``, ``t_stop``, changes sign with
+        t.  For a real datum this is
         the series of its backward run, bit for bit: conjugation turns the
         Crank-Nicolson matrix at dt into the one at -dt (the sponge term
         |dt| sigma is real), and the phase map likewise.
@@ -132,15 +132,11 @@ class TimeSeries:
         # 0.0 - x, not -x: a zero stays +0.0, as the backward run has it at t = 0
         cols = {c: 0.0 - getattr(self, c) if c in odd else getattr(self, c)
                 for c in SERIES_COLUMNS}
-        meta = dict(self.meta)
-        for key in META_TIMES:
-            if key in meta:
-                meta[key] = -meta[key]
-        return TimeSeries(meta=meta, **cols)
+        return TimeSeries(meta=dict(self.meta, t_stop=-self.meta["t_stop"]),
+                          **cols)
 
 
 SERIES_COLUMNS = tuple(f.name for f in fields(TimeSeries) if f.name != "meta")
-META_TIMES = ("t_star", "t_stop")     # the times ``evolve`` records in ``meta``
 TimeSeries.HEADER = ",".join(SERIES_COLUMNS)
 
 
@@ -269,7 +265,8 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     the gradient norm grows by ``ADAPT_TRIGGER`` between samples (down to
     dt/64).  With a ``reference`` the run ends at a decided verdict:
     - blow-up: once the gradient norm has tripled, dt sits at its floor
-      and log ||grad u|| is convex over the last three samples;
+      and log ||grad u|| is convex over the last three samples (the one
+      BlowUp rule: ``classify_run`` reads it from ``stop_reason``);
     - scatter: at the first sample where the Scatter test of
       ``classify_run`` (on the potential series so far) has passed on
       every sample of the last quarter of the elapsed |t - t0|, that is
@@ -300,7 +297,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     rows = []
     potential = []
     t_snap = None
-    meta = {"terminated_blowup": False, "dt_final": abs(dt)}
+    meta = {"dt_final": abs(dt)}
     stop_reason = "t_end"
     scatter_since = None        # elapsed |t - t0| from which Scatter held
 
@@ -322,7 +319,6 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     mass0 = rows[0]["mass"]
     grad_prev = rows[0]["grad"]
     step_count = 0
-    loggrad = [math.log(max(grad_prev, 1e-300))]
 
     closed = True
     while (cfg.t_end - t) * direction > 1e-12:
@@ -339,7 +335,6 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
         if sampled:
             sample()
             row = rows[-1]
-            loggrad.append(math.log(max(row["grad"], 1e-300)))
             if not cfg.sponge and mass0 > 0 and \
                     abs(row["mass"] / mass0 - 1.0) > MASS_GUARD:
                 raise InstabilityError(
@@ -357,12 +352,9 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
                 dt = math.copysign(max(abs(dt) / 2.0, dt_min), dt)
                 meta["dt_final"] = abs(dt)
             grad_prev = row["grad"]
-            if in_blowup_zone:
-                if len(loggrad) >= 3 and (loggrad[-1] - 2 * loggrad[-2]
-                                          + loggrad[-3]) > 0 \
-                        and abs(dt) <= dt_min * (1 + 1e-9):
-                    meta["terminated_blowup"] = True
-                    meta["t_star"] = t
+            if in_blowup_zone and abs(dt) <= dt_min * (1 + 1e-9) and len(rows) >= 3:
+                lg = [math.log(max(r["grad"], 1e-300)) for r in rows[-3:]]
+                if lg[2] - 2 * lg[1] + lg[0] > 0:
                     stop_reason = "blowup"
                     break
             if reference is not None:
@@ -404,34 +396,29 @@ def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
     ``evolve`` ran with ``reference=gp``; the thresholds scale with
     ||grad Q||, P(Q) and ||Q||_{H1} = ||Q|| + ||grad Q|| of ``gp.obs``.
 
-    BlowUp: the run terminated on the gradient-tripling criterion (or the
-    gradient tripled with convex log-growth and dt at its floor).
+    BlowUp: the run ended on ``evolve``'s blow-up stop
+    (``stop_reason == "blowup"``), and ``t_star`` is where it stopped.
     Scatter: the potential P(u) = int |u|^{p+1}, whose decay is what
     scattering means, fell below 10% of P(Q) and decayed over the last
     quarter of the samples (``_scatters``).  The rule reads no L_inf: once
     outgoing radiation reaches the absorbing layer, the maximum over the
     nodes can rise while the potential decays.
-    ConvergeToQ: the modulation-aligned distance stayed in the window and
-    fits an exponential with nonpositive rate (within fit noise).
+    ConvergeToQ: the distance ``dist_q`` = ||u - e^{it} Q||_{H1}, which is
+    not modulation-aligned, stayed in the window and fits an exponential
+    with nonpositive rate (within fit noise).
     """
     meta, ref = series.meta, gp.obs
     ref_h1 = math.sqrt(ref.mass) + ref.grad
-    n = series.t.size
 
-    if meta["terminated_blowup"]:
-        return Verdict("BlowUp", t_star=meta["t_star"],
+    if meta["stop_reason"] == "blowup":
+        return Verdict("BlowUp", t_star=meta["t_stop"],
                        evidence={"grad_max": float(np.max(series.grad))})
-    if np.max(series.grad) >= 3.0 * ref.grad:
-        lg = np.log(np.maximum(series.grad, 1e-300))
-        if n >= 3 and lg[-1] - 2 * lg[-2] + lg[-3] > 0:
-            return Verdict("BlowUp", t_star=float(series.t[-1]),
-                           evidence={"grad_max": float(np.max(series.grad))})
 
     dist = series.dist_q
     near_q = (np.all(np.isfinite(dist)) and np.max(series.d) <= 0.5 * ref.grad
               and np.max(dist) <= 0.5 * ref_h1)
     if near_q:
-        half = n // 2
+        half = series.t.size // 2
         tt, dd = series.t[half:], np.maximum(dist[half:], 1e-300)
         if tt.size >= 3:
             coef, cov = np.polyfit(tt, np.log(dd), 1, cov=True)

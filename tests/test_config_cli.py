@@ -197,6 +197,26 @@ def test_ground_command_outputs(tmp_path):
     assert "--- config ---" in manifest
 
 
+def test_identity_checks_read_the_tolerance_keys(tmp_path):
+    """The ``check.*_tol`` keys judge the identities of ``ground``: at n 1500
+    the defaults fail three of them, wide keys pass all four, and a
+    pohozaev key below any deviation fails it."""
+    grid = ["--N", "3", "--p", "3", "--n", "1500"]
+    names = ("pohozaev", "mass", "gn", "tail")
+    wide = "".join(f"check.{name}_tol = 1e3\n" for name in names)
+    cases = {"default": "", "wide": wide, "tight": "check.pohozaev_tol = 1e-30\n"}
+    ledger = {}
+    for case, lines in cases.items():
+        f, out = tmp_path / f"{case}.cfg", tmp_path / case
+        f.write_text(lines)
+        assert run_cli(["ground", "--config", str(f), *grid, "--out", str(out)]) == 0
+        man = read_kv(out / "manifest.txt")
+        ledger[case] = {name: man[f"check.identity_{name}"] for name in names}
+    assert [ledger["default"][name] for name in ("gn", "mass", "pohozaev")] == ["FAIL"] * 3
+    assert ledger["wide"] == dict.fromkeys(names, "pass")
+    assert ledger["tight"]["pohozaev"] == "FAIL"
+
+
 def test_ground_report_q0_is_row_0_of_q_csv(tmp_path):
     """``q0`` has one home: the report's and the manifest's value is Q_h(0),
     the first row of Q.csv."""
@@ -634,8 +654,6 @@ def test_pipeline_runs_each_stage_once(tmp_path, monkeypatch):
     assert solved == [2500]
     assert float(man.entries["stage.ground_s"]) > 0
     assert man.entries["stage.coercivity_s"] == "0.000"
-    assert pipe.evolver_config() == EvolverConfig()
-    assert pipe.evolver_config(order=4).order == 4
 
 
 def test_modulate_requires_snapshots(tmp_path):

@@ -319,15 +319,31 @@ def test_adaptive_halving_and_blowup_verdict(gp33):
     cfg = EvolverConfig(dt=2e-4, t_end=1.5, sample_every=10)
     u0 = Field(gp33.grid, 1.1 * gp33.Q.values)
     series, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
-    assert series.meta["terminated_blowup"]
+    assert series.meta["stop_reason"] == "blowup"
     assert series.meta["dt_final"] < 2e-4
     v = classify_run(series, gp33)
     assert v.kind == "BlowUp"
-    assert v.t_star is not None
+    assert v.t_star == series.meta["t_stop"]
     # d grows monotonically until termination (instability of the wave)
     d = series.d
     assert d[-1] > d[0]
     assert np.all(np.diff(d[: len(d) // 2]) > -1e-9)
+
+
+def test_blowup_verdict_is_the_stop_at_every_horizon(gp33):
+    """The blow-up datum run to two horizons short of its stop (both
+    sample times of the full run) and to the full horizon: BlowUp is read
+    exactly when the run ended on the blow-up stop, so a longer horizon
+    never takes a BlowUp back."""
+    u0 = Field(gp33.grid, 1.1 * gp33.Q.values)
+    kinds = []
+    for t_end in (0.172, 0.174, 1.5):
+        cfg = EvolverConfig(dt=2e-4, t_end=t_end, sample_every=10)
+        series, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
+        kinds.append(classify_run(series, gp33).kind)
+        assert (kinds[-1] == "BlowUp") == (series.meta["stop_reason"] == "blowup"), t_end
+    first = kinds.index("BlowUp")
+    assert kinds[first:] == ["BlowUp"] * (len(kinds) - first), kinds
 
 
 def test_small_data_scatters(gp33):
@@ -356,7 +372,7 @@ def test_stops_are_recorded_and_time_reversed(gp33):
         assert mirror["stop_reason"] == reason
         assert mirror["t_stop"] == -meta["t_stop"]
         if reason == "blowup":
-            assert mirror["t_star"] == -meta["t_star"] == -meta["t_stop"]
+            assert classify_run(series.time_reversed(), gp33).t_star == -meta["t_stop"]
 
 
 def test_standing_wave_classifies_as_converged(gp33):

@@ -174,9 +174,8 @@ def test_time_reversed_forward_run_is_the_backward_run(gp33):
                                   _bits(getattr(bwd, col))), (label, col)
         assert np.array_equal(_bits(mirror.meta["potential_series"]),
                               _bits(bwd.meta["potential_series"])), label
-        assert mirror.meta["terminated_blowup"] == bwd.meta["terminated_blowup"]
-        if fwd.meta["terminated_blowup"]:
-            assert mirror.meta["t_star"] == bwd.meta["t_star"] == -fwd.meta["t_star"]
+        assert mirror.meta["stop_reason"] == bwd.meta["stop_reason"], label
+        assert mirror.meta["t_stop"] == bwd.meta["t_stop"] == -fwd.meta["t_stop"], label
         verdict = classify_run(mirror, gp33)
         assert verdict == classify_run(bwd, gp33), label
         kinds.add(verdict.kind)

@@ -25,6 +25,8 @@ from .errors import InvalidParameterError, SingularSystemError
 
 __all__ = ["Tridiag"]
 
+_ULP2 = sys.float_info.epsilon ** 2  # dstebz's split threshold, ulp = dlamch('P')
+
 
 @dataclass(frozen=True, eq=False)
 class Tridiag:
@@ -60,10 +62,32 @@ class Tridiag:
         than pivmin = tiny * max(1, sub^2), an exactly zero one included,
         counts as -pivmin, so an eigenvalue within pivmin of 0 counts as
         negative.  An infinite tolerance stops the bisection at once.
+
+        dstebz departs from these pivots in two cases: it splits T at a
+        nonzero coupling with sub_j^2 < ulp^2 |diag_j diag_{j+1}| + tiny,
+        which it leaves out of pivmin, and it counts a one-row block when
+        diag_i <= pivmin, where the pivots need diag_i < pivmin.  A T with
+        such a coupling or with a diagonal entry equal to pivmin is counted
+        here by the pivot loop.
         """
         if self.m < 2:  # scipy's dstebz wrapper rejects an empty off-diagonal
             return int(np.count_nonzero(self.diag < sys.float_info.min))
-        lo = -1.0 - 2.0 * (np.max(np.abs(self.diag)) + 2.0 * np.max(np.abs(self.sub)))
+        tiny = sys.float_info.min
+        b2 = self.sub * self.sub
+        dmax = float(np.max(np.abs(self.diag)))
+        # no coupling can split T when each b2 >= ulp^2 max|diag|^2 + tiny
+        if not b2.min() >= dmax * dmax * _ULP2 + tiny:
+            pivmin = tiny * max(1.0, float(b2.max()))
+            split = np.abs(self.diag[:-1] * self.diag[1:]) * _ULP2 + tiny > b2
+            if np.any(split & (b2 > 0.0)) or np.any(self.diag == pivmin):
+                count, d = 0, 1.0
+                for a, bb in zip(self.diag.tolist(), [0.0] + b2.tolist()):
+                    d = a - bb / d
+                    if abs(d) < pivmin:
+                        d = -pivmin
+                    count += d < 0.0
+                return count
+        lo = -1.0 - 2.0 * (dmax + 2.0 * np.max(np.abs(self.sub)))
         count, *_ = dstebz(self.diag, self.sub, 1, lo, 0.0, 0, 0, math.inf, "B")
         return count
 

@@ -10,6 +10,7 @@ failure, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import time
@@ -18,6 +19,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from . import approx as ap
 from . import experiments as xp
@@ -57,19 +59,22 @@ def _snapshot_sink(out: Path, grid):
     """An ``evolve`` sink that streams each (t, values), as it comes, into
     the uncompressed archive ``snapshots.npz`` as member ``snap_<i>.npy``:
     the (n + 1, 3) float64 ``r,re,im`` table, dated 1980-01-01, so equal
-    snapshots give equal archive bytes.  Once the block ends without an
+    snapshots give equal archive bytes.  The ``.npy`` header, which every
+    member shares, is formatted once.  Once the block ends without an
     exception, ``index.csv`` lists the members."""
     out.mkdir(parents=True, exist_ok=True)
     index = ["idx,t,file"]
     table = np.empty((grid.n + 1, 3))
     table[:, 0] = grid.r
+    head = io.BytesIO()
+    npy.write_array_header_1_0(head, npy.header_data_from_array_1_0(table))
+    header = head.getvalue()
     with zipfile.ZipFile(out / SNAPSHOT_ARCHIVE, "w") as archive:
         def sink(t, values):
             i = len(index) - 1
             name = f"snap_{i:05d}.npy"
             table[:, 1], table[:, 2] = values.real, values.imag
-            with archive.open(name, "w") as fh:
-                np.lib.format.write_array(fh, table, allow_pickle=False)
+            archive.writestr(zipfile.ZipInfo(name), header + table.tobytes())
             index.append(f"{i},{FLOAT_FMT % t},{name}")
 
         yield sink
@@ -79,9 +84,12 @@ def _snapshot_sink(out: Path, grid):
 def _read_snapshots(path: Path, grid):
     """The (t, Field) snapshots of a directory, in ``index.csv`` order,
     reading one member of ``snapshots.npz`` at a time and checking it as a
-    field file (``grid.field_from_table``).  A missing or malformed index,
-    a damaged archive and a missing or malformed member are
-    ``UsageError``s that name the archive (and the member)."""
+    field file (``grid.field_from_table``).  The first member's ``.npy``
+    header is parsed; a later member whose header bytes equal it is
+    decoded straight from its bytes, and any other takes numpy's full
+    reader.  A missing or malformed index, a non-finite index time, a
+    damaged archive and a missing or malformed member are ``UsageError``s
+    that name the index or the archive (and the member)."""
     idx_file = path / "index.csv"
     if not idx_file.exists():
         raise UsageError(f"snapshot directory {path} has no index.csv")
@@ -90,17 +98,29 @@ def _read_snapshots(path: Path, grid):
         rows = [(float(t), name) for _, t, name in (line.split(",") for line in lines)]
     except ValueError as exc:
         raise UsageError(f"{idx_file} is not an idx,t,file table: {exc}") from exc
+    bad = [t for t, _ in rows if not math.isfinite(t)]
+    if bad:
+        raise UsageError(f"{idx_file} holds a non-finite time {bad[0]}")
     archive = path / SNAPSHOT_ARCHIVE
     try:
         zf = zipfile.ZipFile(archive)
     except (OSError, zipfile.BadZipFile) as exc:
         raise UsageError(f"cannot read snapshot archive {archive}: {exc}") from exc
+    first = None        # (header bytes, size, table) of the first member
     with zf:
         for t, name in rows:
             source = f"snapshot {name} of {archive}"
             try:
-                with zf.open(name) as fh:
-                    table = np.lib.format.read_array(fh, allow_pickle=False)
+                raw = zf.read(name)
+                if first and len(raw) == first[1] and raw.startswith(first[0]):
+                    header, _, like = first
+                    table = np.frombuffer(raw, like.dtype, offset=len(header)).reshape(
+                        like.shape, order="C" if like.flags.c_contiguous else "F")
+                else:
+                    fh = io.BytesIO(raw)
+                    table = npy.read_array(fh, allow_pickle=False)
+                    # numpy read the header, then exactly the table's bytes
+                    first = first or (raw[:fh.tell() - table.nbytes], fh.tell(), table)
             except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
                 raise UsageError(f"cannot read {source}: {exc}") from exc
             yield t, field_from_table(table, grid, source)

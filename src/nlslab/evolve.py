@@ -18,7 +18,10 @@ Default is the plain Strang step.
 The phase map keeps |u|, so two adjacent half phases are one phase of
 their summed length ("first same as last", McLachlan and Quispel,
 *Acta Numerica* 11, 2002): a composed step merges them, and ``evolve``
-merges them across the steps between two reads of the state.  Since
+merges them across the steps between two reads of the state.  Where a
+step is closed for a read, the next step at the same dt opens with the
+closing phase's factor exp(i theta |v|^{p-1}), and the read takes its
+|v|^{p-1}.  Since
 lhs + rhs = 2I for the Crank-Nicolson pair, sponge included, the linear
 stage is 2 lhs^{-1} v - v with one matrix per dt.
 """
@@ -195,19 +198,22 @@ class Evolver:
         x -= v
         return x
 
-    def _phase(self, v, theta):
-        """v exp(i theta |v|^{p-1}), with the exponential formed as
-        cos + i sin (real ufuncs, about twice as fast as complex exp)."""
-        a = np.abs(v)
-        a **= self.p - 1
-        a *= theta
+    def _factor(self, power, theta):
+        """exp(i theta power), formed as cos + i sin (real ufuncs, about
+        twice as fast as complex exp)."""
+        a = power * theta
         z = np.empty(a.shape, dtype=complex)
         np.cos(a, out=z.real)
         np.sin(a, out=z.imag)
+        return z
+
+    def _phase(self, v, theta):
+        """v exp(i theta |v|^{p-1})."""
+        z = self._factor(np.abs(v) ** (self.p - 1), theta)
         z *= v
         return z
 
-    def step_values(self, u, dt, *, open=True, close=True):
+    def step_values(self, u, dt, *, open=True, close=True, factor=None, carry=False):
         """One step of the n + 1 node values ``u``.
 
         ``open=False`` skips the opening half phase, which the previous
@@ -216,44 +222,68 @@ class Evolver:
         so that it also opens the next step, which must have the same dt
         and be called with ``open=False``.  With the defaults a call is
         one whole step.
+
+        A closed step called with ``carry=True`` returns (values, factor,
+        power): its closing half phase's factor exp(i theta |v|^{p-1}) on
+        the rows of v, the state before that phase, and |v|^{p-1} on all
+        nodes (a slaved node 0 from the values).  The phase keeps |v|, so
+        up to roundoff that factor is the opening half phase's of a next
+        step at the same dt, which takes it as ``factor`` instead of
+        forming it; ``diagnostics`` takes the power.
         """
         g = self._gammas
         v = self.op.rows(u)
         if open:
-            v = self._phase(v, g[0] / 2 * dt)
+            v = v * factor if factor is not None else self._phase(v, g[0] / 2 * dt)
         v = self._linear(v, g[0] * dt)
         for inner, gamma in zip(self._inner, g[1:]):
             v = self._linear(self._phase(v, inner * dt), gamma * dt)
-        last = g[-1] / 2 if close else (g[-1] + g[0]) / 2
-        return self.op.extend(self._phase(v, last * dt))
+        if not close:
+            return self.op.extend(self._phase(v, (g[-1] + g[0]) / 2 * dt))
+        power = np.abs(v) ** (self.p - 1)
+        factor = self._factor(power, g[-1] / 2 * dt)
+        out = self.op.extend(factor * v)
+        if not carry:
+            return out
+        nodes = np.zeros(self.grid.n + 1)
+        self.op.rows(nodes)[:] = power
+        if self.op.first:
+            nodes[0] = abs(out[0]) ** (self.p - 1)
+        return out, factor, nodes
 
 
 def diagnostics(u: Field, t: float, p: float,
-                reference: GroundProfile | None = None) -> dict:
+                reference: GroundProfile | None = None, power=None) -> dict:
     """All scalar diagnostics of a state; reference-dependent entries are
-    NaN when no ground profile is attached."""
+    NaN when no ground profile is attached.
+
+    ``power`` is |u|^{p-1} on the nodes when the caller has it (an evolved
+    sample's, from the step that returned u); the potential then forms
+    |u|^{p+1} as |u|^2 |u|^{p-1}.  conj(u) grad u is formed once for
+    ``momentum`` and ``frp``, and the gradient of u - e^{it} Q for
+    ``dist_q`` is grad u - e^{it} grad Q, with grad Q cached on the
+    reference.
+    """
     grid = u.grid
     w = grid.w
-    a = np.abs(u.values)
     du = gradient_values(grid, u.values)
-    obs = Observables.integrate(w, a, du, p)
-    a2 = a ** 2
-    momentum = float(np.dot(w, (np.conj(u.values) * du).imag))
-    linf = float(np.max(a))
-
+    a = np.abs(u.values)
+    obs = Observables.integrate(w, a, du, p, power=power)
+    flux = (np.conj(u.values) * du).imag
     phi, phi_prime = grid.virial_weights
-    fr = float(np.dot(w, phi * a2))
-    frp = 2.0 * float(np.dot(w, phi_prime * (du * np.conj(u.values)).imag))
 
-    out = dict(t=t, mass=obs.mass, energy=obs.energy, momentum=momentum,
-               grad=obs.grad, linf=linf, potential=obs.potential,
-               fr=fr, frp=frp,
+    out = dict(t=t, mass=obs.mass, energy=obs.energy,
+               momentum=float(np.dot(w, flux)), grad=obs.grad,
+               linf=float(a.max()), potential=obs.potential,
+               fr=float(np.dot(w, phi * a ** 2)),
+               frp=2.0 * float(np.dot(w, phi_prime * flux)),
                d=math.nan, me=math.nan, mg=math.nan, dist_q=math.nan)
     if reference is not None:
         out["d"] = abs(obs.grad - reference.obs.grad)
         out["me"], out["mg"] = reference.me_mg(obs)
-        diff = u.values - np.exp(1j * t) * reference.Q.values.real
-        out["dist_q"] = h1_norm(Field(grid, diff))
+        rot = np.exp(1j * t)
+        diff = Field(grid, u.values - rot * reference.Q.values.real)
+        out["dist_q"] = h1_norm(diff, du - rot * reference.grad_q)
     return out
 
 
@@ -276,7 +306,9 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     "blowup" or "scatter") and where (``t_stop``).  A step is closed
     exactly when it is sampled or the next step has another dt, so every
     state read here (samples, snapshots, the mass guard, the stops) is
-    closed.
+    closed.  A closed step hands its closing phase's factor to the next
+    step when that one has the same dt, and its power |u|^{p-1} to the
+    sample (``Evolver.step_values``'s ``carry``).
 
     Snapshots stream: ``sink(t, values)`` receives the n + 1 node values
     at t0, at every ``snapshot_every``-th sample (if nonzero) and at the
@@ -307,8 +339,8 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
             sink(t, u)
             t_snap = t
 
-    def sample():
-        row = diagnostics(Field(grid, u), t, p, reference)
+    def sample(power=None):
+        row = diagnostics(Field(grid, u), t, p, reference, power)
         if not (math.isfinite(row["mass"]) and math.isfinite(row["grad"])):
             raise InstabilityError(f"the state is not finite at t = {t:.6g}")
         rows.append(row)
@@ -321,6 +353,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     step_count = 0
 
     closed = True
+    carried = (None, None)      # (dt, closing factor) of the last closed step
     while (cfg.t_end - t) * direction > 1e-12:
         if (cfg.t_end - t) * direction < abs(dt) * (1 - 1e-9):
             dt = (cfg.t_end - t)
@@ -329,11 +362,17 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
         # close the step that is sampled, or whose successor is clipped:
         # outside samples, dt changes nowhere else
         opened, closed = closed, sampled or left < abs(dt) * (1 - 1e-9)
-        u = ev.step_values(u, dt, open=opened, close=closed)
+        factor = carried[1] if opened and carried[0] == dt else None
+        if closed:
+            u, closing, power = ev.step_values(u, dt, open=opened, close=True,
+                                               factor=factor, carry=True)
+            carried = (dt, closing)
+        else:
+            u = ev.step_values(u, dt, open=opened, close=False, factor=factor)
         t += dt
         step_count += 1
         if sampled:
-            sample()
+            sample(power)
             row = rows[-1]
             if not cfg.sponge and mass0 > 0 and \
                     abs(row["mass"] / mass0 - 1.0) > MASS_GUARD:

@@ -49,6 +49,7 @@ __all__ = [
     "make_grid",
     "radial_operator",
     "h1_norm",
+    "sq_norm",
     "gradient_values",
     "omega_n",
     "write_csv",
@@ -229,14 +230,18 @@ def gradient_values(grid: RadialGrid, v: NDArray) -> NDArray:
     return out
 
 
-def h1_norm(f: Field) -> float:
+def sq_norm(w: NDArray, v: NDArray) -> float:
+    """int |v|^2 under the weights ``w``: the package's one L2 formula."""
+    return float(np.dot(w, np.abs(v) ** 2))
+
+
+def h1_norm(f: Field, grad: NDArray | None = None) -> float:
     """||f||_{L2} + ||f'||_{L2} (the additive H1 convention), the gradient
-    by centered first differences."""
+    by centered first differences unless ``grad`` gives it."""
     w = f.grid.w
-    a2 = np.abs(f.values) ** 2
-    l2 = math.sqrt(float(np.dot(w, a2)))
-    g = gradient_values(f.grid, f.values)
-    return l2 + math.sqrt(float(np.dot(w, np.abs(g) ** 2)))
+    if grad is None:
+        grad = gradient_values(f.grid, f.values)
+    return math.sqrt(sq_norm(w, f.values)) + math.sqrt(sq_norm(w, grad))
 
 
 def write_csv(path, header: str, *columns) -> None:
@@ -273,7 +278,7 @@ def field_from_table(data: NDArray, grid: RadialGrid, source: str) -> Field:
     if data.shape[0] != grid.n + 1:
         raise UsageError(
             f"{source} has {data.shape[0]} rows, grid has {grid.n + 1} nodes")
-    if not np.allclose(data[:, 0], grid.r, rtol=0, atol=1e-12 * max(grid.rmax, 1.0)):
+    if not np.max(np.abs(data[:, 0] - grid.r)) <= 1e-12 * max(grid.rmax, 1.0):
         raise UsageError(f"{source} radii do not match the grid")
     return Field(grid, data[:, 1] + 1j * data[:, 2])
 

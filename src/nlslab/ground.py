@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .banded import Tridiag
 from .errors import CertificationError, InvalidParameterError, NonConvergenceError
 from .grid import (Field, RadialGrid, RadialOperator, gradient_values,
-                   radial_operator)
+                   radial_operator, sq_norm)
 
 __all__ = [
     "GroundProfile",
@@ -97,6 +98,22 @@ class GroundProfile:
         """M, E and the gradient of Q: the normalisation of ME and MG."""
         return observables(self.Q, self.p)
 
+    @cached_property
+    def grad_q(self) -> NDArray[np.complex128]:
+        """``gradient_values`` of Q (read-only), taken on the complex node
+        values as a state's gradient is, so that it is that of u = Q to
+        the bit."""
+        g = gradient_values(self.grid, self.Q.values)
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def q_pow(self) -> NDArray[np.float64]:
+        """Q^p on the nodes (read-only), the weight of the modulation's alpha."""
+        qp = self.Q.values.real ** self.p
+        qp.setflags(write=False)
+        return qp
+
     def me_mg(self, obs: Observables) -> tuple[float, float]:
         """(ME, MG) of a state relative to Q, sigma = (1 - s_c)/s_c:
 
@@ -128,11 +145,15 @@ class Observables:
         return math.sqrt(self.grad2)
 
     @classmethod
-    def integrate(cls, w, a, du, p: float) -> "Observables":
-        """From the modulus ``a`` = |u| and the gradient ``du`` under weights ``w``."""
-        mass = float(np.dot(w, a ** 2))
-        grad2 = float(np.dot(w, np.abs(du) ** 2))
-        potential = float(np.dot(w, a ** (p + 1)))
+    def integrate(cls, w, a, du, p: float, power=None) -> "Observables":
+        """From the modulus ``a`` = |u| and the gradient ``du`` under
+        weights ``w``; a ``power`` = |u|^{p-1} that the caller already has
+        (an evolved sample's, from its step) forms |u|^{p+1} as
+        |u|^2 |u|^{p-1}."""
+        a2 = a ** 2
+        mass = float(np.dot(w, a2))
+        grad2 = sq_norm(w, du)
+        potential = float(np.dot(w, a ** (p + 1) if power is None else a2 * power))
         return cls(mass=mass, grad2=grad2, potential=potential,
                    energy=0.5 * grad2 - potential / (p + 1))
 

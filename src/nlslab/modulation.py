@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfWindowError
-from .grid import Field, h1_norm
-from .ground import GroundProfile, observables
+from .grid import Field, gradient_values, h1_norm, sq_norm
+from .ground import GroundProfile
 
 __all__ = ["ModulationFrame", "fit_parameters", "track", "aligned_distance"]
 
@@ -50,13 +50,18 @@ def fit_parameters(u: Field, t: float, gp: GroundProfile,
     """Split u into (theta, alpha, h) with theta = arg Z in (-pi, pi].
 
     Raises OutOfWindowError when d(u) exceeds ``window * ||grad Q||``, and
-    when Z = e^{-it} int Q u vanishes, where the phase is undefined.
+    when Z = e^{-it} int Q u vanishes, where the phase is undefined.  One
+    gradient serves the frame: d = | ||grad u|| - ||grad Q|| | reads it
+    (the same floats as ``observables(u).grad``), and the H1 norms of h
+    and of alpha Q + h take their gradients from it and the profile's
+    cached grad Q by linearity, as alpha reads the cached Q^p.
     """
     grid = u.grid
     w = grid.w
-    q = gp.Q.values.real
+    q, qp, dq = gp.Q.values.real, gp.q_pow, gp.grad_q
     gq = gp.obs.grad
-    d = abs(observables(u, gp.p).grad - gq)
+    du = gradient_values(grid, u.values)
+    d = abs(math.sqrt(sq_norm(w, du)) - gq)
     if d > window * gq:
         raise OutOfWindowError(
             f"d(u) = {d:.4f} exceeds the modulation window {window * gq:.4f}")
@@ -65,16 +70,17 @@ def fit_parameters(u: Field, t: float, gp: GroundProfile,
         raise OutOfWindowError("int Q u = 0: the modulation phase is undefined")
     theta = float(np.angle(Z))
 
-    rot = u.values * np.exp(-1j * t - 1j * theta)
-    alpha = float(np.dot(w, q ** gp.p * rot.real)) / gp.obs.potential - 1.0
+    turn = np.exp(-1j * t - 1j * theta)
+    rot, drot = u.values * turn, du * turn
+    alpha = float(np.dot(w, qp * rot.real)) / gp.obs.potential - 1.0
     h_vals = rot - (1.0 + alpha) * q
-    h = Field(grid, h_vals)
     res_iq = abs(float(np.dot(w, q * h_vals.imag)))
-    res_qp = abs(float(np.dot(w, q ** gp.p * h_vals.real)))
-    dist = h1_norm(Field(grid, alpha * q + h_vals))
+    res_qp = abs(float(np.dot(w, qp * h_vals.real)))
+    h = Field(grid, h_vals)
+    h_norm = h1_norm(h, drot - (1.0 + alpha) * dq)
+    dist = h1_norm(Field(grid, rot - q), drot - dq)     # alpha Q + h = rot - Q
     return ModulationFrame(t=t, theta=theta, alpha=alpha, h=h, d=d,
-                           res_iq=res_iq, res_qp=res_qp,
-                           h_norm=h1_norm(h), dist=dist)
+                           res_iq=res_iq, res_qp=res_qp, h_norm=h_norm, dist=dist)
 
 
 def track(snapshots, gp: GroundProfile):

@@ -1,10 +1,12 @@
 """Test oracles: closed forms and reference quantities that no command
 computes, kept beside the tests that hold the package against them,
-``evolve_snapshots``, the snapshot list no command keeps, and
+``evolve_snapshots``, the snapshot list no command keeps,
 ``sturm_count``, the pivot loop that ``Tridiag.count_negative`` hands to
-LAPACK."""
+LAPACK, and ``write_snapshot_archive``, the archive writer that formats
+every member's header."""
 
 import sys
+import zipfile
 
 import numpy as np
 
@@ -118,3 +120,17 @@ def track_ratios(frames, gp: GroundProfile) -> dict:
         "alpha_over_drel": chan(lambda f: abs(f.alpha) * gq / max(f.d, tiny)),
         "h_over_d": chan(lambda f: f.h_norm / max(f.d, tiny)),
     }
+
+
+def write_snapshot_archive(path, grid: RadialGrid, snapshots) -> None:
+    """The snapshot archive as ``evolve``'s sink once wrote it: each
+    (t, values) of ``snapshots`` a member ``snap_<i>.npy`` streamed through
+    ``ZipFile.open(name, "w")`` and numpy's ``write_array``, which formats
+    the ``.npy`` header anew for every member."""
+    table = np.empty((grid.n + 1, 3))
+    table[:, 0] = grid.r
+    with zipfile.ZipFile(path, "w") as archive:
+        for i, (_, values) in enumerate(snapshots):
+            table[:, 1], table[:, 2] = values.real, values.imag
+            with archive.open(f"snap_{i:05d}.npy", "w") as fh:
+                np.lib.format.write_array(fh, table, allow_pickle=False)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
@@ -49,6 +49,10 @@ band = st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5, 1e-200, 3.7, -1e5])
 @given(diag=st.lists(band | st.floats(-10, 10), min_size=1, max_size=39),
        off=st.lists(band | st.floats(-10, 10), min_size=38, max_size=38),
        scale=st.sampled_from([1.0, 1e-3, 1e3]))
+@example(diag=[0.0] * 6, off=[0.0] * 4 + [5.705581124211873e-162] + [0.0] * 33,
+         scale=1.0)  # dstebz splits T at a nonzero coupling below tiny
+@example(diag=[2.2250738585072014e-308, 1.0, 2.0], off=[0.0, 1.0] + [0.0] * 36,
+         scale=1.0)  # a one-row block whose diagonal is pivmin
 def test_sturm_count_matches_the_pivot_loop(diag, off, scale):
     """LAPACK's count equals the pivot loop it replaces on any matrix,
     singular ones included: exactly zero pivots, zero couplings, an

@@ -1,9 +1,12 @@
 import hashlib
+import io
 import multiprocessing as mp
 import os
 import re
+import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from nlslab.grid import FLOAT_FMT, Field, make_grid, write_field_csv
 from nlslab.ground import solve_ground
 from nlslab.linearized import bilinear_B, coercivity_min, linearized_energy_phi
 from nlslab.manifest import RunManifest
+from oracles import write_snapshot_archive
 
 
 def test_minimal_config_fills_defaults(tmp_path):
@@ -270,14 +274,14 @@ def test_manifest_records_effective_config(tmp_path):
 # the order of floating-point operations on these paths shows up here
 STORED_SHA256 = {
     "Q.csv": "1c4f27ee64b53b5fbfda5de91861f8a20b448c3a2ff68147e4383b427e1b38d8",
-    "series.csv": "048268361321ca4849fa4a18cf5228d6a6a02872b01b06cdfa65e7d8996fd3cf",
-    "snapshots.npz": "4970bf1e6bba9fb5eed9a669aa80869edb1ffa81177982abdf4d4e98bf7b50b3",
+    "series.csv": "1adbcbda45abd9665be1a25825bd3483372453c4d31971a412c856f084e7c83d",
+    "snapshots.npz": "859e3d028f4961a2b2b62f949ddb430ff315e089570f7af6bd8db6153d9b433d",
 }
 
 # sha256 of the outputs that read mass, energy, ME and MG
 ROUNDTRIP_SHA256 = {
-    "series.csv": "c28ad693af03a0f20f532a98a67f82ee0ab84d65197d7774ed9027ed2a5cec44",
-    "frames.csv": "c199bd43990e42d7de78839b8ed16ccf978500c101050e3a52cce7fb61034778",
+    "series.csv": "75f3d52469004156c105e9383396b3881ec3efec51007fa30398c0f73898b57e",
+    "frames.csv": "930f6fdfc3329ea495d04a04a131be6f4fdbc96459531a7fafead1c489f50f0d",
 }
 SWEEP_SHA256 = "9d652ef915f53fd0beb14ea54c2a95ee5fc4063d98ef5c24309a7284f53675a7"
 
@@ -288,8 +292,8 @@ SPECIAL_SHA256 = {
     "Z2.csv": "e5f953a60fc951c27a5962f4e6861829fefe5d6d057a5b6d6eb63724c202cbfe",
     "Z3.csv": "80bef8868b1ab99a70964d199fb9cf520fafd174bdcc78350bbffa4a3c439eef",
     "initial.csv": "34a4891314f9cacb5ec2d47c5240585685a95499944d2512b22b0a00beeff336",
-    "forward_series.csv": "9eb9e291219c21be4475c72454a8a42b1406212874e8a2cab8ca088cb549bf8d",
-    "backward_series.csv": "70889e5b04cfe2207e316fa5017dd82cde2e0aa73c1d5929f546988ce7f12499",
+    "forward_series.csv": "d3e91f6d2d25fe90b10dd1bf592684055c2affb92a6a59d736d252f6bcb25290",
+    "backward_series.csv": "bc99d22f710092466812ce8c63ee3cc75daa1c1293f2cac99c2153ed66ba27ee",
 }
 
 
@@ -479,12 +483,19 @@ def test_snapshot_every_zero_keeps_only_the_ends(tmp_path):
                                   "other-radii", "non-finite",
                                   "non-finite-snapshot", "wrong-shape-snapshot",
                                   "other-radii-snapshot", "missing-snapshot",
-                                  "truncated-archive"])
+                                  "truncated-archive", "float32-second-snapshot",
+                                  "two-columns-second-snapshot",
+                                  "truncated-second-snapshot",
+                                  "non-finite-second-snapshot",
+                                  "other-radii-second-snapshot", "non-finite-index-time"])
 def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
     """A field file that ``evolve --initial`` cannot read, a snapshot
     archive or member that ``modulate`` cannot read, or either holding
     another grid or a non-finite value, exits 2 with a message that names
-    the file (the archive, and the member)."""
+    the file (the archive, and the member).  A bad second member behind a
+    good first one is caught whether its header matches the first's
+    (non-finite, other radii, truncated data) or not (float32, two
+    columns); a non-finite time in ``index.csv`` names the index."""
     grid = make_grid(1, 20.0, 1000)     # the run's grid
     bad = tmp_path / "field.csv"
     if case == "two-columns":
@@ -512,7 +523,27 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
             names.append("snap_00001.npy")
         bad = tmp_path / "snaps" / "snapshots.npz"
         bad.parent.mkdir()
-        np.savez(bad, snap_00000=table)
+        if case.endswith("-second-snapshot"):
+            names.append("snap_00001.npy")
+            second = table.copy()
+            if case == "float32-second-snapshot":
+                second = second.astype(np.float32)
+            elif case == "two-columns-second-snapshot":
+                second = second[:, :2]
+            elif case == "non-finite-second-snapshot":
+                second[10, 1] = np.nan
+            elif case == "other-radii-second-snapshot":
+                second[:, 0] *= 0.5
+            with zipfile.ZipFile(bad, "w") as archive:
+                for name, member in zip(names, (table, second)):
+                    buf = io.BytesIO()
+                    np.lib.format.write_array(buf, member)
+                    data = buf.getvalue()
+                    if case == "truncated-second-snapshot" and member is second:
+                        data = data[:-100]
+                    archive.writestr(name, data)
+        else:
+            np.savez(bad, snap_00000=table)
         if case == "truncated-archive":
             bad.write_bytes(bad.read_bytes()[:-100])
         (bad.parent / "index.csv").write_text("idx,t,file\n" + "".join(
@@ -521,6 +552,16 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
         bad = tmp_path / "snaps" / "index.csv"
         bad.parent.mkdir()
         bad.write_text("idx,t,file\n0,0\n")
+    if case == "non-finite-index-time":
+        e = tmp_path / "e"
+        assert run_cli(["evolve", "--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000",
+                        "--initial", "ground", "--t-end", "0.02", "--out", str(e)]) == 0
+        bad = tmp_path / "snaps" / "index.csv"
+        shutil.copytree(e / "snapshots", bad.parent)
+        lines = bad.read_text().splitlines()
+        lines[1] = re.sub(r",[^,]*,", ",nan,", lines[1], count=1)
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
     if bad.parent.name == "snaps":
         args = ["modulate", "--snapshots", str(bad.parent)]
     else:
@@ -564,6 +605,24 @@ def test_archive_members_are_the_sink_arrays_bit_for_bit(tmp_path):
     assert [t for t, _ in read] == [float(FLOAT_FMT % t) for t, _ in handed]
     for (_, u), (_, values) in zip(read, handed):
         assert np.array_equal(bits(u.values), bits(values))
+
+
+def test_archive_bytes_match_the_per_member_header_writer(tmp_path):
+    """The sink, which formats the member header once, writes the bytes of
+    the writer that formats it for every member."""
+    gp = solve_ground(make_grid(1, 20.0, 1000), 5.2)
+    cfg = EvolverConfig(dt=1e-3, t_end=0.02, sample_every=1, snapshot_every=1)
+    handed = []
+    with cli._snapshot_sink(tmp_path / "sink", gp.grid) as sink:
+        def keep(t, values):
+            handed.append((t, values))
+            sink(t, values)
+
+        evolve(Field(gp.grid, gp.Q.values * np.exp(0.3j)), 0.0, cfg, gp.p, sink=keep)
+    write_snapshot_archive(tmp_path / "oracle.npz", gp.grid, handed)
+    assert len(handed) == 21
+    assert (tmp_path / "sink" / "snapshots.npz").read_bytes() \
+        == (tmp_path / "oracle.npz").read_bytes()
 
 
 def test_evolve_and_modulate_start_no_worker(tmp_path, monkeypatch):

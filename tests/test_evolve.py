@@ -98,9 +98,7 @@ def test_merged_steps_match_the_oracle(N, p, sponge, order):
     the last) against k oracle steps; N <= 2 has an origin row, N >= 3 a
     slaved node 0, and the second packet sits in the absorbing layer."""
     g = make_grid(N, 20.0, 400)
-    vals = (1.5 * np.exp(-g.r ** 2) + 0.5 * np.exp(-(g.r - 18.0) ** 2)) \
-        * np.exp(1j * g.r)
-    vals[-1] = 0.0
+    vals = _two_packets(g)
     ev = Evolver(g, p, EvolverConfig(dt=1e-3, order=order, sponge=sponge))
     u = ref = vals
     k = 10
@@ -110,18 +108,63 @@ def test_merged_steps_match_the_oracle(N, p, sponge, order):
     assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _two_packets(g):
+    vals = (1.5 * np.exp(-g.r ** 2) + 0.5 * np.exp(-(g.r - 18.0) ** 2)) \
+        * np.exp(1j * g.r)
+    vals[-1] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("sponge", [False, True])
+@pytest.mark.parametrize("N, p", [(1, 7.0), (3, 3.0)])
+def test_closed_steps_carry_their_phase(N, p, sponge, order):
+    """k closed (sampled) steps, dt halving after the fifth, each opening
+    with the factor its predecessor's close returned when that close had
+    the same dt, as ``evolve`` passes it: they agree with the same steps
+    forming every opening factor, and with the oracle, within 1e-12.  The
+    carry must not cross the halving: passed across it, the factor is off
+    by far more."""
+    g = make_grid(N, 20.0, 400)
+    dts = [1e-3] * 5 + [5e-4] * 5
+    ev = Evolver(g, p, EvolverConfig(dt=1e-3, order=order, sponge=sponge))
+
+    def run(crossing):
+        u = _two_packets(g)
+        carried = (None, None)
+        for dt in dts:
+            factor = carried[1] if crossing or carried[0] == dt else None
+            u, closing, power = ev.step_values(u, dt, factor=factor, carry=True)
+            carried = (dt, closing)
+        return u, power
+
+    u, power = run(crossing=False)
+    fresh = ref = _two_packets(g)
+    for dt in dts:
+        fresh = ev.step_values(fresh, dt)
+        ref = _oracle_step(ev, ref, dt)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(u - fresh)) <= 1e-12 * scale
+    assert np.max(np.abs(u - ref)) <= 1e-12 * scale
+    assert not np.array_equal(u, fresh)         # the carried factors were used
+    assert np.max(np.abs(run(crossing=True)[0] - ref)) > 1e-9 * scale
+    assert np.allclose(power, np.abs(u) ** (p - 1), rtol=1e-13, atol=0.0)
+
+
 def _close_every_step(monkeypatch):
-    """Make ``evolve`` the oracle loop: every step opens and closes."""
+    """Make ``evolve`` the oracle loop: every step opens and closes, and
+    forms its opening factor (a carried ``factor`` is dropped)."""
     whole = Evolver.step_values
     monkeypatch.setattr(Evolver, "step_values",
-                        lambda self, u, dt, **_: whole(self, u, dt))
+                        lambda self, u, dt, carry=False, **_: whole(self, u, dt, carry=carry))
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_evolve_closes_before_a_clipped_step(gentle, monkeypatch, order):
     """t_end = 123.4 dt: the step before the clipped last one is not
     sampled (sample_every = 7) but must close; every sampled state
-    (snapshot_every = 1) is closed."""
+    (snapshot_every = 1) is closed.  The oracle loop closes every step
+    and forms every opening phase afresh, so it reuses no phase factor."""
     g = gentle.grid
     u0 = Field(g, gentle.Q.values * np.exp(1j * 0.2 * np.exp(-g.r ** 2)))
     cfg = EvolverConfig(dt=1e-3, t_end=0.1234, sample_every=7,
@@ -243,6 +286,53 @@ def test_diagnostics_on_rotated_ground_state(gp33):
     assert d["mg"] == pytest.approx(1.0, rel=1e-12)
     assert abs(variance_rate(u)) <= 1e-10
     assert abs(d["momentum"]) <= 1e-12
+
+
+@pytest.mark.parametrize("N, p", [(1, 5.2), (3, 3.0)])
+def test_diagnostics_take_the_step_power(N, p):
+    """With the power |u|^{p-1} that the step returned every column agrees
+    with the diagnostics that form it from the state, within 1e-13
+    relative.  N = 3 has a slaved node 0, whose power comes from the
+    state."""
+    gp = solve_ground(make_grid(N, 20.0, 1000), p)
+    g = gp.grid
+    ev = Evolver(g, p, EvolverConfig(dt=1e-3))
+    datum = gp.Q.values * (1.0 + 0.1 * np.exp(-g.r ** 2)) * np.exp(0.3j + 0.2j * g.r)
+    values, _, power = ev.step_values(datum, 1e-3, carry=True)
+    u = Field(g, values)
+    assert np.allclose(power, np.abs(values) ** (p - 1), rtol=1e-13, atol=0.0)
+    fresh = diagnostics(u, 1e-3, p, reference=gp)
+    read = diagnostics(u, 1e-3, p, reference=gp, power=power)
+    assert read.keys() == fresh.keys()
+    for key, value in fresh.items():
+        assert read[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+    assert read["momentum"] != 0.0
+
+
+def test_evolve_carries_a_factor_only_at_the_same_dt(gp33, monkeypatch):
+    """On the blow-up datum, which halves dt: a step gets a factor exactly
+    when the step before it closed at the same dt, and it is the factor
+    that close returned."""
+    calls = []
+    whole = Evolver.step_values
+
+    def spy(self, u, dt, **kw):
+        out = whole(self, u, dt, **kw)
+        calls.append((dt, kw, out))
+        return out
+
+    monkeypatch.setattr(Evolver, "step_values", spy)
+    cfg = EvolverConfig(dt=2e-4, t_end=1.5, sample_every=10)
+    evolve(Field(gp33.grid, 1.1 * gp33.Q.values), 0.0, cfg, gp33.p, reference=gp33)
+    assert len({dt for dt, _, _ in calls}) > 1
+    carried = 0
+    for (dt0, kw0, out0), (dt1, kw1, _) in zip(calls, calls[1:]):
+        if kw0["close"] and dt0 == dt1:
+            assert kw1["factor"] is out0[1]
+            carried += 1
+        else:
+            assert kw1["factor"] is None
+    assert carried > 1
 
 
 def test_ground_state_sits_at_the_threshold(gp33, gentle):

@@ -310,6 +310,8 @@ def _cmd_evolve(pipe: Pipeline, out: Path, inputs: dict):
         "t_star": verdict.t_star if verdict.t_star is not None else "none",
         "rate": verdict.rate if verdict.rate is not None else "none",
         **{f"evidence.{k}": v for k, v in verdict.evidence.items()},
+        "stop_reason": series.meta["stop_reason"],
+        "t_stop": series.meta["t_stop"],
     })
     pipe.man.record("verdict", verdict.kind)
     pipe.man.record("steps_sampled", series.t.size)
@@ -327,6 +329,7 @@ def _cmd_special(pipe: Pipeline, out: Path, inputs: dict):
         "e0": sol.e0, "mass": rep.mass, "energy": rep.energy,
         "me": rep.me, "mg": rep.mg, "d0_sign": rep.d0_sign,
         "forward_rate": rep.forward_rate, "backward_verdict": rep.backward_verdict.kind,
+        "backward_stop_reason": rep.backward_series.meta["stop_reason"],
         "backward_t_reached": rep.backward_series.meta["t_stop"],
         "mass_mismatch": rep.mass_mismatch, "energy_mismatch": rep.energy_mismatch}
     _report(pipe, out / "report.txt", entries)
@@ -524,6 +527,12 @@ def cli_dispatch(argv) -> int:
             k: v for k, v in args.items() if k in DEFAULTS})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
+    # load_config checks the config keys; --t0 is an input, checked here
+    t0 = args.get("input.t0")
+    if t0 is not None and not math.isfinite(t0):
+        print(f"usage error: --t0 must be finite, got {t0}", file=sys.stderr)
         return 2
 
     out = Path(args["out"]) if args["out"] else Path(f"nlslab_{command}_out")

@@ -99,20 +99,19 @@ class EvolverConfig:
 class TimeSeries:
     """Diagnostics sampled along a run (times strictly monotone, in the
     direction of integration); every field but ``meta`` is one column of
-    ``SERIES_COLUMNS``."""
+    ``SERIES_COLUMNS``, the header of a written series file.  ``meta``
+    holds ``dt_final`` and the stop fields ``stop_reason`` and
+    ``t_stop``."""
 
     HEADER: ClassVar[str]
     t: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
-    momentum: np.ndarray
+    potential: np.ndarray
     grad: np.ndarray
     d: np.ndarray
     me: np.ndarray
     mg: np.ndarray
-    linf: np.ndarray
-    fr: np.ndarray
-    frp: np.ndarray
     dist_q: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -122,19 +121,16 @@ class TimeSeries:
     def time_reversed(self) -> TimeSeries:
         """The series of t -> conj(u(-t)), which solves NLS when u does.
 
-        Of the ``diagnostics`` columns only t, ``momentum`` and ``frp``
-        (the imaginary part of conj(u) grad u) are odd under the map; they
-        change sign and every other column, ``potential_series`` included,
-        is kept.  The one time in ``meta``, ``t_stop``, changes sign with
-        t.  For a real datum this is
-        the series of its backward run, bit for bit: conjugation turns the
-        Crank-Nicolson matrix at dt into the one at -dt (the sponge term
-        |dt| sigma is real), and the phase map likewise.
+        Every ``diagnostics`` column but t is even under the map, so only
+        t changes sign, with the one time in ``meta``, ``t_stop``.  For a
+        real datum this is the series of its backward run, bit for bit:
+        conjugation turns the Crank-Nicolson matrix at dt into the one at
+        -dt (the sponge term |dt| sigma is real), and the phase map
+        likewise.
         """
-        odd = {"t", "momentum", "frp"}
-        # 0.0 - x, not -x: a zero stays +0.0, as the backward run has it at t = 0
-        cols = {c: 0.0 - getattr(self, c) if c in odd else getattr(self, c)
-                for c in SERIES_COLUMNS}
+        cols = {c: getattr(self, c) for c in SERIES_COLUMNS}
+        # 0.0 - t, not -t: t = 0 stays +0.0, as the backward run has it
+        cols["t"] = 0.0 - self.t
         return TimeSeries(meta=dict(self.meta, t_stop=-self.meta["t_stop"]),
                           **cols)
 
@@ -259,25 +255,16 @@ def diagnostics(u: Field, t: float, p: float,
 
     ``power`` is |u|^{p-1} on the nodes when the caller has it (an evolved
     sample's, from the step that returned u); the potential then forms
-    |u|^{p+1} as |u|^2 |u|^{p-1}.  conj(u) grad u is formed once for
-    ``momentum`` and ``frp``, and the gradient of u - e^{it} Q for
+    |u|^{p+1} as |u|^2 |u|^{p-1}.  The gradient of u - e^{it} Q for
     ``dist_q`` is grad u - e^{it} grad Q, with grad Q cached on the
-    reference.
+    reference.  The keys are ``SERIES_COLUMNS``.
     """
     grid = u.grid
-    w = grid.w
     du = gradient_values(grid, u.values)
-    a = np.abs(u.values)
-    obs = Observables.integrate(w, a, du, p, power=power)
-    flux = (np.conj(u.values) * du).imag
-    phi, phi_prime = grid.virial_weights
+    obs = Observables.integrate(grid.w, np.abs(u.values), du, p, power=power)
 
-    out = dict(t=t, mass=obs.mass, energy=obs.energy,
-               momentum=float(np.dot(w, flux)), grad=obs.grad,
-               linf=float(a.max()), potential=obs.potential,
-               fr=float(np.dot(w, phi * a ** 2)),
-               frp=2.0 * float(np.dot(w, phi_prime * flux)),
-               d=math.nan, me=math.nan, mg=math.nan, dist_q=math.nan)
+    out = dict(t=t, mass=obs.mass, energy=obs.energy, potential=obs.potential,
+               grad=obs.grad, d=math.nan, me=math.nan, mg=math.nan, dist_q=math.nan)
     if reference is not None:
         out["d"] = abs(obs.grad - reference.obs.grad)
         out["me"], out["mg"] = reference.me_mg(obs)
@@ -303,10 +290,11 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
       once |t - t0| reaches ``SCATTER_HOLD`` times the elapsed time at
       which it began to pass.
     ``meta`` records why the run stopped (``stop_reason``: "t_end",
-    "blowup" or "scatter") and where (``t_stop``).  A step is closed
-    exactly when it is sampled or the next step has another dt, so every
-    state read here (samples, snapshots, the mass guard, the stops) is
-    closed.  A closed step hands its closing phase's factor to the next
+    "blowup" or "scatter") and where (``t_stop``); with the series
+    columns these two are all that ``classify_run`` reads.  A step is
+    closed exactly when it is sampled or the next step has another dt, so
+    every state read here (samples, snapshots, the mass guard, the stops)
+    is closed.  A closed step hands its closing phase's factor to the next
     step when that one has the same dt, and its power |u|^{p-1} to the
     sample (``Evolver.step_values``'s ``carry``).
 
@@ -411,9 +399,7 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
         snapshot()
     meta["stop_reason"], meta["t_stop"] = stop_reason, t
     cols = {k: np.array([r[k] for r in rows]) for k in SERIES_COLUMNS}
-    series = TimeSeries(meta=meta, **cols)
-    series.meta["potential_series"] = np.array(potential)
-    return series, Field(grid, u)
+    return TimeSeries(meta=meta, **cols), Field(grid, u)
 
 
 def _scatters(potential, potential_q: float) -> bool:
@@ -434,14 +420,18 @@ def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
     """Blow-up / scatter / converge-to-Q trichotomy on a series that
     ``evolve`` ran with ``reference=gp``; the thresholds scale with
     ||grad Q||, P(Q) and ||Q||_{H1} = ||Q|| + ||grad Q|| of ``gp.obs``.
+    It reads the series columns and the stop fields ``stop_reason`` and
+    ``t_stop`` of ``meta``, no other key, so a series read back from its
+    file with those two fields gives the verdict of the run.
 
     BlowUp: the run ended on ``evolve``'s blow-up stop
     (``stop_reason == "blowup"``), and ``t_star`` is where it stopped.
     Scatter: the potential P(u) = int |u|^{p+1}, whose decay is what
     scattering means, fell below 10% of P(Q) and decayed over the last
-    quarter of the samples (``_scatters``).  The rule reads no L_inf: once
-    outgoing radiation reaches the absorbing layer, the maximum over the
-    nodes can rise while the potential decays.
+    quarter of the samples (``_scatters``), read from the ``potential``
+    column.  The rule reads no L_inf: once outgoing radiation reaches the
+    absorbing layer, the maximum over the nodes can rise while the
+    potential decays.
     ConvergeToQ: the distance ``dist_q`` = ||u - e^{it} Q||_{H1}, which is
     not modulation-aligned, stayed in the window and fits an exponential
     with nonpositive rate (within fit noise).
@@ -472,9 +462,8 @@ def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
                                evidence={"dist_final": float(dist[-1]),
                                          "fit_noise": noise})
 
-    pot = meta["potential_series"]
+    pot = series.potential
     if _scatters(pot, ref.potential):
         return Verdict("Scatter",
-                       evidence={"potential_ratio": float(pot[-1] / ref.potential),
-                                 "linf_final": float(series.linf[-1])})
+                       evidence={"potential_ratio": float(pot[-1] / ref.potential)})
     return Verdict("Undecided", evidence={"grad_final": float(series.grad[-1])})

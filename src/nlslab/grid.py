@@ -90,38 +90,12 @@ class RadialGrid:
         imaginary part, formatted once per grid."""
         return "r,re,im\n" + "".join(f"{x:.17g},%.17g,%.17g\n" for x in self.r.tolist())
 
-    @cached_property
-    def virial_weights(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """(R^2 phi(r/R), R phi'(r/R)) with R = rmax/4: the weights of the
-        localized variance int R^2 phi(|x|/R) |u|^2 and of its rate."""
-        R = self.rmax / 4.0
-        s = self.r / R
-        weights = R**2 * _phi_cutoff(s), R * _phi_cutoff_prime(s)
-        for v in weights:
-            v.setflags(write=False)
-        return weights
-
     def same_as(self, other: "RadialGrid") -> bool:
         return (
             self.N == other.N
             and self.n == other.n
             and self.rmax == other.rmax
         )
-
-
-def _phi_cutoff(s):
-    """phi(s) = s^2 for s <= 1, a C^1 taper with phi'' <= 2 on [1, 3], 0 beyond."""
-    s = np.asarray(s, dtype=float)
-    x = np.clip(s - 1.0, 0.0, 2.0)
-    mid = 1.0 + 2 * x - 4.5 * x**2 + 2.5 * x**3 - 0.4375 * x**4
-    return np.where(s <= 1.0, s**2, np.where(s >= 3.0, 0.0, mid))
-
-
-def _phi_cutoff_prime(s):
-    s = np.asarray(s, dtype=float)
-    x = np.clip(s - 1.0, 0.0, 2.0)
-    mid = 2.0 * (1.0 - 3.5 * x) * (1.0 - 0.5 * x) ** 2
-    return np.where(s <= 1.0, 2.0 * s, np.where(s >= 3.0, 0.0, mid))
 
 
 def make_grid(N: int, rmax: float, n: int) -> RadialGrid:

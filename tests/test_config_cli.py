@@ -18,7 +18,7 @@ from nlslab.cli import cli_dispatch
 from nlslab.config import ENV_PREFIX, load_config
 from nlslab.approx import residual_rate
 from nlslab.errors import ConfigError
-from nlslab.evolve import EvolverConfig, evolve
+from nlslab.evolve import SERIES_COLUMNS, EvolverConfig, TimeSeries, classify_run, evolve
 from nlslab.grid import FLOAT_FMT, Field, make_grid, write_field_csv
 from nlslab.ground import solve_ground
 from nlslab.linearized import bilinear_B, coercivity_min, linearized_energy_phi
@@ -152,7 +152,8 @@ def test_bad_evolve_keys_are_config_errors(tmp_path, keys):
 
 
 @pytest.mark.parametrize("flags", [["--t-end", "nan"], ["--dt", "nan"],
-                                   ["--rmax", "inf"]], ids=" ".join)
+                                   ["--rmax", "inf"], ["--t0", "nan"], ["--t0=inf"]],
+                         ids=" ".join)
 def test_non_finite_flags_are_config_errors(tmp_path, flags):
     out = tmp_path / "o"
     assert run_cli(["evolve", "--N", "1", "--p", "7", "--n", "1000",
@@ -274,13 +275,13 @@ def test_manifest_records_effective_config(tmp_path):
 # the order of floating-point operations on these paths shows up here
 STORED_SHA256 = {
     "Q.csv": "1c4f27ee64b53b5fbfda5de91861f8a20b448c3a2ff68147e4383b427e1b38d8",
-    "series.csv": "1adbcbda45abd9665be1a25825bd3483372453c4d31971a412c856f084e7c83d",
+    "series.csv": "3bd2992d03c2fc3f7293cea90ad2713868cb4ad24a2667ddd093541bd623cbce",
     "snapshots.npz": "859e3d028f4961a2b2b62f949ddb430ff315e089570f7af6bd8db6153d9b433d",
 }
 
 # sha256 of the outputs that read mass, energy, ME and MG
 ROUNDTRIP_SHA256 = {
-    "series.csv": "75f3d52469004156c105e9383396b3881ec3efec51007fa30398c0f73898b57e",
+    "series.csv": "6c903fdd702983a84523748dc5225e0e88bb49d164c4785c3a9c201cbf9d0331",
     "frames.csv": "930f6fdfc3329ea495d04a04a131be6f4fdbc96459531a7fafead1c489f50f0d",
 }
 SWEEP_SHA256 = "9d652ef915f53fd0beb14ea54c2a95ee5fc4063d98ef5c24309a7284f53675a7"
@@ -292,8 +293,8 @@ SPECIAL_SHA256 = {
     "Z2.csv": "e5f953a60fc951c27a5962f4e6861829fefe5d6d057a5b6d6eb63724c202cbfe",
     "Z3.csv": "80bef8868b1ab99a70964d199fb9cf520fafd174bdcc78350bbffa4a3c439eef",
     "initial.csv": "34a4891314f9cacb5ec2d47c5240585685a95499944d2512b22b0a00beeff336",
-    "forward_series.csv": "d3e91f6d2d25fe90b10dd1bf592684055c2affb92a6a59d736d252f6bcb25290",
-    "backward_series.csv": "bc99d22f710092466812ce8c63ee3cc75daa1c1293f2cac99c2153ed66ba27ee",
+    "forward_series.csv": "a16370713b9a07915c5cece4a5d71cc574a52fca92bacf31241a4d060e09f673",
+    "backward_series.csv": "8008aeb19e07ed5bb5b4ab63b7b8c71cf12ffa6c1c72bae0563da36bd0c7aeba",
 }
 
 
@@ -398,7 +399,7 @@ def test_evolve_command_and_snapshot_roundtrip(tmp_path):
                   "--out", str(out)])
     assert rc == 0
     series = (out / "series.csv").read_text().splitlines()
-    assert series[0] == "t,mass,energy,momentum,grad,d,me,mg,linf,fr,frp,dist_q"
+    assert series[0] == "t,mass,energy,potential,grad,d,me,mg,dist_q"
     assert (out / "snapshots" / "index.csv").exists()
     assert (out / "verdict.txt").exists()
 
@@ -750,6 +751,53 @@ def test_special_command_outputs(tmp_path):
     man = (out / "manifest.txt").read_text()
     assert "check.sign_matches_A = pass" in man
     assert "check.forward_rate_within_10pct = pass" in man
+
+
+def _series_from_run(path, stop_reason, t_stop):
+    """The TimeSeries of a written series file and the stop fields of its run."""
+    assert path.read_text().splitlines()[0] == TimeSeries.HEADER
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return TimeSeries(**dict(zip(SERIES_COLUMNS, data.T)),
+                      meta={"stop_reason": stop_reason, "t_stop": float(t_stop)})
+
+
+@pytest.mark.parametrize("scale, kind, stop", [(0.5, "Scatter", "scatter"),
+                                               (1.1, "BlowUp", "blowup")])
+def test_evolve_verdict_recomputes_from_its_run_directory(tmp_path, gp33, scale, kind, stop):
+    """``classify_run`` on ``series.csv`` and the stop fields of
+    ``verdict.txt``, with the ground state on the run's grid, gives the
+    verdict the run wrote."""
+    datum, cfg = tmp_path / "datum.csv", tmp_path / "sponge.cfg"
+    write_field_csv(Field(gp33.grid, scale * gp33.Q.values), datum)
+    cfg.write_text("evolve.sponge = true\n")
+    out = tmp_path / "e"
+    assert run_cli(["evolve", "--N", "3", "--p", "3", "--rmax", "30", "--n", "1500",
+                    "--config", str(cfg), "--initial", str(datum), "--t-end", "0.3",
+                    "--dt", "2e-4", "--out", str(out)]) == 0
+    written = read_kv(out / "verdict.txt")
+    assert written["stop_reason"] == stop
+    series = _series_from_run(out / "series.csv", written["stop_reason"],
+                              written["t_stop"])
+    verdict = classify_run(series, gp33)
+    assert verdict.kind == written["verdict"] == kind
+    assert written["t_star"] == ("none" if verdict.t_star is None
+                                 else FLOAT_FMT % verdict.t_star)
+    assert {f"evidence.{k}": v for k, v in verdict.evidence.items()} == {
+        k: float(v) for k, v in written.items() if k.startswith("evidence.")}
+
+
+def test_special_verdict_recomputes_from_its_run_directory(tmp_path):
+    """The backward leg's verdict of ``special --A -1``, from
+    ``backward_series.csv`` and the stop fields of ``report.txt``."""
+    out = tmp_path / "sp"
+    assert run_cli(["special", "--N", "3", "--p", "3", "--rmax", "20", "--n", "1000",
+                    "--A", "-1", "--out", str(out)]) == 0
+    report = read_kv(out / "report.txt")
+    series = _series_from_run(out / "backward_series.csv",
+                              report["backward_stop_reason"], report["backward_t_reached"])
+    verdict = classify_run(series, solve_ground(make_grid(3, 20.0, 1000), 3.0))
+    assert verdict.kind == report["backward_verdict"] == "Scatter"
+    assert verdict.kind == read_kv(out / "verdict.txt")["verdict"]
 
 
 def test_classify_command_trichotomy(tmp_path):

@@ -107,8 +107,7 @@ def test_scatter_stop_is_a_prefix_of_the_full_horizon(spec33, ops33, monkeypatch
     assert m < f.t.size
     for col in SERIES_COLUMNS:
         assert np.array_equal(_bits(getattr(s, col)), _bits(getattr(f, col)[:m])), col
-    assert np.array_equal(_bits(s.meta["potential_series"]),
-                          _bits(f.meta["potential_series"][:m]))
+    assert np.array_equal(_bits(s.potential), _bits(f.potential[:m]))
     assert stopped.backward_verdict.kind == full.backward_verdict.kind == "Scatter"
 
 
@@ -172,8 +171,7 @@ def test_time_reversed_forward_run_is_the_backward_run(gp33):
         for col in SERIES_COLUMNS:
             assert np.array_equal(_bits(getattr(mirror, col)),
                                   _bits(getattr(bwd, col))), (label, col)
-        assert np.array_equal(_bits(mirror.meta["potential_series"]),
-                              _bits(bwd.meta["potential_series"])), label
+        assert np.array_equal(_bits(mirror.potential), _bits(bwd.potential)), label
         assert mirror.meta["stop_reason"] == bwd.meta["stop_reason"], label
         assert mirror.meta["t_stop"] == bwd.meta["t_stop"] == -fwd.meta["t_stop"], label
         verdict = classify_run(mirror, gp33)

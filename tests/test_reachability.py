@@ -29,7 +29,7 @@ REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
            "variance", "variance_rate", "default_config", "DimensionError",
            "LambdaPoly", "SpecialRunSpec", "NoBracketError", "PHASE_MAX_ITER",
            "PHASE_TOL", "ALIGNED_WINDOW", "OrderedMap", "imap", "WINDOW", "CHUNK",
-           "sha256_bytes", "pmap", "META_TIMES"}
+           "sha256_bytes", "pmap", "META_TIMES", "_phi_cutoff", "_phi_cutoff_prime"}
 
 
 def _defined():

@@ -536,7 +536,12 @@ def cli_dispatch(argv) -> int:
         return 2
 
     out = Path(args["out"]) if args["out"] else Path(f"nlslab_{command}_out")
-    man = RunManifest(out, command, cfg.render())
+    try:
+        man = RunManifest(out, command, cfg.render())
+    except OSError as exc:
+        print(f"usage error: cannot create output directory --out {out}: {exc}",
+              file=sys.stderr)
+        return 2
     pipe = Pipeline(cfg, man)
     inputs = {k: v for k, v in args.items() if k.startswith("input.")}
     for k, v in inputs.items():

@@ -24,6 +24,10 @@ closing phase's factor exp(i theta |v|^{p-1}), and the read takes its
 |v|^{p-1}.  Since
 lhs + rhs = 2I for the Crank-Nicolson pair, sponge included, the linear
 stage is 2 lhs^{-1} v - v with one matrix per dt.
+
+``evolve`` steps, samples and takes snapshots; ``RunRules`` keeps the
+samples and holds every rule they meet: the guards, the dt halving and
+the stops.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "TimeSeries",
     "Verdict",
     "Evolver",
+    "RunRules",
     "evolve",
     "diagnostics",
     "classify_run",
@@ -51,13 +56,12 @@ __all__ = [
 
 GAMMA1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 GAMMA2 = 1.0 - 2.0 * GAMMA1
-ADAPT_TRIGGER = 1.25    # dt halves when the gradient norm grows by this factor
-MASS_GUARD = 1e-3       # a sponge-free run stops once its mass drifts this far
+ADAPT_TRIGGER = 1.25    # the gradient growth that halves dt (RunRules)
+MASS_GUARD = 1e-3       # the mass drift a sponge-free run tolerates
 SPONGE_STRENGTH = 5.0   # sigma0 of the absorbing layer
 SPONGE_WIDTH = 0.15     # the layer's share of the domain, at its outer end
 SCATTER_POTENTIAL = 0.1  # Scatter needs P(u) below this share of P(Q)
-SCATTER_HOLD = 4.0 / 3.0  # the scatter stop waits until Scatter has held
-                          # over the last quarter of the elapsed |t - t0|
+SCATTER_HOLD = 4.0 / 3.0  # the scatter stop's factor on elapsed time
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,8 @@ class EvolverConfig:
 
     ``sponge`` switches the absorbing layer on the outer ``SPONGE_WIDTH``
     fraction of the domain, sigma(r) = sigma0 ((r - r_s)/(rmax - r_s))^2
-    with sigma0 = ``SPONGE_STRENGTH``.  dt halves whenever the gradient
-    norm grows by ``ADAPT_TRIGGER`` between samples, down to dt/64.
-    ``t_end`` is the horizon: a run given a reference ground profile ends
-    earlier at a decided verdict, on the blow-up stop once the gradient
-    norm triples or on the scatter stop once Scatter has held (``evolve``).
-    A sponge-free run whose mass drifts by more than ``MASS_GUARD`` raises.
-    The checks are written so that NaN fails them.
+    with sigma0 = ``SPONGE_STRENGTH``.  ``t_end`` is the horizon;
+    ``RunRules`` halves dt and may stop a run before it.
     """
 
     dt: float = 1e-3
@@ -100,7 +99,8 @@ class TimeSeries:
     """Diagnostics sampled along a run (times strictly monotone, in the
     direction of integration); every field but ``meta`` is one column of
     ``SERIES_COLUMNS``, the header of a written series file.  ``meta``
-    holds ``dt_final`` and the stop fields ``stop_reason`` and
+    holds the last dt, ``dt_final``, and the stop fields: why the run
+    stopped, ``stop_reason`` ("t_end", "blowup" or "scatter"), and where,
     ``t_stop``."""
 
     HEADER: ClassVar[str]
@@ -274,29 +274,92 @@ def diagnostics(u: Field, t: float, p: float,
     return out
 
 
+class RunRules:
+    """The per-sample rules of a run, which keeps its series as columns.
+
+    ``feed`` applies them in this order; NaN fails every check, the first
+    sample meets only rule 1, and rules 4, 5 and the zone need a reference Q.
+    1. A non-finite mass or gradient raises ``InstabilityError``.
+    2. With the sponge off, a mass drift over ``MASS_GUARD`` raises.
+    3. dt halves, to no less than cfg.dt/64, when ||grad u|| grew by
+       ``ADAPT_TRIGGER`` since the last sample or is in the blow-up zone,
+       ||grad u|| >= 3 ||grad Q||.
+    4. Blow-up stop: in the zone at the dt floor, log ||grad u|| convex
+       over the last three samples.
+    5. Scatter stop: ``scatters`` has held since elapsed |t - t0| = s, and
+       elapsed >= ``SCATTER_HOLD`` s.
+    """
+
+    def __init__(self, cfg: EvolverConfig, reference: GroundProfile | None = None):
+        self.cfg = cfg
+        self.ref = None if reference is None else reference.obs
+        self.cols = {c: [] for c in SERIES_COLUMNS}
+        self.dt_final = cfg.dt
+        self.stop_reason = "t_end"
+        self.scatter_since = None       # elapsed |t - t0| from which Scatter held
+
+    def feed(self, row: dict, dt: float, elapsed: float) -> float | None:
+        """Keep a ``diagnostics`` row, sampled at elapsed |t - t0| after a
+        step of ``dt``; the next step's dt, or None once the run stops."""
+        if not (math.isfinite(row["mass"]) and math.isfinite(row["grad"])):
+            raise InstabilityError(f"the state is not finite at t = {row['t']:.6g}")
+        for c, col in self.cols.items():
+            col.append(row[c])
+        mass, grad, ref = self.cols["mass"], self.cols["grad"], self.ref
+        if len(grad) == 1:
+            return dt
+        if not self.cfg.sponge and mass[0] > 0 and abs(mass[-1] / mass[0] - 1.0) > MASS_GUARD:
+            raise InstabilityError(f"mass drifted by {abs(mass[-1] / mass[0] - 1):.2e} "
+                                   f"with the sponge off")
+        dt_min = self.cfg.dt / 64.0
+        zone = ref is not None and grad[-1] >= 3.0 * ref.grad
+        if (grad[-1] > ADAPT_TRIGGER * grad[-2] or zone) and abs(dt) > dt_min:
+            dt = math.copysign(max(abs(dt) / 2.0, dt_min), dt)
+            self.dt_final = abs(dt)
+        if zone and abs(dt) <= dt_min * (1 + 1e-9) and len(grad) >= 3:
+            lg = [math.log(max(g, 1e-300)) for g in grad[-3:]]
+            if lg[2] - 2 * lg[1] + lg[0] > 0:
+                self.stop_reason = "blowup"
+                return None
+        if ref is None or not self.scatters(self.cols["potential"], ref.potential):
+            self.scatter_since = None
+            return dt
+        if self.scatter_since is None:
+            self.scatter_since = elapsed
+        if elapsed >= SCATTER_HOLD * self.scatter_since:
+            self.stop_reason = "scatter"
+            return None
+        return dt
+
+    def series(self, t_stop: float) -> TimeSeries:
+        meta = {"dt_final": self.dt_final, "stop_reason": self.stop_reason,
+                "t_stop": t_stop}
+        return TimeSeries(meta=meta, **{c: np.array(v) for c, v in self.cols.items()})
+
+    @staticmethod
+    def scatters(potential, potential_q: float) -> bool:
+        """The Scatter test on a potential series P(u) = int |u|^{p+1}, the
+        one rule of ``classify_run`` and the scatter stop: the last value
+        is below ``SCATTER_POTENTIAL`` P(Q), and over the last quarter of
+        the samples the series decays, net and with no uptick above 5% of
+        the quarter's first value (dispersing fields carry small
+        boundary-layer ripples)."""
+        if not potential[-1] < SCATTER_POTENTIAL * potential_q:
+            return False
+        tail = np.asarray(potential[-max(len(potential) // 4, 2):])
+        return bool(np.all(np.diff(tail) <= 0.05 * max(tail[0], 1e-300))
+                    and tail[-1] <= tail[0] * (1 - 1e-3))
+
+
 def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
            reference: GroundProfile | None = None, sink=None):
     """Integrate from t0 towards cfg.t_end (either direction).
 
-    Samples diagnostics every ``sample_every`` steps and halves dt when
-    the gradient norm grows by ``ADAPT_TRIGGER`` between samples (down to
-    dt/64).  With a ``reference`` the run ends at a decided verdict:
-    - blow-up: once the gradient norm has tripled, dt sits at its floor
-      and log ||grad u|| is convex over the last three samples (the one
-      BlowUp rule: ``classify_run`` reads it from ``stop_reason``);
-    - scatter: at the first sample where the Scatter test of
-      ``classify_run`` (on the potential series so far) has passed on
-      every sample of the last quarter of the elapsed |t - t0|, that is
-      once |t - t0| reaches ``SCATTER_HOLD`` times the elapsed time at
-      which it began to pass.
-    ``meta`` records why the run stopped (``stop_reason``: "t_end",
-    "blowup" or "scatter") and where (``t_stop``); with the series
-    columns these two are all that ``classify_run`` reads.  A step is
-    closed exactly when it is sampled or the next step has another dt, so
-    every state read here (samples, snapshots, the mass guard, the stops)
-    is closed.  A closed step hands its closing phase's factor to the next
-    step when that one has the same dt, and its power |u|^{p-1} to the
-    sample (``Evolver.step_values``'s ``carry``).
+    Samples diagnostics every ``sample_every`` steps into ``RunRules``,
+    which sets the next dt, may stop the run and writes the series'
+    ``meta``.  A step is closed exactly when it is sampled or the next
+    step has another dt, so every state read here is closed, and a closed
+    step carries its phase factor and power (``Evolver.step_values``).
 
     Snapshots stream: ``sink(t, values)`` receives the n + 1 node values
     at t0, at every ``snapshot_every``-th sample (if nonzero) and at the
@@ -308,18 +371,11 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     """
     grid = u0.grid
     ev = Evolver(grid, p, cfg)
+    rules = RunRules(cfg, reference)
     direction = 1.0 if cfg.t_end >= t0 else -1.0
-    dt = cfg.dt * direction
-    dt_min = cfg.dt / 64.0
-
     u = u0.values.copy()
     t = t0
-    rows = []
-    potential = []
     t_snap = None
-    meta = {"dt_final": abs(dt)}
-    stop_reason = "t_end"
-    scatter_since = None        # elapsed |t - t0| from which Scatter held
 
     def snapshot():
         nonlocal t_snap
@@ -327,17 +383,12 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
             sink(t, u)
             t_snap = t
 
-    def sample(power=None):
-        row = diagnostics(Field(grid, u), t, p, reference, power)
-        if not (math.isfinite(row["mass"]) and math.isfinite(row["grad"])):
-            raise InstabilityError(f"the state is not finite at t = {t:.6g}")
-        rows.append(row)
-        potential.append(row["potential"])
+    def sample(dt, power=None):
+        return rules.feed(diagnostics(Field(grid, u), t, p, reference, power),
+                          dt, abs(t - t0))
 
-    sample()
+    dt = sample(cfg.dt * direction)
     snapshot()
-    mass0 = rows[0]["mass"]
-    grad_prev = rows[0]["grad"]
     step_count = 0
 
     closed = True
@@ -360,60 +411,15 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
         t += dt
         step_count += 1
         if sampled:
-            sample(power)
-            row = rows[-1]
-            if not cfg.sponge and mass0 > 0 and \
-                    abs(row["mass"] / mass0 - 1.0) > MASS_GUARD:
-                raise InstabilityError(
-                    f"mass drifted by {abs(row['mass'] / mass0 - 1):.2e} "
-                    f"with the sponge off")
-            if cfg.snapshot_every and (len(rows) - 1) % cfg.snapshot_every == 0:
+            dt = sample(dt, power)
+            if dt is None:
+                break
+            if cfg.snapshot_every and (len(rules.cols["t"]) - 1) % cfg.snapshot_every == 0:
                 snapshot()
-            # adaptive step control on gradient growth; inside the blow-up
-            # zone (gradient tripled) dt is driven straight to its floor so
-            # the saturation criterion can fire
-            in_blowup_zone = (reference is not None
-                              and row["grad"] >= 3.0 * reference.obs.grad)
-            if (row["grad"] > ADAPT_TRIGGER * grad_prev or in_blowup_zone) \
-                    and abs(dt) > dt_min:
-                dt = math.copysign(max(abs(dt) / 2.0, dt_min), dt)
-                meta["dt_final"] = abs(dt)
-            grad_prev = row["grad"]
-            if in_blowup_zone and abs(dt) <= dt_min * (1 + 1e-9) and len(rows) >= 3:
-                lg = [math.log(max(r["grad"], 1e-300)) for r in rows[-3:]]
-                if lg[2] - 2 * lg[1] + lg[0] > 0:
-                    stop_reason = "blowup"
-                    break
-            if reference is not None:
-                if _scatters(potential, reference.obs.potential):
-                    elapsed = abs(t - t0)
-                    if scatter_since is None:
-                        scatter_since = elapsed
-                    if elapsed >= SCATTER_HOLD * scatter_since:
-                        stop_reason = "scatter"
-                        break
-                else:
-                    scatter_since = None
 
     if t_snap != t:
         snapshot()
-    meta["stop_reason"], meta["t_stop"] = stop_reason, t
-    cols = {k: np.array([r[k] for r in rows]) for k in SERIES_COLUMNS}
-    return TimeSeries(meta=meta, **cols), Field(grid, u)
-
-
-def _scatters(potential, potential_q: float) -> bool:
-    """The Scatter test on a potential series P(u) = int |u|^{p+1}, the
-    one rule ``classify_run`` and ``evolve``'s scatter stop share: the
-    last value is below ``SCATTER_POTENTIAL`` P(Q), and over the last
-    quarter of the samples the series decays, net and with no uptick
-    above 5% of the quarter's first value (dispersing fields carry small
-    boundary-layer ripples)."""
-    if not potential[-1] < SCATTER_POTENTIAL * potential_q:
-        return False
-    tail = np.asarray(potential[-max(len(potential) // 4, 2):])
-    return bool(np.all(np.diff(tail) <= 0.05 * max(tail[0], 1e-300))
-                and tail[-1] <= tail[0] * (1 - 1e-3))
+    return rules.series(t), Field(grid, u)
 
 
 def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
@@ -424,14 +430,12 @@ def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
     ``t_stop`` of ``meta``, no other key, so a series read back from its
     file with those two fields gives the verdict of the run.
 
-    BlowUp: the run ended on ``evolve``'s blow-up stop
+    BlowUp: the run ended on the blow-up stop of ``RunRules``
     (``stop_reason == "blowup"``), and ``t_star`` is where it stopped.
-    Scatter: the potential P(u) = int |u|^{p+1}, whose decay is what
-    scattering means, fell below 10% of P(Q) and decayed over the last
-    quarter of the samples (``_scatters``), read from the ``potential``
-    column.  The rule reads no L_inf: once outgoing radiation reaches the
-    absorbing layer, the maximum over the nodes can rise while the
-    potential decays.
+    Scatter: ``RunRules.scatters`` holds on the ``potential`` column, the
+    decay of P(u) = int |u|^{p+1} being what scattering means.  It reads
+    no L_inf: once outgoing radiation reaches the absorbing layer, the
+    maximum over the nodes can rise while the potential decays.
     ConvergeToQ: the distance ``dist_q`` = ||u - e^{it} Q||_{H1}, which is
     not modulation-aligned, stayed in the window and fits an exponential
     with nonpositive rate (within fit noise).
@@ -463,7 +467,7 @@ def classify_run(series: TimeSeries, gp: GroundProfile) -> Verdict:
                                          "fit_noise": noise})
 
     pot = series.potential
-    if _scatters(pot, ref.potential):
+    if RunRules.scatters(pot, ref.potential):
         return Verdict("Scatter",
                        evidence={"potential_ratio": float(pot[-1] / ref.potential)})
     return Verdict("Undecided", evidence={"grad_final": float(series.grad[-1])})

@@ -27,14 +27,14 @@ the centered stencil algebraically: midpoint faces there move e0 at (3, 3),
 n = 2400 by 1.2e-3, past the 1e-4 tolerance of the benchmark's recorded
 reference.  Because the Laplacian is symmetric under ``grid.w`` at every
 N, every integral, the identity checks and the mass that Crank-Nicolson
-conserves share one measure.
+conserves share one measure.  ``write_csv`` writes the field and series
+CSVs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -82,13 +82,6 @@ class RadialGrid:
     def __post_init__(self):
         self.r.setflags(write=False)
         self.w.setflags(write=False)
-
-    @cached_property
-    def snapshot_template(self) -> str:
-        """Field CSV text (``write_field_csv``; snapshots are binary) with
-        the radii filled in (%.17g) and a ``%.17g`` slot for each real and
-        imaginary part, formatted once per grid."""
-        return "r,re,im\n" + "".join(f"{x:.17g},%.17g,%.17g\n" for x in self.r.tolist())
 
     def same_as(self, other: "RadialGrid") -> bool:
         return (
@@ -231,12 +224,8 @@ def write_csv(path, header: str, *columns) -> None:
 
 
 def write_field_csv(f: Field, path) -> None:
-    """Field CSV: header ``r,re,im``, one node per row, 17 digits, the
-    bytes ``write_csv`` would write; the parts fill
-    ``grid.snapshot_template``."""
-    parts = np.ascontiguousarray(f.values).view(np.float64)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f.grid.snapshot_template % tuple(parts.tolist()))
+    """Field CSV: header ``r,re,im``, one node per row, 17 digits."""
+    write_csv(path, "r,re,im", f.grid.r, f.values.real, f.values.imag)
 
 
 def field_from_table(data: NDArray, grid: RadialGrid, source: str) -> Field:

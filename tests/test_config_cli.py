@@ -161,6 +161,20 @@ def test_non_finite_flags_are_config_errors(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, sub):
+    """An existing file as --out, or as its parent, is exit 2 with a usage
+    error that names --out, and the file is left as it was."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    rc = cli_dispatch(["ground", "--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000",
+                       "--out", str(afile / sub)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot create output directory --out"), err
+    assert afile.read_text() == "kept\n"
+
+
 # special sets t_end itself, so it takes --dt but not --t-end
 @pytest.mark.parametrize("flag, command", [
     (flag, command) for flag in ("--t-end", "--dt")

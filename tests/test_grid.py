@@ -165,7 +165,7 @@ def test_field_csv_bytes_match_savetxt(tmp_path):
 @given(parts=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                       min_size=34, max_size=34),
        N=st.integers(1, 5), rmax=st.floats(0.5, 1e4))
-def test_snapshot_template_bytes_match_savetxt(tmp_path_factory, parts, N, rmax):
+def test_field_csv_bytes_match_savetxt_for_any_parts(tmp_path_factory, parts, N, rmax):
     """Finite parts of any exponent, +-0 and subnormals included."""
     g = make_grid(N, rmax, 16)
     vals = np.array(parts).view(np.complex128)     # keeps a -0.0 imaginary part

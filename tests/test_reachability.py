@@ -29,7 +29,8 @@ REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
            "variance", "variance_rate", "default_config", "DimensionError",
            "LambdaPoly", "SpecialRunSpec", "NoBracketError", "PHASE_MAX_ITER",
            "PHASE_TOL", "ALIGNED_WINDOW", "OrderedMap", "imap", "WINDOW", "CHUNK",
-           "sha256_bytes", "pmap", "META_TIMES", "_phi_cutoff", "_phi_cutoff_prime"}
+           "sha256_bytes", "pmap", "META_TIMES", "_phi_cutoff", "_phi_cutoff_prime",
+           "_scatters"}
 
 
 def _defined():

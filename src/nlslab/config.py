@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InvalidParameterError
 from .evolve import EvolverConfig
-from .ground import validate_intercritical
+from .ground import validate_intercritical, validate_spacing
 
 __all__ = ["RunConfig", "load_config", "parse_eps", "evolver_config",
            "ENV_PREFIX"]
@@ -35,11 +35,6 @@ DEFAULTS: dict[str, tuple[type, object]] = {
     "experiment.k": (int, 3),
     "experiment.delta": (float, 0.1),
     "experiment.sweep_eps": (str, "-0.1,0.1"),
-    "check.pohozaev_tol": (float, 1e-6),
-    "check.mass_tol": (float, 1e-6),
-    "check.gn_tol": (float, 1e-6),
-    "check.tail_tol": (float, 1e-2),
-    "check.spectrum_tol": (float, 1e-6),
     "check.identity_n": (int, 0),
 }
 
@@ -126,6 +121,12 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"grid.n must be >= 16, got {values['grid.n']}")
     if 0 != values["check.identity_n"] < 16:     # 0 means auto
         raise ConfigError(f"check.identity_n must be 0 or >= 16, got {values['check.identity_n']}")
+    for key in ("grid.n", "check.identity_n"):
+        try:
+            if values[key]:         # a grid the ground state is solved on
+                validate_spacing(values["grid.rmax"] / values[key])
+        except InvalidParameterError as exc:
+            raise ConfigError(f"grid.rmax/{key}: {exc}") from exc
     try:
         evolver_config(values)
     except InvalidParameterError as exc:
@@ -133,6 +134,8 @@ def _validate(values: dict) -> None:
     if not (0 < values["experiment.delta"] <= 0.2):
         raise ConfigError(
             f"experiment.delta must lie in (0, 0.2], got {values['experiment.delta']}")
+    if values["experiment.A"] == 0:
+        raise ConfigError("experiment.A must be nonzero: A = 0 is the standing wave, not U^A")
     if values["experiment.k"] < 1:
         raise ConfigError(f"experiment.k must be >= 1, got {values['experiment.k']}")
     parse_eps(values["experiment.sweep_eps"])

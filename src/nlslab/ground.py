@@ -38,6 +38,7 @@ __all__ = [
     "check_identities",
     "gn_quotient",
     "validate_intercritical",
+    "validate_spacing",
 ]
 
 PETVIASHVILI_TOL = 1e-10      # relative change at which the iteration stops
@@ -61,6 +62,12 @@ def validate_intercritical(N: int, p: float) -> None:
     if not (p < hi):
         raise InvalidParameterError(
             f"p = {p} is not energy-subcritical for N = {N} (need p < {hi})")
+
+
+def validate_spacing(h: float) -> None:
+    """Require the grid spacing h = rmax / n <= 0.02, to its roundoff."""
+    if h > 0.02 + 1e-15:
+        raise InvalidParameterError(f"ground-state work needs h <= 0.02, got h = {h}")
 
 
 @dataclass
@@ -232,9 +239,7 @@ def solve_ground(grid: RadialGrid, p: float) -> GroundProfile:
     """
     N = grid.N
     validate_intercritical(N, p)
-    if grid.h > 0.02 + 1e-15:
-        raise InvalidParameterError(
-            f"ground-state work needs h <= 0.02, got h = {grid.h}")
+    validate_spacing(grid.h)
     op = radial_operator(grid)
     u, its = _petviashvili(op, p)
     u, resid, steps = _newton_polish(op, p, u)
@@ -301,6 +306,13 @@ class IdentityReport:
     energy_target: float
     tail_deviation: float
 
+    def deviations(self) -> dict:
+        """The deviation of each identity that ``cli.Pipeline`` judges."""
+        return {"pohozaev": abs(self.ratio_pohozaev / self.target_pohozaev - 1),
+                "mass": abs(self.ratio_mass / self.target_mass - 1),
+                "gn": abs(self.gn_constant / self.gn_constant_derived - 1),
+                "tail": self.tail_deviation}
+
 
 def gn_quotient(values, grid: RadialGrid, p: float) -> float:
     """Gagliardo-Nirenberg quotient ||f||_{p+1}^{p+1} / (||grad f||^{N(p-1)/2} ||f||^{2-(N-2)(p-1)/2})
@@ -316,7 +328,8 @@ def gn_quotient(values, grid: RadialGrid, p: float) -> float:
 
 def check_identities(gp: GroundProfile) -> IdentityReport:
     """Pohozaev ratios, the GN sharp constant, and the tail law fit: values
-    only; the ``check.*_tol`` keys judge them (``cli.Pipeline.identities``).
+    only; ``cli.Pipeline.identities`` judges their ``deviations`` against
+    ``Pipeline.BOUNDS``.
 
     The gradient integral uses the discrete Dirichlet form -(Lap_h Q, Q)_w,
     which is exactly consistent with the polished profile; accuracy of the

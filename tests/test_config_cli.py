@@ -50,6 +50,8 @@ def test_minimal_config_fills_defaults(tmp_path):
     "experiment.t_back = 0.0",
     "evolve.sponge_strength = 5.0", "evolve.sponge_width = 0.15",
     "evolve.dt_min = 0", "check.rate_margin = 0.95", "run.seed = 12345",
+    "check.pohozaev_tol = 1e-6", "check.mass_tol = 1e-6", "check.gn_tol = 1e-6",
+    "check.tail_tol = 1e-2", "check.spectrum_tol = 1e-6",
 ])
 def test_unknown_key_rejected(tmp_path, line):
     f = tmp_path / "run.cfg"
@@ -216,19 +218,21 @@ def test_ground_command_outputs(tmp_path):
     assert "--- config ---" in manifest
 
 
-def test_identity_checks_read_the_tolerance_keys(tmp_path):
-    """The ``check.*_tol`` keys judge the identities of ``ground``: at n 1500
-    the defaults fail three of them, wide keys pass all four, and a
-    pohozaev key below any deviation fails it."""
+def test_identity_checks_read_the_tolerance_keys(tmp_path, monkeypatch):
+    """``Pipeline.BOUNDS`` judges the identities of ``ground``: at n 1500
+    the defaults fail three of them, wide bounds pass all four, and a
+    pohozaev bound below any deviation fails it."""
     grid = ["--N", "3", "--p", "3", "--n", "1500"]
     names = ("pohozaev", "mass", "gn", "tail")
-    wide = "".join(f"check.{name}_tol = 1e3\n" for name in names)
-    cases = {"default": "", "wide": wide, "tight": "check.pohozaev_tol = 1e-30\n"}
+    default = cli.Pipeline.BOUNDS
+    wide = {**default, **{f"identity_{name}": 1e3 for name in names}}
+    cases = {"default": default, "wide": wide,
+             "tight": {**default, "identity_pohozaev": 1e-30}}
     ledger = {}
-    for case, lines in cases.items():
-        f, out = tmp_path / f"{case}.cfg", tmp_path / case
-        f.write_text(lines)
-        assert run_cli(["ground", "--config", str(f), *grid, "--out", str(out)]) == 0
+    for case, bounds in cases.items():
+        monkeypatch.setattr(cli.Pipeline, "BOUNDS", bounds)
+        out = tmp_path / case
+        assert run_cli(["ground", *grid, "--out", str(out)]) == 0
         man = read_kv(out / "manifest.txt")
         ledger[case] = {name: man[f"check.identity_{name}"] for name in names}
     assert [ledger["default"][name] for name in ("gn", "mass", "pohozaev")] == ["FAIL"] * 3
@@ -394,8 +398,10 @@ def test_spectrum_and_construct_match_fixtures(tmp_path, gp33, ops33, spec33, so
                 for k, v in expected.items()}
         assert read_kv(out / name) == want
     ms, mc = read_kv(s / "manifest.txt"), read_kv(c / "manifest.txt")
-    assert ms["check.eigen_residuals"] == "pass"
-    assert ms["check.coercivity_positive"] == "pass"
+    # spectrum certifies the eigenpair with the six checks that check applies
+    for name in ("eigen_residuals", "q_y1_orthogonal", "B_normalization", "phi_yplus_zero",
+                 "decay_margin_positive", "simplicity_proxy", "coercivity_positive"):
+        assert ms[f"check.{name}"] == "pass"
     assert mc["check.residual_order"] == "pass"
     # every stage has a wall-time line; the ones spectrum runs took time
     stages = {k: v for k, v in ms.items() if k.startswith("stage.")}
@@ -665,15 +671,56 @@ def test_evolve_and_modulate_start_no_worker(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("args", [["special", "--delta", "0.5"],
                                   ["special", "--delta", "0"],
-                                  ["construct", "--k", "0"]], ids=" ".join)
+                                  ["construct", "--k", "0"],
+                                  ["special", "--A", "0"],
+                                  ["construct", "--A", "0"]], ids=" ".join)
 def test_experiment_bounds_are_config_errors(tmp_path, capsys, args):
-    """delta must lie in (0, 0.2] and k be at least 1; the config layer is
-    the one place that checks them.  The message names the key."""
+    """delta must lie in (0, 0.2], k be at least 1 and A be nonzero (A = 0
+    is the standing wave itself); the config layer is the one place that
+    checks them.  The message names the key."""
     out = tmp_path / "o"
     assert run_cli([*args, "--N", "3", "--p", "3", "--rmax", "20", "--n", "1000",
                     "--out", str(out)]) == 2
     assert f"experiment.{args[1][2:]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grid_coarser_than_the_ground_solver_accepts_is_config_error(tmp_path, capsys):
+    """Every command solves Q first, so a grid spacing rmax / n above the
+    0.02 that ``ground.validate_spacing`` accepts is the config's fault:
+    exit 2 before the run directory is made, with the keys named, for the
+    working grid and for the grid ``check.identity_n`` sets."""
+    f = tmp_path / "coarse_id.cfg"
+    f.write_text("check.identity_n = 500\n")
+    cases = {"grid.n": ["ground", "--rmax", "30", "--n", "1000"],
+             "check.identity_n": ["check", "--rmax", "20", "--n", "1000", "--config", str(f)]}
+    for key, args in cases.items():
+        out = tmp_path / key
+        assert run_cli([*args, "--N", "3", "--p", "3", "--out", str(out)]) == 2
+        assert f"grid.rmax/{key}: ground-state work needs h <= 0.02" in capsys.readouterr().err
+        assert not out.exists()
+    # h = 0.02 itself, the benchmark's evolve grid, is accepted
+    assert load_config(overrides={"grid.rmax": 20.0, "grid.n": 1000})["grid.n"] == 1000
+
+
+def test_every_bound_in_the_table_judges_its_check(tmp_path, monkeypatch):
+    """With every ``Pipeline.BOUNDS`` entry at -1, which no deviation meets,
+    exactly the checks that the table names FAIL over ``check`` and
+    ``special``: each reads its bound there, and every other check is a
+    sign, a count or a rate margin."""
+    monkeypatch.setattr(cli.Pipeline, "BOUNDS", dict.fromkeys(cli.Pipeline.BOUNDS, -1.0))
+    cfg = tmp_path / "id.cfg"
+    cfg.write_text("check.identity_n = 2000\n")
+    grid = ["--N", "3", "--p", "3", "--rmax", "20", "--n", "1000", "--config", str(cfg)]
+    assert run_cli(["check", *grid, "--out", str(tmp_path / "c")]) == 1
+    assert run_cli(["special", *grid, "--out", str(tmp_path / "s")]) == 0
+    ledgers = [{k[len("check."):]: v for k, v in read_kv(tmp_path / d / "manifest.txt").items()
+                if k.startswith("check.")} for d in "cs"]
+    failed = [name for ledger in ledgers for name, v in ledger.items() if v == "FAIL"]
+    assert sorted(failed) == sorted(cli.Pipeline.BOUNDS)
+    assert {name for ledger in ledgers for name, v in ledger.items() if v == "pass"} == {
+        "decay_margin_positive", "simplicity_proxy", "coercivity_positive",
+        "residual_order_k1", "sign_matches_A"}
 
 
 def test_eps_values_flag_reaches_the_config_echo(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlslab.approx import build_Vk
-from nlslab.config import load_config
+from nlslab.cli import Pipeline
 from nlslab.evolve import EvolverConfig, evolve
 from nlslab.grid import Field, make_grid
 from nlslab.ground import solve_ground
@@ -22,7 +22,7 @@ def test_pipeline_across_dimensions(N, p):
     assert np.max(np.abs(ops.apply_lplus(q) - (1 - p) * q**p)) <= 1e-9 * scale
 
     spec = compute_spectrum(ops)
-    tol = load_config()["check.spectrum_tol"]
+    tol = Pipeline.BOUNDS["eigen_residuals"]
     assert spec.e0 > 0
     assert spec.residual_plus <= tol and spec.residual_minus <= tol
     assert spec.negative_directions == 1

@@ -101,3 +101,28 @@ def test_exports_resolve():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
         assert not REMOVED & set(vars(module)), module.__name__
+
+
+def _calls_record_check(node) -> bool:
+    return isinstance(node, ast.Call) and "record_check" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+
+def test_every_check_is_recorded_by_a_pipeline_method():
+    """The check ledger has one writer: every ``record_check(...)`` call in
+    the package sits in a method of ``cli.Pipeline``, and none holds a
+    float literal, so every bound is a ``Pipeline.BOUNDS`` entry or a
+    named ``Pipeline`` constant."""
+    calls, in_pipeline = [], []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name == "Pipeline":
+                in_pipeline += [(path.name, call.lineno) for method in node.body
+                                if isinstance(method, ast.FunctionDef)
+                                for call in ast.walk(method) if _calls_record_check(call)]
+            if _calls_record_check(node):
+                calls.append((path.name, node.lineno))
+                assert not [c for arg in node.args for c in ast.walk(arg)
+                            if isinstance(c, ast.Constant) and isinstance(c.value, float)], \
+                    f"{path.name}:{node.lineno} holds a literal bound"
+    assert calls and sorted(calls) == sorted(in_pipeline)

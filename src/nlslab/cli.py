@@ -344,7 +344,9 @@ def _record(pipe: Pipeline, entries: dict, path: Path | None = None) -> None:
 
 
 # ---------------------------------------------------------------- commands
-# A command body writes its files; its checks are judged by the Pipeline.
+# A command body writes its files and returns the paths, relative to --out,
+# of its data files (CSVs, snapshot archive), which the manifest hashes;
+# its checks are judged by the Pipeline.
 
 def _cmd_ground(pipe: Pipeline, out: Path, inputs: dict):
     gp = pipe.ground()
@@ -355,6 +357,7 @@ def _cmd_ground(pipe: Pipeline, out: Path, inputs: dict):
         "q0": q0, "c_q": gp.c_q, "s_c": gp.s_c, "ode_residual": gp.ode_residual,
         **asdict(rep)})
     _record(pipe, {"q0": q0, "ode_residual": gp.ode_residual})
+    return ["Q.csv"]
 
 
 def _cmd_spectrum(pipe: Pipeline, out: Path, inputs: dict):
@@ -363,6 +366,7 @@ def _cmd_spectrum(pipe: Pipeline, out: Path, inputs: dict):
     write_field_csv(spec.Y2, out / "Y2.csv")
     entries = {**pipe.certify_spectrum(), **pipe.certify_coercivity()}
     _record(pipe, entries, out / "spectrum_report.txt")
+    return ["Y1.csv", "Y2.csv"]
 
 
 def _cmd_construct(pipe: Pipeline, out: Path, inputs: dict):
@@ -374,6 +378,7 @@ def _cmd_construct(pipe: Pipeline, out: Path, inputs: dict):
     entries = {"A": sol.A, "k": sol.k, "e0": sol.e0, "t_min": sol.t_min,
                "residual_rate": rate, "expected_rate": -(sol.k + 1) * sol.e0}
     _record(pipe, entries, out / "construct_report.txt")
+    return [f"Z{j}.csv" for j in range(1, sol.k + 1)]
 
 
 def _cmd_evolve(pipe: Pipeline, out: Path, inputs: dict):
@@ -397,6 +402,7 @@ def _cmd_evolve(pipe: Pipeline, out: Path, inputs: dict):
         "t_stop": series.meta["t_stop"],
     })
     _record(pipe, {"verdict": verdict.kind, "steps_sampled": series.t.size})
+    return ["series.csv", f"snapshots/{SNAPSHOT_ARCHIVE}", "snapshots/index.csv"]
 
 
 def _cmd_special(pipe: Pipeline, out: Path, inputs: dict):
@@ -414,6 +420,7 @@ def _cmd_special(pipe: Pipeline, out: Path, inputs: dict):
         "mass_mismatch": rep.mass_mismatch, "energy_mismatch": rep.energy_mismatch}
     _record(pipe, entries, out / "report.txt")
     _write_kv(out / "verdict.txt", {"verdict": rep.backward_verdict.kind})
+    return ["forward_series.csv", "backward_series.csv", "initial.csv"]
 
 
 def _cmd_classify(pipe: Pipeline, out: Path, inputs: dict):
@@ -423,6 +430,7 @@ def _cmd_classify(pipe: Pipeline, out: Path, inputs: dict):
                      f"{res['verdict_forward'].kind},{res['verdict_backward'].kind},"
                      f"{res['mg_prediction_ok']}")
     (out / "sweep_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["sweep_report.csv"]
 
 
 def _cmd_modulate(pipe: Pipeline, out: Path, inputs: dict):
@@ -439,6 +447,7 @@ def _cmd_modulate(pipe: Pipeline, out: Path, inputs: dict):
                 f.t, f.theta, f.alpha, f.h_norm, f.d, f.res_iq, f.res_qp)))
     (out / "frames.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _record(pipe, {"frames": len(rows) - 1, "gaps": gaps})
+    return ["frames.csv"]
 
 
 def _cmd_check(pipe: Pipeline, out: Path, inputs: dict):
@@ -457,6 +466,7 @@ def _cmd_check(pipe: Pipeline, out: Path, inputs: dict):
                    **coercivity, "residual_rate_k1": rate})
     _write_kv(out / "check_report.txt",
               {name: ("pass" if ok else "FAIL") for name, ok in pipe.man.checks.items()})
+    return []
 
 
 # ---------------------------------------------------------------- dispatch
@@ -544,7 +554,7 @@ def cli_dispatch(argv) -> int:
     man.write_pre()
 
     try:
-        COMMANDS[command](pipe, out, inputs)
+        outputs = COMMANDS[command](pipe, out, inputs)
     except NlslabError as exc:
         what, status, code = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
         print(f"{what}: {exc}", file=sys.stderr)
@@ -553,7 +563,7 @@ def cli_dispatch(argv) -> int:
 
     # only check exits 1 on a FAIL; every other command records it and exits 0
     failed = command == "check" and not man.all_checks_pass()
-    man.finalize("check-failure" if failed else "done")
+    man.finalize("check-failure" if failed else "done", outputs)
     return int(failed)
 
 

@@ -63,7 +63,8 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def _coerce(key: str, text: str, line_no: int):
+def _coerce(key: str, text: str, where: str):
+    """``text`` as the type of ``key``; an error names ``where`` it came from."""
     typ, _ = DEFAULTS[key]
     text = text.strip()
     try:
@@ -80,7 +81,7 @@ def _coerce(key: str, text: str, line_no: int):
         else:
             v = text
     except ValueError as exc:
-        raise ConfigError(f"line {line_no}: key {key!r}: {exc}") from exc
+        raise ConfigError(f"{where}: key {key!r}: {exc}") from exc
     return v
 
 
@@ -156,7 +157,7 @@ def _parse_text(text: str) -> dict:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in parsed:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        parsed[key] = _coerce(key, val, line_no)
+        parsed[key] = _coerce(key, val, f"line {line_no}")
     return parsed
 
 
@@ -166,7 +167,7 @@ def _apply_env(values: dict) -> None:
         if env_key.startswith(ENV_PREFIX):
             if env_key not in keys:
                 raise ConfigError(f"environment variable {env_key} names no config key")
-            values[keys[env_key]] = _coerce(keys[env_key], text, 0)
+            values[keys[env_key]] = _coerce(keys[env_key], text, env_key)
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

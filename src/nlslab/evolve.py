@@ -17,11 +17,9 @@ Default is the plain Strang step.
 
 The phase map keeps |u|, so two adjacent half phases are one phase of
 their summed length ("first same as last", McLachlan and Quispel,
-*Acta Numerica* 11, 2002): a composed step merges them, and ``evolve``
-merges them across the steps between two reads of the state.  Where a
-step is closed for a read, the next step at the same dt opens with the
-closing phase's factor exp(i theta |v|^{p-1}), and the read takes its
-|v|^{p-1}.  Since
+*Acta Numerica* 11, 2002): a composed step merges its inner ones.  Every
+step closes, and the next step at the same dt opens with the closing
+phase's factor exp(i theta |v|^{p-1}) instead of forming it.  Since
 lhs + rhs = 2I for the Crank-Nicolson pair, sponge included, the linear
 stage is 2 lhs^{-1} v - v with one matrix per dt.
 
@@ -209,43 +207,33 @@ class Evolver:
         z *= v
         return z
 
-    def step_values(self, u, dt, *, open=True, close=True, factor=None, carry=False):
-        """One step of the n + 1 node values ``u``.
+    def step_values(self, u, dt, *, factor=None):
+        """One whole step of the n + 1 node values ``u``.
 
-        ``open=False`` skips the opening half phase, which the previous
-        call applied.  ``close=False`` ends with the phase
-        (gamma_last + gamma_first) dt/2 instead of the closing half phase,
-        so that it also opens the next step, which must have the same dt
-        and be called with ``open=False``.  With the defaults a call is
-        one whole step.
-
-        A closed step called with ``carry=True`` returns (values, factor,
-        power): its closing half phase's factor exp(i theta |v|^{p-1}) on
-        the rows of v, the state before that phase, and |v|^{p-1} on all
-        nodes (a slaved node 0 from the values).  The phase keeps |v|, so
-        up to roundoff that factor is the opening half phase's of a next
-        step at the same dt, which takes it as ``factor`` instead of
-        forming it; ``diagnostics`` takes the power.
+        Returns (values, factor, power): the closing half phase's factor
+        exp(i theta |v|^{p-1}) and |v|^{p-1}, both on the rows of v, the
+        state before that phase.  The phase keeps |v|, so up to roundoff
+        that factor is the opening half phase's of a next step at the same
+        dt, which takes it as ``factor`` instead of forming it.
         """
         g = self._gammas
         v = self.op.rows(u)
-        if open:
-            v = v * factor if factor is not None else self._phase(v, g[0] / 2 * dt)
+        v = v * factor if factor is not None else self._phase(v, g[0] / 2 * dt)
         v = self._linear(v, g[0] * dt)
         for inner, gamma in zip(self._inner, g[1:]):
             v = self._linear(self._phase(v, inner * dt), gamma * dt)
-        if not close:
-            return self.op.extend(self._phase(v, (g[-1] + g[0]) / 2 * dt))
         power = np.abs(v) ** (self.p - 1)
         factor = self._factor(power, g[-1] / 2 * dt)
-        out = self.op.extend(factor * v)
-        if not carry:
-            return out
+        return self.op.extend(factor * v), factor, power
+
+    def node_power(self, values, power):
+        """A step's ``power`` on all n + 1 nodes, as ``diagnostics`` takes
+        it: a slaved node 0 from the step's ``values``."""
         nodes = np.zeros(self.grid.n + 1)
         self.op.rows(nodes)[:] = power
         if self.op.first:
-            nodes[0] = abs(out[0]) ** (self.p - 1)
-        return out, factor, nodes
+            nodes[0] = abs(values[0]) ** (self.p - 1)
+        return nodes
 
 
 def diagnostics(u: Field, t: float, p: float,
@@ -357,9 +345,9 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
 
     Samples diagnostics every ``sample_every`` steps into ``RunRules``,
     which sets the next dt, may stop the run and writes the series'
-    ``meta``.  A step is closed exactly when it is sampled or the next
-    step has another dt, so every state read here is closed, and a closed
-    step carries its phase factor and power (``Evolver.step_values``).
+    ``meta``.  Every step closes and hands its phase factor on to a next
+    step at the same dt; a sample takes the step's power
+    (``Evolver.step_values``).
 
     Snapshots stream: ``sink(t, values)`` receives the n + 1 node values
     at t0, at every ``snapshot_every``-th sample (if nonzero) and at the
@@ -391,27 +379,16 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     snapshot()
     step_count = 0
 
-    closed = True
-    carried = (None, None)      # (dt, closing factor) of the last closed step
+    last_dt = closing = None    # the previous step's dt and closing factor
     while (cfg.t_end - t) * direction > 1e-12:
         if (cfg.t_end - t) * direction < abs(dt) * (1 - 1e-9):
             dt = (cfg.t_end - t)
-        left = (cfg.t_end - (t + dt)) * direction
-        sampled = (step_count + 1) % cfg.sample_every == 0 or left <= 1e-12
-        # close the step that is sampled, or whose successor is clipped:
-        # outside samples, dt changes nowhere else
-        opened, closed = closed, sampled or left < abs(dt) * (1 - 1e-9)
-        factor = carried[1] if opened and carried[0] == dt else None
-        if closed:
-            u, closing, power = ev.step_values(u, dt, open=opened, close=True,
-                                               factor=factor, carry=True)
-            carried = (dt, closing)
-        else:
-            u = ev.step_values(u, dt, open=opened, close=False, factor=factor)
+        u, closing, power = ev.step_values(u, dt, factor=closing if dt == last_dt else None)
+        last_dt = dt
         t += dt
         step_count += 1
-        if sampled:
-            dt = sample(dt, power)
+        if step_count % cfg.sample_every == 0 or (cfg.t_end - t) * direction <= 1e-12:
+            dt = sample(dt, ev.node_power(u, power))
             if dt is None:
                 break
             if cfg.snapshot_every and (len(rules.cols["t"]) - 1) % cfg.snapshot_every == 0:

@@ -27,7 +27,8 @@ class RunManifest:
     """key=value manifest plus a verbatim echo of the effective config.
 
     ``write_pre`` drops a running stub before the work starts; ``finalize``
-    rewrites it with checksums, timing, counters and the per-check ledger.
+    rewrites it with timing, counters, the per-check ledger and checksums
+    of the files that the run reports writing.
     """
 
     def __init__(self, out_dir, command: str, config_text: str):
@@ -49,13 +50,6 @@ class RunManifest:
     def record_check(self, name: str, passed: bool) -> None:
         self.checks[name] = bool(passed)
 
-    def checksum_outputs(self) -> None:
-        """sha256 of every CSV and snapshot archive under the run directory."""
-        outputs = [*self.out_dir.rglob("*.csv"), *self.out_dir.rglob("*.npz")]
-        for f in sorted(outputs):
-            rel = f.relative_to(self.out_dir).as_posix().replace("/", "_")
-            self.entries[f"sha256.{rel}"] = sha256_file(f)
-
     def _render(self, status: str) -> str:
         lines = [
             f"status = {status}",
@@ -74,9 +68,15 @@ class RunManifest:
     def write_pre(self) -> None:
         self.path.write_text(self._render("running"), encoding="utf-8")
 
-    def finalize(self, status: str = "done") -> None:
+    def finalize(self, status: str = "done", outputs=()) -> None:
+        """Rewrite the manifest with ``status``, and a line
+        ``sha256.<path with / as _>`` for each of ``outputs``, the paths
+        relative to the run directory of the files that the run reports
+        writing: no other file there is hashed, none that an earlier run
+        left."""
         self.entries["wall_clock_s"] = f"{time.perf_counter() - self._t0:.3f}"
-        self.checksum_outputs()
+        for rel in outputs:
+            self.entries[f"sha256.{rel.replace('/', '_')}"] = sha256_file(self.out_dir / rel)
         self.path.write_text(self._render(status), encoding="utf-8")
 
     def all_checks_pass(self) -> bool:

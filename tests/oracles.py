@@ -86,7 +86,7 @@ def step(u: Field, dt: float, cfg: EvolverConfig, p: float,
          evolver: Evolver | None = None) -> Field:
     """One whole step of size dt (its sign sets the time direction)."""
     ev = evolver if evolver is not None else Evolver(u.grid, p, cfg)
-    return Field(u.grid, ev.step_values(u.values, dt))
+    return Field(u.grid, ev.step_values(u.values, dt)[0])
 
 
 def variance(u: Field) -> float:

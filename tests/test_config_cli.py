@@ -95,6 +95,16 @@ def test_type_errors_carry_line_numbers(tmp_path):
         load_config(f)
 
 
+@pytest.mark.parametrize("var, text", [("EVOLVE__SPONGE", "maybe"), ("GRID__N", "abc")])
+def test_env_type_errors_name_the_variable(monkeypatch, var, text):
+    """A bad environment value names its variable, not a line of a file."""
+    monkeypatch.setenv(ENV_PREFIX + var, text)
+    key = var.replace("__", ".").lower()
+    with pytest.raises(ConfigError) as err:
+        load_config(None)
+    assert str(err.value).startswith(f"{ENV_PREFIX}{var}: key {key!r}: ")
+
+
 def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_PREFIX + "GRID__N", "2048")
     cfg = load_config(None)
@@ -218,6 +228,27 @@ def test_ground_command_outputs(tmp_path):
     assert "--- config ---" in manifest
 
 
+def test_manifest_hashes_only_its_own_outputs(tmp_path):
+    """A manifest checksums the files its own run wrote, none that an
+    earlier run left in the same directory (which stay there)."""
+    def hashed(out):
+        return [key for key in read_kv(out / "manifest.txt") if key.startswith("sha256.")]
+
+    out = tmp_path / "o"
+    grid = ["--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000", "--out", str(out)]
+    assert run_cli(["evolve", *grid, "--initial", "ground", "--t-end", "0.01"]) == 0
+    assert run_cli(["ground", *grid]) == 0
+    assert hashed(out) == ["sha256.Q.csv"]
+    assert (out / "series.csv").exists()
+
+    c = tmp_path / "c"
+    grid = ["--N", "3", "--p", "3", "--rmax", "20", "--n", "1000", "--out", str(c)]
+    assert run_cli(["construct", *grid, "--k", "3"]) == 0
+    assert run_cli(["construct", *grid, "--k", "2"]) == 0
+    assert hashed(c) == ["sha256.Z1.csv", "sha256.Z2.csv"]
+    assert (c / "Z3.csv").exists()
+
+
 def test_identity_checks_read_the_tolerance_keys(tmp_path, monkeypatch):
     """``Pipeline.BOUNDS`` judges the identities of ``ground``: at n 1500
     the defaults fail three of them, wide bounds pass all four, and a
@@ -293,14 +324,14 @@ def test_manifest_records_effective_config(tmp_path):
 # the order of floating-point operations on these paths shows up here
 STORED_SHA256 = {
     "Q.csv": "1c4f27ee64b53b5fbfda5de91861f8a20b448c3a2ff68147e4383b427e1b38d8",
-    "series.csv": "3bd2992d03c2fc3f7293cea90ad2713868cb4ad24a2667ddd093541bd623cbce",
-    "snapshots.npz": "859e3d028f4961a2b2b62f949ddb430ff315e089570f7af6bd8db6153d9b433d",
+    "series.csv": "451bdadd7fb5cc4f1fce3f2eef6e22f72a9f31de73a344e16f4550b53f967021",
+    "snapshots.npz": "aedad74c8b1169b6abe641568f938f119d2d7bf3ac5eadc6de27fcee0a21ba38",
 }
 
 # sha256 of the outputs that read mass, energy, ME and MG
 ROUNDTRIP_SHA256 = {
-    "series.csv": "6c903fdd702983a84523748dc5225e0e88bb49d164c4785c3a9c201cbf9d0331",
-    "frames.csv": "930f6fdfc3329ea495d04a04a131be6f4fdbc96459531a7fafead1c489f50f0d",
+    "series.csv": "a9930954d0a06a53af22f28f9d291216e3d34308faa1adb621cdde65e894e28e",
+    "frames.csv": "1e5e46558a00195991812acf327eac3332f8988d451c35308abe94216d11c700",
 }
 SWEEP_SHA256 = "9d652ef915f53fd0beb14ea54c2a95ee5fc4063d98ef5c24309a7284f53675a7"
 
@@ -311,8 +342,8 @@ SPECIAL_SHA256 = {
     "Z2.csv": "e5f953a60fc951c27a5962f4e6861829fefe5d6d057a5b6d6eb63724c202cbfe",
     "Z3.csv": "80bef8868b1ab99a70964d199fb9cf520fafd174bdcc78350bbffa4a3c439eef",
     "initial.csv": "34a4891314f9cacb5ec2d47c5240585685a95499944d2512b22b0a00beeff336",
-    "forward_series.csv": "a16370713b9a07915c5cece4a5d71cc574a52fca92bacf31241a4d060e09f673",
-    "backward_series.csv": "8008aeb19e07ed5bb5b4ab63b7b8c71cf12ffa6c1c72bae0563da36bd0c7aeba",
+    "forward_series.csv": "01f40e5e07f8c12a6910b42ab3808812c4e3dd9d80a6116d1125f6ecc7a486c7",
+    "backward_series.csv": "d00f8157488306a34a5ba2757f5a9823deba155839747b268cc13e2ef4e3fe4d",
 }
 
 

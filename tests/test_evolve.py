@@ -72,7 +72,7 @@ def test_step_conserves_quadrature_mass(N, p):
 
 
 def _oracle_step(ev, u, dt):
-    """One step as the stepper once took it, the oracle of the merged one:
+    """One step as the stepper once took it, the oracle of ``step_values``:
     each Strang stage solves lhs x = rhs v with the Crank-Nicolson pair and
     applies two half phases of its own."""
     lap, p = ev.op.lap, ev.p
@@ -90,24 +90,6 @@ def _oracle_step(ev, u, dt):
     return ev.op.extend(v)
 
 
-@pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("sponge", [False, True])
-@pytest.mark.parametrize("N, p", [(1, 7.0), (2, 4.0), (3, 3.0), (5, 2.2)])
-def test_merged_steps_match_the_oracle(N, p, sponge, order):
-    """k steps that share their half phases (open on the first, close on
-    the last) against k oracle steps; N <= 2 has an origin row, N >= 3 a
-    slaved node 0, and the second packet sits in the absorbing layer."""
-    g = make_grid(N, 20.0, 400)
-    vals = _two_packets(g)
-    ev = Evolver(g, p, EvolverConfig(dt=1e-3, order=order, sponge=sponge))
-    u = ref = vals
-    k = 10
-    for i in range(k):
-        u = ev.step_values(u, 1e-3, open=i == 0, close=i == k - 1)
-        ref = _oracle_step(ev, ref, 1e-3)
-    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
 def _two_packets(g):
     vals = (1.5 * np.exp(-g.r ** 2) + 0.5 * np.exp(-(g.r - 18.0) ** 2)) \
         * np.exp(1j * g.r)
@@ -117,14 +99,31 @@ def _two_packets(g):
 
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("sponge", [False, True])
+@pytest.mark.parametrize("N, p", [(1, 7.0), (2, 4.0), (3, 3.0), (5, 2.2)])
+def test_merged_steps_match_the_oracle(N, p, sponge, order):
+    """k steps that share their half phases (each opens with the factor
+    its predecessor's close returned) against k oracle steps; N <= 2 has
+    an origin row, N >= 3 a slaved node 0, and the second packet sits in
+    the absorbing layer."""
+    g = make_grid(N, 20.0, 400)
+    ev = Evolver(g, p, EvolverConfig(dt=1e-3, order=order, sponge=sponge))
+    u = ref = _two_packets(g)
+    factor = None
+    for _ in range(10):
+        u, factor, _ = ev.step_values(u, 1e-3, factor=factor)
+        ref = _oracle_step(ev, ref, 1e-3)
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("sponge", [False, True])
 @pytest.mark.parametrize("N, p", [(1, 7.0), (3, 3.0)])
 def test_closed_steps_carry_their_phase(N, p, sponge, order):
-    """k closed (sampled) steps, dt halving after the fifth, each opening
-    with the factor its predecessor's close returned when that close had
-    the same dt, as ``evolve`` passes it: they agree with the same steps
-    forming every opening factor, and with the oracle, within 1e-12.  The
-    carry must not cross the halving: passed across it, the factor is off
-    by far more."""
+    """k steps, dt halving after the fifth, each opening with the factor
+    its predecessor's close returned when that close had the same dt, as
+    ``evolve`` passes it: they agree with the same steps forming every
+    opening factor, and with the oracle, within 1e-12.  The carry must not
+    cross the halving: passed across it, the factor is off by far more."""
     g = make_grid(N, 20.0, 400)
     dts = [1e-3] * 5 + [5e-4] * 5
     ev = Evolver(g, p, EvolverConfig(dt=1e-3, order=order, sponge=sponge))
@@ -134,43 +133,44 @@ def test_closed_steps_carry_their_phase(N, p, sponge, order):
         carried = (None, None)
         for dt in dts:
             factor = carried[1] if crossing or carried[0] == dt else None
-            u, closing, power = ev.step_values(u, dt, factor=factor, carry=True)
+            u, closing, power = ev.step_values(u, dt, factor=factor)
             carried = (dt, closing)
         return u, power
 
     u, power = run(crossing=False)
     fresh = ref = _two_packets(g)
     for dt in dts:
-        fresh = ev.step_values(fresh, dt)
+        fresh = ev.step_values(fresh, dt)[0]
         ref = _oracle_step(ev, ref, dt)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(u - fresh)) <= 1e-12 * scale
     assert np.max(np.abs(u - ref)) <= 1e-12 * scale
     assert not np.array_equal(u, fresh)         # the carried factors were used
     assert np.max(np.abs(run(crossing=True)[0] - ref)) > 1e-9 * scale
-    assert np.allclose(power, np.abs(u) ** (p - 1), rtol=1e-13, atol=0.0)
+    assert np.allclose(ev.node_power(u, power), np.abs(u) ** (p - 1), rtol=1e-13, atol=0.0)
 
 
-def _close_every_step(monkeypatch):
-    """Make ``evolve`` the oracle loop: every step opens and closes, and
-    forms its opening factor (a carried ``factor`` is dropped)."""
+def _form_every_opening(monkeypatch):
+    """Make ``evolve`` the oracle loop: every step forms its opening
+    factor (a carried ``factor`` is dropped)."""
     whole = Evolver.step_values
     monkeypatch.setattr(Evolver, "step_values",
-                        lambda self, u, dt, carry=False, **_: whole(self, u, dt, carry=carry))
+                        lambda self, u, dt, **_: whole(self, u, dt))
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_evolve_closes_before_a_clipped_step(gentle, monkeypatch, order):
-    """t_end = 123.4 dt: the step before the clipped last one is not
-    sampled (sample_every = 7) but must close; every sampled state
-    (snapshot_every = 1) is closed.  The oracle loop closes every step
-    and forms every opening phase afresh, so it reuses no phase factor."""
+    """t_end = 123.4 dt: the clipped last step has another dt, so it forms
+    its opening phase instead of taking the factor of the step before it,
+    which is not sampled (sample_every = 7).  Every sampled state
+    (snapshot_every = 1) matches the oracle loop, which forms every
+    opening phase afresh, so it reuses no phase factor."""
     g = gentle.grid
     u0 = Field(g, gentle.Q.values * np.exp(1j * 0.2 * np.exp(-g.r ** 2)))
     cfg = EvolverConfig(dt=1e-3, t_end=0.1234, sample_every=7,
                         snapshot_every=1, order=order)
     series, snaps = evolve_snapshots(u0, 0.0, cfg, gentle.p)
-    _close_every_step(monkeypatch)
+    _form_every_opening(monkeypatch)
     oracle, snaps_o = evolve_snapshots(u0, 0.0, cfg, gentle.p)
     assert np.array_equal(series.t, oracle.t)
     assert [t for t, _ in snaps] == [t for t, _ in snaps_o]
@@ -181,12 +181,12 @@ def test_evolve_closes_before_a_clipped_step(gentle, monkeypatch, order):
 
 def test_evolve_seams_at_dt_halvings(gp33, monkeypatch):
     """The datum of the blow-up test halves dt; sample times, the final dt
-    and the verdict match the loop that closes every step.  No state is
+    and the verdict match the loop that forms every opening phase.  No state is
     compared: near blow-up roundoff grows about 1e7-fold."""
     cfg = EvolverConfig(dt=2e-4, t_end=1.5, sample_every=10)
     u0 = Field(gp33.grid, 1.1 * gp33.Q.values)
     series, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
-    _close_every_step(monkeypatch)
+    _form_every_opening(monkeypatch)
     oracle, _ = evolve(u0, 0.0, cfg, gp33.p, reference=gp33)
     assert series.meta["dt_final"] < 2e-4
     assert np.array_equal(series.t, oracle.t)
@@ -297,7 +297,8 @@ def test_diagnostics_take_the_step_power(N, p):
     g = gp.grid
     ev = Evolver(g, p, EvolverConfig(dt=1e-3))
     datum = gp.Q.values * (1.0 + 0.1 * np.exp(-g.r ** 2)) * np.exp(0.3j + 0.2j * g.r)
-    values, _, power = ev.step_values(datum, 1e-3, carry=True)
+    values, _, power = ev.step_values(datum, 1e-3)
+    power = ev.node_power(values, power)
     u = Field(g, values)
     assert np.allclose(power, np.abs(values) ** (p - 1), rtol=1e-13, atol=0.0)
     fresh = diagnostics(u, 1e-3, p, reference=gp)
@@ -310,14 +311,14 @@ def test_diagnostics_take_the_step_power(N, p):
 
 def test_evolve_carries_a_factor_only_at_the_same_dt(gp33, monkeypatch):
     """On the blow-up datum, which halves dt: a step gets a factor exactly
-    when the step before it closed at the same dt, and it is the factor
-    that close returned."""
+    when the step before it had the same dt, and it is the factor that
+    step's close returned."""
     calls = []
     whole = Evolver.step_values
 
-    def spy(self, u, dt, **kw):
-        out = whole(self, u, dt, **kw)
-        calls.append((dt, kw, out))
+    def spy(self, u, dt, factor=None):
+        out = whole(self, u, dt, factor=factor)
+        calls.append((dt, factor, out))
         return out
 
     monkeypatch.setattr(Evolver, "step_values", spy)
@@ -325,12 +326,12 @@ def test_evolve_carries_a_factor_only_at_the_same_dt(gp33, monkeypatch):
     evolve(Field(gp33.grid, 1.1 * gp33.Q.values), 0.0, cfg, gp33.p, reference=gp33)
     assert len({dt for dt, _, _ in calls}) > 1
     carried = 0
-    for (dt0, kw0, out0), (dt1, kw1, _) in zip(calls, calls[1:]):
-        if kw0["close"] and dt0 == dt1:
-            assert kw1["factor"] is out0[1]
+    for (dt0, _, out0), (dt1, factor1, _) in zip(calls, calls[1:]):
+        if dt0 == dt1:
+            assert factor1 is out0[1]
             carried += 1
         else:
-            assert kw1["factor"] is None
+            assert factor1 is None
     assert carried > 1
 
 

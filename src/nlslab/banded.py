@@ -1,8 +1,9 @@
 """Tridiagonal matrices stored by their three bands.
 
-Every discrete operator of the package (the radial Laplacian, L_+/L_-,
-the Crank-Nicolson matrix) is a ``Tridiag``; ``count_negative`` gives the
-inertia of a symmetric one, on which the coercivity bisection rests.
+Every discrete operator of the package is a ``Tridiag``: the radial
+Laplacian, and each 1 - s Delta_h - V that ``RadialOperator.schrodinger``
+makes of it; ``count_negative`` gives the inertia of a symmetric one, on
+which the coercivity bisection rests.
 A ``Tridiag`` is LU-factored (LAPACK ?gttrf) on its first ``solve`` and
 keeps the factors, so every later solve is a back-substitution; the
 evolver keeps one Crank-Nicolson matrix per dt, which is therefore

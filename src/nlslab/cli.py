@@ -55,21 +55,27 @@ def _write_series(path: Path, series: TimeSeries) -> None:
     write_csv(path, TimeSeries.HEADER, *series.rows().T)
 
 
+def _member_header(grid) -> bytes:
+    """The ``.npy`` header of the (n + 1, 3) float64 C-order ``r,re,im``
+    table of ``grid``: the header every snapshot member has."""
+    head = io.BytesIO()
+    npy.write_array_header_1_0(
+        head, npy.header_data_from_array_1_0(np.empty((grid.n + 1, 3))))
+    return head.getvalue()
+
+
 @contextmanager
 def _snapshot_sink(out: Path, grid):
     """An ``evolve`` sink that streams each (t, values), as it comes, into
     the uncompressed archive ``snapshots.npz`` as member ``snap_<i>.npy``:
-    the (n + 1, 3) float64 ``r,re,im`` table, dated 1980-01-01, so equal
-    snapshots give equal archive bytes.  The ``.npy`` header, which every
-    member shares, is formatted once.  Once the block ends without an
-    exception, ``index.csv`` lists the members."""
+    ``_member_header`` and the (n + 1, 3) float64 ``r,re,im`` table, dated
+    1980-01-01, so equal snapshots give equal archive bytes.  Once the
+    block ends without an exception, ``index.csv`` lists the members."""
     out.mkdir(parents=True, exist_ok=True)
     index = ["idx,t,file"]
     table = np.empty((grid.n + 1, 3))
     table[:, 0] = grid.r
-    head = io.BytesIO()
-    npy.write_array_header_1_0(head, npy.header_data_from_array_1_0(table))
-    header = head.getvalue()
+    header = _member_header(grid)
     with zipfile.ZipFile(out / SNAPSHOT_ARCHIVE, "w") as archive:
         def sink(t, values):
             i = len(index) - 1
@@ -84,21 +90,22 @@ def _snapshot_sink(out: Path, grid):
 
 def _read_snapshots(path: Path, grid):
     """The (t, Field) snapshots of a directory, in ``index.csv`` order,
-    reading one member of ``snapshots.npz`` at a time and checking it as a
-    field file (``grid.field_from_table``).  The first member's ``.npy``
-    header is parsed; a later member whose header bytes equal it is
-    decoded straight from its bytes, and any other takes numpy's full
-    reader.  A missing or malformed index, a non-finite index time, a
-    damaged archive and a missing or malformed member are ``UsageError``s
-    that name the index or the archive (and the member)."""
+    reading one member of ``snapshots.npz`` at a time.  A member is
+    ``_member_header(grid)`` and exactly 24 (n + 1) table bytes, decoded
+    straight from those bytes and checked as a field file
+    (``grid.field_from_table``).  A missing, undecodable or malformed
+    index, a non-finite index time, a damaged archive and a missing or
+    malformed member are ``UsageError``s that name the index or the
+    archive (and the member)."""
     idx_file = path / "index.csv"
     if not idx_file.exists():
         raise UsageError(f"snapshot directory {path} has no index.csv")
-    lines = [line for line in idx_file.read_text().splitlines()[1:] if line.strip()]
     try:
+        lines = [line for line in idx_file.read_text(encoding="utf-8").splitlines()[1:]
+                 if line.strip()]
         rows = [(float(t), name) for _, t, name in (line.split(",") for line in lines)]
-    except ValueError as exc:
-        raise UsageError(f"{idx_file} is not an idx,t,file table: {exc}") from exc
+    except (OSError, ValueError) as exc:        # UnicodeDecodeError included
+        raise UsageError(f"cannot read {idx_file} as an idx,t,file table: {exc}") from exc
     bad = [t for t, _ in rows if not math.isfinite(t)]
     if bad:
         raise UsageError(f"{idx_file} holds a non-finite time {bad[0]}")
@@ -107,23 +114,18 @@ def _read_snapshots(path: Path, grid):
         zf = zipfile.ZipFile(archive)
     except (OSError, zipfile.BadZipFile) as exc:
         raise UsageError(f"cannot read snapshot archive {archive}: {exc}") from exc
-    first = None        # (header bytes, size, table) of the first member
+    header = _member_header(grid)
     with zf:
         for t, name in rows:
             source = f"snapshot {name} of {archive}"
             try:
                 raw = zf.read(name)
-                if first and len(raw) == first[1] and raw.startswith(first[0]):
-                    header, _, like = first
-                    table = np.frombuffer(raw, like.dtype, offset=len(header)).reshape(
-                        like.shape, order="C" if like.flags.c_contiguous else "F")
-                else:
-                    fh = io.BytesIO(raw)
-                    table = npy.read_array(fh, allow_pickle=False)
-                    # numpy read the header, then exactly the table's bytes
-                    first = first or (raw[:fh.tell() - table.nbytes], fh.tell(), table)
             except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
                 raise UsageError(f"cannot read {source}: {exc}") from exc
+            if len(raw) != len(header) + 24 * (grid.n + 1) or not raw.startswith(header):
+                raise UsageError(
+                    f"{source} is not a C-order float64 ({grid.n + 1}, 3) table")
+            table = np.frombuffer(raw, "<f8", offset=len(header)).reshape(grid.n + 1, 3)
             yield t, field_from_table(table, grid, source)
 
 

@@ -177,7 +177,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     parsed = _parse_text(text)
     values = {key: default for key, (_, default) in DEFAULTS.items()}

@@ -176,13 +176,10 @@ class Evolver:
         """lhs = 1 - i dt/2 Lap + |dt|/2 sigma; the right-hand matrix is 2 - lhs."""
         lhs = self._cn_cache.get(dt)
         if lhs is None:
-            lap = self.op.lap
             # the absorbing term is non-Hamiltonian: it must damp along the
             # direction of integration, hence |dt|
-            lhs = self._cn_cache[dt] = Tridiag(
-                -1j * dt / 2 * lap.sub,
-                1.0 - 1j * dt / 2 * lap.diag + abs(dt) / 2 * self.sigma,
-                -1j * dt / 2 * lap.sup)
+            lhs = self._cn_cache[dt] = self.op.schrodinger(
+                -abs(dt) / 2 * self.sigma, 0.5j * dt)
         return lhs
 
     def _linear(self, v, dt):

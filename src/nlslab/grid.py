@@ -16,9 +16,10 @@ and at the origin w_0 = omega_N h^N (3-N)/(4N) for N <= 3: h for N = 1
 h/2) and 0 for N >= 3.
 
 The discrete Laplacian of every dimension is one finite-volume (flux)
-form, built once by ``radial_operator``; every module takes its bands
-from there.  Node i owns the cell measure b_i = w_i / (omega_N h) and
-exchanges flux with its neighbours through the faces
+form, built once by ``radial_operator``; every matrix 1 - s Delta_h - V
+of the package comes from its ``schrodinger``.  Node i owns the cell
+measure b_i = w_i / (omega_N h) and exchanges flux with its neighbours
+through the faces
 a_{i+1/2} = r_{i+1/2}^{N-1}, so the operator is symmetric under ``grid.w``
 by construction.  When w_0 > 0 (N <= 2) node 0 is an origin cell with a
 row of its own; otherwise no flux crosses r = h/2 and node 0 is slaved to
@@ -165,6 +166,11 @@ class RadialOperator:
     def apply(self, v: NDArray) -> NDArray:
         """Delta_h v on all n + 1 nodes (0 at node n, slaved node 0 filled)."""
         return self.extend(self.lap.apply(self.rows(v)))
+
+    def schrodinger(self, V, s=1.0) -> Tridiag:
+        """1 - s Delta_h - V on the rows, ``V`` a scalar or a row vector:
+        the package's one matrix formed from the Laplacian's bands."""
+        return Tridiag(-s * self.lap.sub, 1.0 - s * self.lap.diag - V, -s * self.lap.sup)
 
 
 def radial_operator(grid: RadialGrid) -> RadialOperator:

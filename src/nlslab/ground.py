@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .banded import Tridiag
 from .errors import CertificationError, InvalidParameterError, NonConvergenceError
 from .grid import (Field, RadialGrid, RadialOperator, gradient_values,
                    radial_operator, sq_norm)
@@ -101,6 +100,11 @@ class GroundProfile:
         return self.N / 2.0 - 2.0 / (self.p - 1.0)
 
     @cached_property
+    def op(self) -> RadialOperator:
+        """The grid's ``radial_operator``, which every operator around Q uses."""
+        return radial_operator(self.grid)
+
+    @cached_property
     def obs(self) -> Observables:
         """M, E and the gradient of Q: the normalisation of ME and MG."""
         return observables(self.Q, self.p)
@@ -172,9 +176,9 @@ def observables(u: Field, p: float) -> Observables:
                                  gradient_values(grid, u.values), p)
 
 
-def _residual(lap: Tridiag, q, p: float):
+def _residual(op: RadialOperator, q, p: float):
     """Lap_h Q - Q + Q^p on the operator's rows."""
-    return lap.apply(q) - q + np.abs(q) ** (p - 1) * q
+    return op.lap.apply(q) - q + np.abs(q) ** (p - 1) * q
 
 
 def _petviashvili(op: RadialOperator, p: float):
@@ -187,8 +191,8 @@ def _petviashvili(op: RadialOperator, p: float):
     iterate stays positive.  Stops at a relative change below
     ``PETVIASHVILI_TOL`` or after ``PETVIASHVILI_MAX_ITER`` iterations.
     """
-    lap, rho = op.lap, op.rho
-    L = Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup)
+    rho = op.rho
+    L = op.schrodinger(0.0)
     gamma = p / (p - 1.0)
     u = np.exp(-op.rows(op.grid.r) ** 2)
     for it in range(1, PETVIASHVILI_MAX_ITER + 1):
@@ -204,24 +208,23 @@ def _petviashvili(op: RadialOperator, p: float):
 
 def _newton_polish(op: RadialOperator, p: float, q):
     """(rows of Q, residual, steps): Newton on Lap_h Q - Q + Q^p = 0,
-    stopped when a step fails to halve the residual.
+    stopped when a step fails to halve the residual; each step solves
+    L_+ dq = F, the Jacobian being -L_+ at the iterate.
 
     A final residual above ``NEWTON_FLOOR_FACTOR`` times the roundoff
     floor eps (4/h^2 + max Q^{p-1}) max Q raises ``NonConvergenceError``.
     """
-    lap = op.lap
     q = q.copy()
     best, steps = math.inf, 0
     for _ in range(NEWTON_MAX_ITER):
-        F = _residual(lap, q, p)
+        F = _residual(op, q, p)
         rnorm = float(np.max(np.abs(F)))
         if rnorm >= 0.5 * best:
             break
         best = rnorm
-        jac = Tridiag(lap.sub, lap.diag - 1.0 + p * np.abs(q) ** (p - 1), lap.sup)
-        q += jac.solve(-F)
+        q += op.schrodinger(p * np.abs(q) ** (p - 1)).solve(F)
         steps += 1
-    resid = float(np.max(np.abs(_residual(lap, q, p))))
+    resid = float(np.max(np.abs(_residual(op, q, p))))
     qmax = float(np.max(np.abs(q)))
     floor = np.finfo(float).eps * (4.0 / op.grid.h ** 2 + qmax ** (p - 1)) * qmax
     if not resid <= NEWTON_FLOOR_FACTOR * floor:
@@ -342,7 +345,7 @@ def check_identities(gp: GroundProfile) -> IdentityReport:
     q = gp.Q.values.real
     P = float(np.dot(w, q ** (p + 1)))
     M = float(np.dot(w, q ** 2))
-    G = -float(np.dot(w, q * radial_operator(grid).apply(q)))
+    G = -float(np.dot(w, q * gp.op.apply(q)))
 
     t_poh = 2.0 * (p + 1) / (N * (p - 1))
     t_mass = (2.0 * (p + 1) - N * (p - 1)) / (N * (p - 1))

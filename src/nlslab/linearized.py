@@ -45,7 +45,7 @@ from .errors import (
     SingularSystemError,
     SpectralFailureError,
 )
-from .grid import Field, RadialGrid, RadialOperator, gradient_values, radial_operator
+from .grid import Field, RadialGrid, RadialOperator, gradient_values
 from .ground import GroundProfile
 
 __all__ = [
@@ -69,60 +69,41 @@ RESOLVENT_TOL = 1e-9  # relative residual a resolvent solve must reach
 @dataclass
 class LinearizedOps:
     """L_+ = 1 - Delta - p Q^{p-1} and L_- = 1 - Delta - Q^{p-1} around the
-    ground profile ``gp``, on the rows of a ``radial_operator``.
+    ground profile ``gp``, on the rows of its operator ``op``.
 
-    ``lap`` and ``rho`` are the operator's Laplacian and its symmetrizing
-    weights, ``sym`` = sqrt(rho); ``restrict`` and ``extend`` map fields to
-    row vectors and back through the operator.
+    ``lp``, ``lm`` and ``h`` are L~_+, L~_- and the H1 form 1 - Delta_h,
+    symmetrized as S T S^{-1} with S = diag(sym), sym = sqrt(rho), and made
+    once by ``assemble``; ``restrict`` and ``extend`` map fields to row
+    vectors and back through the operator.
     """
 
-    op: RadialOperator
+    op: RadialOperator           # gp.op
     gp: GroundProfile
-    p: float
     potential: np.ndarray        # Q^{p-1} on the rows
     sym: np.ndarray              # sqrt(rho)
+    lp: Tridiag
+    lm: Tridiag
+    h: Tridiag
 
     @property
     def grid(self) -> RadialGrid:
         return self.op.grid
 
     @property
-    def lap(self) -> Tridiag:
-        return self.op.lap
-
-    @property
     def rho(self) -> np.ndarray:
         return self.op.rho
-
-    @property
-    def m(self) -> int:
-        return self.lap.m
 
     # ---- applications (row vectors) ----
 
     def apply_lplus(self, v):
-        return v - self.lap.apply(v) - self.p * self.potential * v
+        return v - self.op.lap.apply(v) - self.gp.p * self.potential * v
 
     def apply_lminus(self, v):
-        return v - self.lap.apply(v) - self.potential * v
+        return v - self.op.lap.apply(v) - self.potential * v
 
     def apply_script_l(self, g):
         """script_L g = -L_- g_2 + i L_+ g_1 on complex row vectors."""
         return -self.apply_lminus(g.imag) + 1j * self.apply_lplus(g.real)
-
-    # ---- L_+ / L_- as matrices ----
-
-    def lplus(self) -> Tridiag:
-        return Tridiag(-self.lap.sub, 1.0 - self.lap.diag
-                       - self.p * self.potential, -self.lap.sup)
-
-    def lminus(self) -> Tridiag:
-        return Tridiag(-self.lap.sub, 1.0 - self.lap.diag
-                       - self.potential, -self.lap.sup)
-
-    def symmetric(self) -> tuple[Tridiag, Tridiag]:
-        """L~_+ and L~_- = S L_pm S^{-1}, symmetric tridiagonal, S = diag(sym)."""
-        return self.lplus().symmetrize(self.sym), self.lminus().symmetrize(self.sym)
 
     # ---- field <-> row-vector maps ----
 
@@ -137,11 +118,14 @@ class LinearizedOps:
 
 
 def assemble(gp: GroundProfile) -> LinearizedOps:
-    """L_+/L_- around a certified ground profile."""
-    op = radial_operator(gp.grid)
-    return LinearizedOps(op=op, gp=gp, p=float(gp.p),
-                         potential=op.rows(gp.Q.values.real) ** (gp.p - 1.0),
-                         sym=np.sqrt(op.rho))
+    """L_+/L_- around a certified ground profile, on ``gp.op``."""
+    op = gp.op
+    potential = op.rows(gp.Q.values.real) ** (gp.p - 1.0)
+    sym = np.sqrt(op.rho)
+    return LinearizedOps(op=op, gp=gp, potential=potential, sym=sym,
+                         lp=op.schrodinger(gp.p * potential).symmetrize(sym),
+                         lm=op.schrodinger(potential).symmetrize(sym),
+                         h=op.schrodinger(0.0).symmetrize(sym))
 
 
 def scaling_generator(gp: GroundProfile) -> Field:
@@ -255,7 +239,7 @@ def compute_spectrum(ops: LinearizedOps) -> SpectrumData:
     grid = ops.grid
     gp = ops.gp
     qvec = ops.restrict(gp.Q).real
-    Lp, Lm = ops.symmetric()
+    Lp, Lm = ops.lp, ops.lm
 
     (lam0,), a = eigh_tridiagonal(Lp.diag, Lp.sup, select="i", select_range=(0, 0))
     if not lam0 < 0:
@@ -264,7 +248,7 @@ def compute_spectrum(ops: LinearizedOps) -> SpectrumData:
             "the ground profile or grid is suspect")
     a = a[:, 0]
     e0_guess = math.sqrt(-lam0 * float(np.dot(a, Lm.apply(a))))
-    x = np.empty(2 * ops.m)
+    x = np.empty(2 * Lp.m)
     x[0::2] = a
     x[1::2] = (lam0 / e0_guess) * a       # g2 = L~_+ g1 / e0 for g1 = a
     e0, g1, g2, _ = _inverse_iteration(Lp, Lm, e0_guess, x, REFINE_TOL)
@@ -346,14 +330,13 @@ def resolvent_solve(c: float, F: Field, ops: LinearizedOps) -> Field:
     if c == 0.0:
         raise SingularSystemError("c = 0 lies in the spectrum of script_L")
     fv = ops.restrict(F)
-    Lp, Lm = ops.symmetric()
     s = ops.sym
 
-    rhs = np.empty(2 * ops.m)
+    rhs = np.empty(2 * ops.lp.m)
     rhs[0::2] = s * fv.real
     rhs[1::2] = s * fv.imag
     try:
-        x = solve_banded((3, 3), _script_l_bands(Lp, Lm, -c), rhs)
+        x = solve_banded((3, 3), _script_l_bands(ops.lp, ops.lm, -c), rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:  # singular to machine precision
         raise SingularSystemError(f"banded resolvent solve failed: {exc}") from exc
 
@@ -381,9 +364,8 @@ def coercivity_min(ops: LinearizedOps, spectrum: SpectrumData,
     qvec = ops.restrict(ops.gp.Q).real
     y1 = ops.restrict(spectrum.Y1).real
     y2 = ops.restrict(spectrum.Y2).real
-    p = ops.p
     if subspace == "Gperp":
-        cons1 = [qvec**p]
+        cons1 = [qvec**ops.gp.p]
         cons2 = [qvec]
     elif subspace == "Gtildeperp":
         cons1 = [y2]
@@ -391,9 +373,8 @@ def coercivity_min(ops: LinearizedOps, spectrum: SpectrumData,
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
 
-    Lp, Lm = ops.symmetric()
-    val1 = _sector_min(ops, Lp, cons1)
-    val2 = _sector_min(ops, Lm, cons2)
+    val1 = _sector_min(ops, ops.lp, cons1)
+    val2 = _sector_min(ops, ops.lm, cons2)
     return min(val1, val2)
 
 
@@ -414,8 +395,7 @@ def _sector_min(ops: LinearizedOps, L: Tridiag, constraints) -> float:
     minimum in [(1 - max W)/2, 1/2); only midpoints are evaluated, never
     mu = 1/2, where K - mu H vanishes on the tail rows where Q underflows.
     """
-    lap = ops.lap
-    H = Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup).symmetrize(ops.sym)
+    H = ops.h
     # constraint (c, v)_rho = (s c, s v): rows live in symmetrized coordinates
     C = np.array([ops.sym * c for c in constraints])
     lo, hi = 0.5 * (1.0 - float(np.max(H.diag - L.diag))), 0.5

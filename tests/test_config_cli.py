@@ -150,6 +150,14 @@ def test_bad_config_exit_code(tmp_path):
                     "--out", str(tmp_path / "o")]) == 2
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    f = tmp_path / "bad.cfg"
+    f.write_bytes(b"\xff\xfe\x00x\n")
+    assert run_cli(["ground", "--config", str(f),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: cannot read config file {f}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("keys", [
     "evolve.t_end = nan\n",
     "evolve.dt = nan\n",
@@ -539,7 +547,9 @@ def test_snapshot_every_zero_keeps_only_the_ends(tmp_path):
                                   "two-columns-second-snapshot",
                                   "truncated-second-snapshot",
                                   "non-finite-second-snapshot",
-                                  "other-radii-second-snapshot", "non-finite-index-time"])
+                                  "other-radii-second-snapshot", "non-finite-index-time",
+                                  "non-utf8-index", "index-is-a-directory",
+                                  "fortran-order-snapshot"])
 def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
     """A field file that ``evolve --initial`` cannot read, a snapshot
     archive or member that ``modulate`` cannot read, or either holding
@@ -547,7 +557,10 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
     the file (the archive, and the member).  A bad second member behind a
     good first one is caught whether its header matches the first's
     (non-finite, other radii, truncated data) or not (float32, two
-    columns); a non-finite time in ``index.csv`` names the index."""
+    columns); a non-finite time in ``index.csv``, or an index that is not
+    UTF-8 or cannot be read, names the index.  A member is read only as
+    the C-order table that the writer makes: a Fortran-order member is
+    refused."""
     grid = make_grid(1, 20.0, 1000)     # the run's grid
     bad = tmp_path / "field.csv"
     if case == "two-columns":
@@ -571,6 +584,8 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
             table = table[:, :2]
         elif case == "other-radii-snapshot":
             table[:, 0] *= 0.5
+        elif case == "fortran-order-snapshot":
+            table = np.asfortranarray(table)
         elif case == "missing-snapshot":
             names.append("snap_00001.npy")
         bad = tmp_path / "snaps" / "snapshots.npz"
@@ -604,6 +619,13 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, case):
         bad = tmp_path / "snaps" / "index.csv"
         bad.parent.mkdir()
         bad.write_text("idx,t,file\n0,0\n")
+    if case == "non-utf8-index":
+        bad = tmp_path / "snaps" / "index.csv"
+        bad.parent.mkdir()
+        bad.write_bytes(b"idx,t,file\n0,\xff\xfe,snap_00000.npy\n")
+    if case == "index-is-a-directory":
+        bad = tmp_path / "snaps" / "index.csv"
+        bad.mkdir(parents=True)
     if case == "non-finite-index-time":
         e = tmp_path / "e"
         assert run_cli(["evolve", "--N", "1", "--p", "5.2", "--rmax", "20", "--n", "1000",

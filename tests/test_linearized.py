@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from nlslab.approx import build_Vk
 from nlslab.banded import Tridiag
 from nlslab.errors import SingularSystemError, SpectralFailureError
+from nlslab.evolve import Evolver, EvolverConfig
 from nlslab.grid import Field, gradient_values, h1_norm, make_grid
 from nlslab.ground import solve_ground
 from nlslab.linearized import (assemble, bilinear_B, coercivity_min,
@@ -26,10 +28,71 @@ def smooth(grid, rng, width=2.0):
 # ---------------------------------------------------------------- assembly
 
 def test_symmetrized_matrices_are_symmetric(ops33):
-    for op in (ops33.lplus(), ops33.lminus()):
-        off = op.symmetrize(ops33.sym).sup
+    for sym_op, V in ((ops33.lp, ops33.gp.p * ops33.potential),
+                      (ops33.lm, ops33.potential)):
+        op = ops33.op.schrodinger(V)
+        off = sym_op.sup
         off_from_below = op.sub * ops33.sym[1:] / ops33.sym[:-1]
         assert np.max(np.abs(off - off_from_below)) < 1e-9 * np.max(np.abs(op.diag))
+
+
+def _bits(t):
+    return [(b.dtype, b.tobytes()) for b in (t.sub, t.diag, t.sup)]
+
+
+@pytest.mark.parametrize("case", ["33", "17"])
+def test_schrodinger_is_each_hand_built_matrix_bit_for_bit(case, request):
+    """``RadialOperator.schrodinger`` against the expressions it replaced,
+    kept here as oracles: Petviashvili's L, the rows of L_+ and L_-, the
+    symmetrized H1 form, the Crank-Nicolson lhs at +-dt with the sponge on,
+    and one Newton step of the ground solver."""
+    gp, ops = request.getfixturevalue(f"gp{case}"), request.getfixturevalue(f"ops{case}")
+    op, lap, s, p = ops.op, ops.op.lap, ops.sym, gp.p
+    W = ops.potential
+    assert _bits(op.schrodinger(0.0)) == _bits(Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup))
+    lplus = Tridiag(-lap.sub, 1.0 - lap.diag - p * W, -lap.sup)
+    lminus = Tridiag(-lap.sub, 1.0 - lap.diag - W, -lap.sup)
+    assert _bits(op.schrodinger(p * W)) == _bits(lplus)
+    assert _bits(op.schrodinger(W)) == _bits(lminus)
+    assert _bits(ops.lp) == _bits(lplus.symmetrize(s))
+    assert _bits(ops.lm) == _bits(lminus.symmetrize(s))
+    assert _bits(ops.h) == _bits(Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup).symmetrize(s))
+
+    ev = Evolver(gp.grid, p, EvolverConfig(sponge=True))
+    assert np.any(ev.sigma > 0)
+    for dt in (1e-3, -1e-3):
+        cn = Tridiag(-1j * dt / 2 * lap.sub,
+                     1.0 - 1j * dt / 2 * lap.diag + abs(dt) / 2 * ev.sigma,
+                     -1j * dt / 2 * lap.sup)
+        assert _bits(ev._cn(dt)) == _bits(cn)
+
+    q = op.rows(gp.Q.values.real) * (1.0 + 0.01 * np.cos(op.rows(gp.grid.r)))
+    V = p * np.abs(q) ** (p - 1)
+    F = lap.apply(q) - q + np.abs(q) ** (p - 1) * q
+    step = Tridiag(lap.sub, lap.diag - 1.0 + V, lap.sup).solve(-F)
+    assert op.schrodinger(V).solve(F).tobytes() == step.tobytes()
+
+
+def test_operators_are_made_once_per_ground_state(gp33, monkeypatch):
+    """``assemble`` symmetrizes L_+, L_- and 1 - Delta_h once each; the
+    spectrum, both coercivity minima and the resolvent solves of
+    ``build_Vk`` read them and symmetrize nothing."""
+    calls = []
+    real = Tridiag.symmetrize
+
+    def spy(self, sym):
+        calls.append(1)
+        return real(self, sym)
+
+    monkeypatch.setattr(Tridiag, "symmetrize", spy)
+    ops = assemble(gp33)
+    assert len(calls) == 3
+    calls.clear()
+    spec = compute_spectrum(ops)
+    for subspace in ("Gperp", "Gtildeperp"):
+        coercivity_min(ops, spec, subspace)
+    build_Vk(1.0, 3, spec, ops)
+    assert len(calls) == 0
 
 
 def test_kernel_relation_lminus_q(gp33, ops33):
@@ -184,7 +247,7 @@ def test_banded_spectral_layer_matches_dense_oracle(case, request):
     L_+ on {Q}^perp against dense eigensolves on the n = 1500 grid."""
     ops = request.getfixturevalue(f"ops{case}")
     spec = request.getfixturevalue(f"spec{case}")
-    Lp, Lm = (_dense(t) for t in ops.symmetric())
+    Lp, Lm = _dense(ops.lp), _dense(ops.lm)
     s = ops.sym
     q = ops.restrict(ops.gp.Q).real
     Z = _null_space([s * q])
@@ -200,11 +263,11 @@ def test_banded_spectral_layer_matches_dense_oracle(case, request):
     dense_count = np.count_nonzero(eigh(Z.T @ Lp @ Z, eigvals_only=True) < 0)
     assert spec.negative_directions == dense_count == 1
 
-    lap = ops.lap
+    lap = ops.op.lap
     H = _dense(Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup).symmetrize(s))
     y1 = ops.restrict(spec.Y1).real
     y2 = ops.restrict(spec.Y2).real
-    sectors = {"Gperp": ((Lp, [q**ops.p]), (Lm, [q])),
+    sectors = {"Gperp": ((Lp, [q**ops.gp.p]), (Lm, [q])),
                "Gtildeperp": ((Lp, [y2]), (Lm, [q, y1]))}
     for subspace, pair in sectors.items():
         minima = []

@@ -178,7 +178,7 @@ def build_Vk(A: float, k: int, spectrum: SpectrumData,
         for jj in range(1, j + 1):
             # the recursion lives on the operator's rows; slaved origin
             # values are interpolated and carry O(h^2) warts
-            drift = float(np.max(np.abs(ops.op.rows(eps[jj]))))
+            drift = float(np.max(np.abs(ops.grid.rows(eps[jj]))))
             if drift > DRIFT_TOL * scale:
                 raise RecursionDriftError(
                     f"order-{jj} coefficient should vanish but has sup "

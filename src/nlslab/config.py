@@ -112,6 +112,8 @@ def _validate(values: dict) -> None:
         if typ is float and not math.isfinite(values[key]):
             raise ConfigError(f"{key} must be finite, got {values[key]}")
     N, p = values["model.N"], values["model.p"]
+    if N < 1:
+        raise ConfigError(f"model.N must be >= 1, got {N}")
     try:
         validate_intercritical(N, p)
     except Exception as exc:

@@ -4,11 +4,11 @@ Strang splitting: a half-step of the exact nonlinear phase
 u <- u exp(i dt/2 |u|^{p-1}), a full Crank-Nicolson step of the linear
 part (with the optional absorbing layer entering as a complex potential
 that damps mass on the outer shell), and a second half phase, all on the
-rows of ``grid.radial_operator``; each step maps the n + 1 node values
-to n + 1 node values through that operator (slaved origin node filled,
-node n = 0).  The Laplacian is symmetric under ``grid.w`` on its rows, so
-at every N the sponge-free Crank-Nicolson step conserves the ``grid.w``
-mass to solver roundoff, and the full step is time-reversible.
+rows of the grid's Laplacian ``RadialGrid.lap``; each step maps the n + 1
+node values to n + 1 node values through ``rows`` and ``extend`` (slaved
+origin node filled, node n = 0).  The Laplacian is symmetric under
+``grid.w`` on its rows, so at every N the sponge-free Crank-Nicolson step
+conserves the ``grid.w`` mass to solver roundoff, and the step is reversible.
 
 ``order = 4`` composes the Strang step by the standard triple jump
 (gamma1, gamma2, gamma1) dt with gamma1 = 1/(2 - 2^{1/3}); this keeps
@@ -38,7 +38,7 @@ import numpy as np
 
 from .banded import Tridiag
 from .errors import InstabilityError, InvalidParameterError
-from .grid import Field, RadialGrid, gradient_values, h1_norm, radial_operator
+from .grid import Field, RadialGrid, gradient_values, h1_norm
 from .ground import GroundProfile, Observables
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
 GAMMA1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 GAMMA2 = 1.0 - 2.0 * GAMMA1
 ADAPT_TRIGGER = 1.25    # the gradient growth that halves dt (RunRules)
+DT_SHRINK = 64.0        # RunRules halves dt to no less than cfg.dt / DT_SHRINK
 MASS_GUARD = 1e-3       # the mass drift a sponge-free run tolerates
 SPONGE_STRENGTH = 5.0   # sigma0 of the absorbing layer
 SPONGE_WIDTH = 0.15     # the layer's share of the domain, at its outer end
@@ -148,8 +149,8 @@ class Verdict:
 class Evolver:
     """Caches the Crank-Nicolson matrix of each dt for a (grid, p, config).
 
-    A step maps all n + 1 node values through ``radial_operator``: the
-    splitting acts on its rows, and ``extend`` fills the slaved origin.
+    A step maps all n + 1 node values through the grid: the splitting
+    acts on the rows of its Laplacian, and ``extend`` fills the slaved origin.
     Each dt keeps only lhs = 1 - i dt/2 Lap + |dt|/2 sigma; it is
     LU-factored on its first solve, so every later step at that dt is a
     tridiagonal back-substitution.
@@ -159,14 +160,13 @@ class Evolver:
         self.grid = grid
         self.p = float(p)
         self.cfg = cfg
-        self.op = radial_operator(grid)
         rs = grid.rmax * (1.0 - SPONGE_WIDTH)
         sig = np.zeros(grid.n + 1)
         if cfg.sponge:
             mask = grid.r > rs
             sig[mask] = SPONGE_STRENGTH * ((grid.r[mask] - rs)
                                            / (grid.rmax - rs)) ** 2
-        self.sigma = self.op.rows(sig)
+        self.sigma = grid.rows(sig)
         self._cn_cache: dict[float, Tridiag] = {}
         # the composition's stage weights and the merged phases between them
         self._gammas = (1.0,) if cfg.order == 2 else (GAMMA1, GAMMA2, GAMMA1)
@@ -178,7 +178,7 @@ class Evolver:
         if lhs is None:
             # the absorbing term is non-Hamiltonian: it must damp along the
             # direction of integration, hence |dt|
-            lhs = self._cn_cache[dt] = self.op.schrodinger(
+            lhs = self._cn_cache[dt] = self.grid.schrodinger(
                 -abs(dt) / 2 * self.sigma, 0.5j * dt)
         return lhs
 
@@ -214,21 +214,21 @@ class Evolver:
         dt, which takes it as ``factor`` instead of forming it.
         """
         g = self._gammas
-        v = self.op.rows(u)
+        v = self.grid.rows(u)
         v = v * factor if factor is not None else self._phase(v, g[0] / 2 * dt)
         v = self._linear(v, g[0] * dt)
         for inner, gamma in zip(self._inner, g[1:]):
             v = self._linear(self._phase(v, inner * dt), gamma * dt)
         power = np.abs(v) ** (self.p - 1)
         factor = self._factor(power, g[-1] / 2 * dt)
-        return self.op.extend(factor * v), factor, power
+        return self.grid.extend(factor * v), factor, power
 
     def node_power(self, values, power):
         """A step's ``power`` on all n + 1 nodes, as ``diagnostics`` takes
         it: a slaved node 0 from the step's ``values``."""
         nodes = np.zeros(self.grid.n + 1)
-        self.op.rows(nodes)[:] = power
-        if self.op.first:
+        self.grid.rows(nodes)[:] = power
+        if self.grid.first:
             nodes[0] = abs(values[0]) ** (self.p - 1)
         return nodes
 
@@ -266,7 +266,7 @@ class RunRules:
     sample meets only rule 1, and rules 4, 5 and the zone need a reference Q.
     1. A non-finite mass or gradient raises ``InstabilityError``.
     2. With the sponge off, a mass drift over ``MASS_GUARD`` raises.
-    3. dt halves, to no less than cfg.dt/64, when ||grad u|| grew by
+    3. dt halves, to no less than cfg.dt / DT_SHRINK, when ||grad u|| grew by
        ``ADAPT_TRIGGER`` since the last sample or is in the blow-up zone,
        ||grad u|| >= 3 ||grad Q||.
     4. Blow-up stop: in the zone at the dt floor, log ||grad u|| convex
@@ -296,7 +296,7 @@ class RunRules:
         if not self.cfg.sponge and mass[0] > 0 and abs(mass[-1] / mass[0] - 1.0) > MASS_GUARD:
             raise InstabilityError(f"mass drifted by {abs(mass[-1] / mass[0] - 1):.2e} "
                                    f"with the sponge off")
-        dt_min = self.cfg.dt / 64.0
+        dt_min = self.cfg.dt / DT_SHRINK
         zone = ref is not None and grad[-1] >= 3.0 * ref.grad
         if (grad[-1] > ADAPT_TRIGGER * grad[-2] or zone) and abs(dt) > dt_min:
             dt = math.copysign(max(abs(dt) / 2.0, dt_min), dt)
@@ -352,8 +352,13 @@ def evolve(u0: Field, t0: float, cfg: EvolverConfig, p: float,
     command's sink archives each one at once, ``cli._snapshot_sink``).
     The arrays are never modified afterwards, so a sink may hold on to
     them.  Without a sink no snapshot is taken.  Returns (TimeSeries,
-    Field): the series and the final state.
+    Field): the series and the final state.  A clock that the smallest dt
+    cannot advance is an ``InvalidParameterError``.
     """
+    T = max(abs(t0), abs(cfg.t_end))
+    if T + cfg.dt / DT_SHRINK == T:
+        raise InvalidParameterError(f"t0 = {t0} and t_end = {cfg.t_end}: the clock cannot "
+                                    f"advance by the smallest dt, {cfg.dt / DT_SHRINK}")
     grid = u0.grid
     ev = Evolver(grid, p, cfg)
     rules = RunRules(cfg, reference)

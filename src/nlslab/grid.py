@@ -16,20 +16,20 @@ and at the origin w_0 = omega_N h^N (3-N)/(4N) for N <= 3: h for N = 1
 h/2) and 0 for N >= 3.
 
 The discrete Laplacian of every dimension is one finite-volume (flux)
-form, built once by ``radial_operator``; every matrix 1 - s Delta_h - V
-of the package comes from its ``schrodinger``.  Node i owns the cell
-measure b_i = w_i / (omega_N h) and exchanges flux with its neighbours
-through the faces
-a_{i+1/2} = r_{i+1/2}^{N-1}, so the operator is symmetric under ``grid.w``
-by construction.  When w_0 > 0 (N <= 2) node 0 is an origin cell with a
-row of its own; otherwise no flux crosses r = h/2 and node 0 is slaved to
-f'(0) = 0.  N = 3 keeps the geometric faces r_i r_{i+1}, which reproduce
-the centered stencil algebraically: midpoint faces there move e0 at (3, 3),
-n = 2400 by 1.2e-3, past the 1e-4 tolerance of the benchmark's recorded
-reference.  Because the Laplacian is symmetric under ``grid.w`` at every
-N, every integral, the identity checks and the mass that Crank-Nicolson
-conserves share one measure.  ``write_csv`` writes the field and series
-CSVs.
+form, the grid's ``lap``, built once per grid by ``make_grid``; every
+matrix 1 - s Delta_h - V of the package comes from
+``RadialGrid.schrodinger``.  Node i owns the cell measure
+b_i = w_i / (omega_N h) and exchanges flux with its neighbours through the
+faces a_{i+1/2} = r_{i+1/2}^{N-1}, so the operator is symmetric under
+``grid.w`` by construction.  When w_0 > 0 (N <= 2) node 0 is an origin
+cell with a row of its own; otherwise no flux crosses r = h/2 and node 0
+is slaved to f'(0) = 0.  N = 3 keeps the geometric faces r_i r_{i+1},
+which reproduce the centered stencil algebraically: midpoint faces there
+move e0 at (3, 3), n = 2400 by 1.2e-3, past the 1e-4 tolerance of the
+benchmark's recorded reference.  Because the Laplacian is symmetric under
+``grid.w`` at every N, every integral, the identity checks and the mass
+that Crank-Nicolson conserves share one measure.  ``write_csv`` writes
+the field and series CSVs.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ from .errors import GridMismatchError, InvalidParameterError, UsageError
 
 __all__ = [
     "RadialGrid",
-    "RadialOperator",
     "Field",
     "make_grid",
-    "radial_operator",
     "h1_norm",
     "sq_norm",
     "gradient_values",
@@ -71,7 +69,15 @@ def omega_n(N: int) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Immutable uniform radial grid with trapezoid quadrature weights."""
+    """Immutable uniform radial grid with trapezoid quadrature weights and
+    the discrete radial Laplacian they define.
+
+    ``lap`` holds the rows of nodes ``first``..n-1, symmetric under the
+    weights ``rho`` = ``w`` on those nodes.  Node n carries the homogeneous
+    Dirichlet value; when ``first`` is 1, node 0 has no row of its own and
+    is slaved to its neighbours by ``extend``.  ``rows`` and ``extend`` are
+    the one map between row vectors and node vectors.
+    """
 
     N: int
     rmax: float
@@ -79,6 +85,8 @@ class RadialGrid:
     h: float
     r: NDArray[np.float64] = field(repr=False)
     w: NDArray[np.float64] = field(repr=False)
+    lap: Tridiag = field(repr=False)
+    first: int
 
     def __post_init__(self):
         self.r.setflags(write=False)
@@ -91,9 +99,45 @@ class RadialGrid:
             and self.rmax == other.rmax
         )
 
+    @property
+    def rho(self) -> NDArray[np.float64]:
+        return self.rows(self.w)
+
+    def rows(self, v: NDArray) -> NDArray:
+        """The values of ``v`` on the row nodes ``first``..n-1."""
+        return v[self.first:self.n]
+
+    def extend(self, v: NDArray) -> NDArray:
+        """Row values -> all n + 1 nodes: slaved node 0 filled, node n = 0."""
+        out = np.zeros(self.n + 1, dtype=v.dtype)
+        out[self.first:self.n] = v
+        if self.first:  # f'(0) = 0 to second order
+            out[0] = (4.0 * out[1] - out[2]) / 3.0
+        return out
+
+    def laplacian(self, v: NDArray) -> NDArray:
+        """Delta_h v on all n + 1 nodes (0 at node n, slaved node 0 filled)."""
+        return self.extend(self.lap.apply(self.rows(v)))
+
+    def schrodinger(self, V, s=1.0) -> Tridiag:
+        """1 - s Delta_h - V on the rows, ``V`` a scalar or a row vector:
+        the package's one matrix formed from the Laplacian's bands."""
+        return Tridiag(-s * self.lap.sub, 1.0 - s * self.lap.diag - V, -s * self.lap.sup)
+
 
 def make_grid(N: int, rmax: float, n: int) -> RadialGrid:
-    """Build a RadialGrid. Requires N >= 1 integer, rmax > 0, n >= 16."""
+    """Build a RadialGrid. Requires N >= 1 integer, rmax > 0, n >= 16.
+
+    Its Laplacian is Delta_h = d^2/dr^2 + (N-1)/r d/dr in finite-volume
+    (flux) form,
+
+        (Delta_h f)_i = (a_{i+1/2} (f_{i+1} - f_i) - a_{i-1/2} (f_i - f_{i-1}))
+                        / (h^2 b_i),
+
+    b_i = w_i / (omega_N h), a_{i+1/2} = r_{i+1/2}^{N-1} (r_i r_{i+1} at
+    N = 3), on the rows ``first``..n-1 with a_{first-1/2} = 0: ``first`` is 0
+    when w_0 > 0, and 1 with node 0 slaved otherwise (module docstring).
+    """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameterError(f"dimension N must be an integer >= 1, got {N!r}")
     if not rmax > 0:
@@ -108,7 +152,13 @@ def make_grid(N: int, rmax: float, n: int) -> RadialGrid:
     w = omega_n(N) * r ** (N - 1) * h
     w[0] = omega_n(N) * h**N * (3.0 - N) / (4.0 * N) if N <= 3 else 0.0
     w[-1] *= 0.5
-    return RadialGrid(N=N, rmax=rmax, n=n, h=h, r=r, w=w)
+    first = 0 if w[0] > 0 else 1
+    i = np.arange(first, n)
+    face = r[i] * r[i + 1] if N == 3 else ((i + 0.5) * h) ** (N - 1)
+    hb = h**2 * (w[first:n] / (omega_n(N) * h))         # h^2 b_i
+    below = np.concatenate([[0.0], face[:-1]])          # a_{first-1/2} = 0
+    lap = Tridiag(face[:-1] / hb[1:], -(below + face) / hb, face[:-1] / hb[:-1])
+    return RadialGrid(N=N, rmax=rmax, n=n, h=h, r=r, w=w, lap=lap, first=first)
 
 
 @dataclass
@@ -125,72 +175,6 @@ class Field:
                 f"field length {self.values.shape} does not match grid "
                 f"node count {self.grid.n + 1}"
             )
-
-
-def fill_origin(v) -> None:
-    """Fill a slaved node 0 from f'(0) = 0 to second order (in place)."""
-    v[0] = (4.0 * v[1] - v[2]) / 3.0
-
-
-@dataclass(frozen=True, eq=False)
-class RadialOperator:
-    """The discrete radial Laplacian of one grid.
-
-    ``lap`` holds the rows of nodes ``first``..n-1, symmetric under the
-    weights ``rho`` = ``grid.w`` on those nodes.  Node n carries the
-    homogeneous Dirichlet value; when ``first`` is 1, node 0 has no row of
-    its own and is slaved to its neighbours by ``fill_origin``.  ``rows``
-    and ``extend`` are the one map between row vectors and node vectors.
-    """
-
-    grid: RadialGrid
-    lap: Tridiag
-    first: int
-
-    @property
-    def rho(self) -> NDArray[np.float64]:
-        return self.rows(self.grid.w)
-
-    def rows(self, v: NDArray) -> NDArray:
-        """The values of ``v`` on the row nodes ``first``..n-1."""
-        return v[self.first:self.grid.n]
-
-    def extend(self, v: NDArray) -> NDArray:
-        """Row values -> all n + 1 nodes: slaved node 0 filled, node n = 0."""
-        out = np.zeros(self.grid.n + 1, dtype=v.dtype)
-        out[self.first:self.grid.n] = v
-        if self.first:
-            fill_origin(out)
-        return out
-
-    def apply(self, v: NDArray) -> NDArray:
-        """Delta_h v on all n + 1 nodes (0 at node n, slaved node 0 filled)."""
-        return self.extend(self.lap.apply(self.rows(v)))
-
-    def schrodinger(self, V, s=1.0) -> Tridiag:
-        """1 - s Delta_h - V on the rows, ``V`` a scalar or a row vector:
-        the package's one matrix formed from the Laplacian's bands."""
-        return Tridiag(-s * self.lap.sub, 1.0 - s * self.lap.diag - V, -s * self.lap.sup)
-
-
-def radial_operator(grid: RadialGrid) -> RadialOperator:
-    """Delta_h = d^2/dr^2 + (N-1)/r d/dr in finite-volume (flux) form,
-
-        (Delta_h f)_i = (a_{i+1/2} (f_{i+1} - f_i) - a_{i-1/2} (f_i - f_{i-1}))
-                        / (h^2 b_i),
-
-    b_i = w_i / (omega_N h), a_{i+1/2} = r_{i+1/2}^{N-1} (r_i r_{i+1} at
-    N = 3), on the rows ``first``..n-1 with a_{first-1/2} = 0: ``first`` is 0
-    when w_0 > 0, and 1 with node 0 slaved otherwise (module docstring).
-    """
-    N, h, n, r = grid.N, grid.h, grid.n, grid.r
-    first = 0 if grid.w[0] > 0 else 1
-    i = np.arange(first, n)
-    face = r[i] * r[i + 1] if N == 3 else ((i + 0.5) * h) ** (N - 1)
-    hb = h**2 * (grid.w[first:n] / (omega_n(N) * h))     # h^2 b_i
-    below = np.concatenate([[0.0], face[:-1]])          # a_{first-1/2} = 0
-    lap = Tridiag(face[:-1] / hb[1:], -(below + face) / hb, face[:-1] / hb[:-1])
-    return RadialOperator(grid=grid, lap=lap, first=first)
 
 
 def gradient_values(grid: RadialGrid, v: NDArray) -> NDArray:

@@ -3,8 +3,8 @@
 Q is the unique positive radial decaying solution in the intercritical
 range 1 + 4/N < p < 2* - 1 (2* - 1 = 1 + 4/(N-2) for N >= 3, +inf for
 N = 1, 2).  The package's Q is the grid's own: the solution of the
-discretized equation Lap_h Q - Q + Q^p = 0 on the rows of
-``radial_operator``, so that the discrete operator identities
+discretized equation Lap_h Q - Q + Q^p = 0 on the rows of the grid's
+Laplacian (``RadialGrid.lap``), so that the discrete operator identities
 (L_- Q = 0, L_+ Q = (1-p) Q^p, ...) hold to solver precision.
 
 It is found by Petviashvili's iteration (Petviashvili, Sov. J. Plasma
@@ -25,8 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import CertificationError, InvalidParameterError, NonConvergenceError
-from .grid import (Field, RadialGrid, RadialOperator, gradient_values,
-                   radial_operator, sq_norm)
+from .grid import Field, RadialGrid, gradient_values, sq_norm
 
 __all__ = [
     "GroundProfile",
@@ -100,11 +99,6 @@ class GroundProfile:
         return self.N / 2.0 - 2.0 / (self.p - 1.0)
 
     @cached_property
-    def op(self) -> RadialOperator:
-        """The grid's ``radial_operator``, which every operator around Q uses."""
-        return radial_operator(self.grid)
-
-    @cached_property
     def obs(self) -> Observables:
         """M, E and the gradient of Q: the normalisation of ME and MG."""
         return observables(self.Q, self.p)
@@ -176,25 +170,25 @@ def observables(u: Field, p: float) -> Observables:
                                  gradient_values(grid, u.values), p)
 
 
-def _residual(op: RadialOperator, q, p: float):
-    """Lap_h Q - Q + Q^p on the operator's rows."""
-    return op.lap.apply(q) - q + np.abs(q) ** (p - 1) * q
+def _residual(grid: RadialGrid, q, p: float):
+    """Lap_h Q - Q + Q^p on the grid's rows."""
+    return grid.lap.apply(q) - q + np.abs(q) ** (p - 1) * q
 
 
-def _petviashvili(op: RadialOperator, p: float):
+def _petviashvili(grid: RadialGrid, p: float):
     """(rows of u, iterations): Petviashvili's iteration for L u = u^p,
     L = 1 - Lap_h, from e^{-r^2},
 
         u <- M(u)^{p/(p-1)} L^{-1} u^p,   M(u) = <u, L u> / <u, u^p>,
 
-    under the weights ``op.rho``.  L is an M-matrix, so a positive
+    under the weights ``grid.rho``.  L is an M-matrix, so a positive
     iterate stays positive.  Stops at a relative change below
     ``PETVIASHVILI_TOL`` or after ``PETVIASHVILI_MAX_ITER`` iterations.
     """
-    rho = op.rho
-    L = op.schrodinger(0.0)
+    rho = grid.rho
+    L = grid.schrodinger(0.0)
     gamma = p / (p - 1.0)
-    u = np.exp(-op.rows(op.grid.r) ** 2)
+    u = np.exp(-grid.rows(grid.r) ** 2)
     for it in range(1, PETVIASHVILI_MAX_ITER + 1):
         up = u ** p
         M = float(np.dot(rho, u * L.apply(u))) / float(np.dot(rho, u * up))
@@ -206,7 +200,7 @@ def _petviashvili(op: RadialOperator, p: float):
     return u, it
 
 
-def _newton_polish(op: RadialOperator, p: float, q):
+def _newton_polish(grid: RadialGrid, p: float, q):
     """(rows of Q, residual, steps): Newton on Lap_h Q - Q + Q^p = 0,
     stopped when a step fails to halve the residual; each step solves
     L_+ dq = F, the Jacobian being -L_+ at the iterate.
@@ -217,16 +211,16 @@ def _newton_polish(op: RadialOperator, p: float, q):
     q = q.copy()
     best, steps = math.inf, 0
     for _ in range(NEWTON_MAX_ITER):
-        F = _residual(op, q, p)
+        F = _residual(grid, q, p)
         rnorm = float(np.max(np.abs(F)))
         if rnorm >= 0.5 * best:
             break
         best = rnorm
-        q += op.schrodinger(p * np.abs(q) ** (p - 1)).solve(F)
+        q += grid.schrodinger(p * np.abs(q) ** (p - 1)).solve(F)
         steps += 1
-    resid = float(np.max(np.abs(_residual(op, q, p))))
+    resid = float(np.max(np.abs(_residual(grid, q, p))))
     qmax = float(np.max(np.abs(q)))
-    floor = np.finfo(float).eps * (4.0 / op.grid.h ** 2 + qmax ** (p - 1)) * qmax
+    floor = np.finfo(float).eps * (4.0 / grid.h ** 2 + qmax ** (p - 1)) * qmax
     if not resid <= NEWTON_FLOOR_FACTOR * floor:
         raise NonConvergenceError(
             f"Newton polish stalled at residual {resid:.3g}, "
@@ -243,10 +237,9 @@ def solve_ground(grid: RadialGrid, p: float) -> GroundProfile:
     N = grid.N
     validate_intercritical(N, p)
     validate_spacing(grid.h)
-    op = radial_operator(grid)
-    u, its = _petviashvili(op, p)
-    u, resid, steps = _newton_polish(op, p, u)
-    q = op.extend(u)
+    u, its = _petviashvili(grid, p)
+    u, resid, steps = _newton_polish(grid, p, u)
+    q = grid.extend(u)
     _certify(q)
     i_fit = min(int(round(0.7 * grid.n)), grid.n - 1)
     i_fit = int(np.nonzero(q[: i_fit + 1] > 0)[0][-1])
@@ -345,7 +338,7 @@ def check_identities(gp: GroundProfile) -> IdentityReport:
     q = gp.Q.values.real
     P = float(np.dot(w, q ** (p + 1)))
     M = float(np.dot(w, q ** 2))
-    G = -float(np.dot(w, q * gp.op.apply(q)))
+    G = -float(np.dot(w, q * grid.laplacian(q)))
 
     t_poh = 2.0 * (p + 1) / (N * (p - 1))
     t_mass = (2.0 * (p + 1) - N * (p - 1)) / (N * (p - 1))

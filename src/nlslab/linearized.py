@@ -45,7 +45,7 @@ from .errors import (
     SingularSystemError,
     SpectralFailureError,
 )
-from .grid import Field, RadialGrid, RadialOperator, gradient_values
+from .grid import Field, RadialGrid, gradient_values
 from .ground import GroundProfile
 
 __all__ = [
@@ -69,15 +69,14 @@ RESOLVENT_TOL = 1e-9  # relative residual a resolvent solve must reach
 @dataclass
 class LinearizedOps:
     """L_+ = 1 - Delta - p Q^{p-1} and L_- = 1 - Delta - Q^{p-1} around the
-    ground profile ``gp``, on the rows of its operator ``op``.
+    ground profile ``gp``, on the rows of its grid's Laplacian.
 
     ``lp``, ``lm`` and ``h`` are L~_+, L~_- and the H1 form 1 - Delta_h,
     symmetrized as S T S^{-1} with S = diag(sym), sym = sqrt(rho), and made
     once by ``assemble``; ``restrict`` and ``extend`` map fields to row
-    vectors and back through the operator.
+    vectors and back through the grid.
     """
 
-    op: RadialOperator           # gp.op
     gp: GroundProfile
     potential: np.ndarray        # Q^{p-1} on the rows
     sym: np.ndarray              # sqrt(rho)
@@ -87,19 +86,19 @@ class LinearizedOps:
 
     @property
     def grid(self) -> RadialGrid:
-        return self.op.grid
+        return self.gp.grid
 
     @property
     def rho(self) -> np.ndarray:
-        return self.op.rho
+        return self.grid.rho
 
     # ---- applications (row vectors) ----
 
     def apply_lplus(self, v):
-        return v - self.op.lap.apply(v) - self.gp.p * self.potential * v
+        return v - self.grid.lap.apply(v) - self.gp.p * self.potential * v
 
     def apply_lminus(self, v):
-        return v - self.op.lap.apply(v) - self.potential * v
+        return v - self.grid.lap.apply(v) - self.potential * v
 
     def apply_script_l(self, g):
         """script_L g = -L_- g_2 + i L_+ g_1 on complex row vectors."""
@@ -110,22 +109,22 @@ class LinearizedOps:
     def restrict(self, f: Field):
         if not f.grid.same_as(self.grid):
             raise GridMismatchError("field does not live on the operator grid")
-        return self.op.rows(f.values)
+        return self.grid.rows(f.values)
 
     def extend(self, v) -> Field:
         """Row vector -> Field; a slaved origin node filled by regularity."""
-        return Field(self.grid, self.op.extend(np.asarray(v, dtype=complex)))
+        return Field(self.grid, self.grid.extend(np.asarray(v, dtype=complex)))
 
 
 def assemble(gp: GroundProfile) -> LinearizedOps:
-    """L_+/L_- around a certified ground profile, on ``gp.op``."""
-    op = gp.op
-    potential = op.rows(gp.Q.values.real) ** (gp.p - 1.0)
-    sym = np.sqrt(op.rho)
-    return LinearizedOps(op=op, gp=gp, potential=potential, sym=sym,
-                         lp=op.schrodinger(gp.p * potential).symmetrize(sym),
-                         lm=op.schrodinger(potential).symmetrize(sym),
-                         h=op.schrodinger(0.0).symmetrize(sym))
+    """L_+/L_- around a certified ground profile, on ``gp.grid``."""
+    grid = gp.grid
+    potential = grid.rows(gp.Q.values.real) ** (gp.p - 1.0)
+    sym = np.sqrt(grid.rho)
+    return LinearizedOps(gp=gp, potential=potential, sym=sym,
+                         lp=grid.schrodinger(gp.p * potential).symmetrize(sym),
+                         lm=grid.schrodinger(potential).symmetrize(sym),
+                         h=grid.schrodinger(0.0).symmetrize(sym))
 
 
 def scaling_generator(gp: GroundProfile) -> Field:

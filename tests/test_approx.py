@@ -197,7 +197,7 @@ def test_conjugation_symmetry(gp33, ops33, sol33):
         eps[j] += -lz - j * sol33.e0 * zc
     scale = np.max(gp33.Q.values.real ** gp33.p)
     for j in range(1, k + 1):
-        assert np.max(np.abs(ops33.op.rows(eps[j]))) <= 1e-8 * scale
+        assert np.max(np.abs(ops33.grid.rows(eps[j]))) <= 1e-8 * scale
 
 
 def test_minus_A_homogeneity(spec33, ops33, sol33):
@@ -220,7 +220,7 @@ def test_recursion_self_consistency(gp33, ops33, sol33):
         eps[j] += lz - j * sol33.e0 * sol33.Z[j].values
     scale = np.max(gp33.Q.values.real ** gp33.p)
     for j in range(1, k + 1):
-        assert np.max(np.abs(ops33.op.rows(eps[j]))) <= 1e-8 * scale
+        assert np.max(np.abs(ops33.grid.rows(eps[j]))) <= 1e-8 * scale
 
 
 def test_validity_window(sol33):

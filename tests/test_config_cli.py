@@ -150,6 +150,14 @@ def test_bad_config_exit_code(tmp_path):
                     "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("N", ["0", "-1"])
+def test_dimension_below_one_is_config_error(tmp_path, capsys, N):
+    out = tmp_path / "o"
+    assert run_cli(["ground", "--N", N, "--p", "3", "--out", str(out)]) == 2
+    assert f"config error: model.N must be >= 1, got {N}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_utf8_config_is_config_error(tmp_path, capsys):
     f = tmp_path / "bad.cfg"
     f.write_bytes(b"\xff\xfe\x00x\n")

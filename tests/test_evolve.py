@@ -75,8 +75,8 @@ def _oracle_step(ev, u, dt):
     """One step as the stepper once took it, the oracle of ``step_values``:
     each Strang stage solves lhs x = rhs v with the Crank-Nicolson pair and
     applies two half phases of its own."""
-    lap, p = ev.op.lap, ev.p
-    v = ev.op.rows(u)
+    lap, p = ev.grid.lap, ev.p
+    v = ev.grid.rows(u)
     for gamma in ((1.0,) if ev.cfg.order == 2 else (GAMMA1, GAMMA2, GAMMA1)):
         h = gamma * dt
         damp = abs(h) / 2 * ev.sigma
@@ -87,7 +87,7 @@ def _oracle_step(ev, u, dt):
         v = v * np.exp(1j * (h / 2) * np.abs(v) ** (p - 1))
         v = lhs.solve(rhs.apply(v))
         v = v * np.exp(1j * (h / 2) * np.abs(v) ** (p - 1))
-    return ev.op.extend(v)
+    return ev.grid.extend(v)
 
 
 def _two_packets(g):
@@ -353,6 +353,14 @@ def test_non_finite_state_is_an_instability(gentle):
     for reference in (None, gentle):
         with pytest.raises(InstabilityError, match="not finite"):
             evolve(Field(g, vals), 0.0, cfg, gentle.p, reference=reference)
+
+
+def test_clock_that_cannot_advance_is_refused(gp33):
+    """At t0 = 1e17 the smallest dt, dt/64, is below half an ulp of t, so
+    t += dt would never move the clock."""
+    with pytest.raises(InvalidParameterError,
+                       match="t0 = 1e\\+17 and t_end = 0.0: the clock cannot advance"):
+        evolve(standing_wave(gp33), 1e17, EvolverConfig(t_end=0.0), gp33.p, reference=gp33)
 
 
 def test_quadratic_phase_gives_positive_variance_rate(gp33):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlslab.errors import GridMismatchError, InvalidParameterError
-from nlslab.grid import (Field, h1_norm, make_grid, omega_n, radial_operator,
-                         read_field_csv, write_field_csv)
+from nlslab.grid import (Field, h1_norm, make_grid, omega_n, read_field_csv,
+                         write_field_csv)
 from nlslab.ground import observables
 
 
@@ -62,7 +62,7 @@ def test_quadrature_polynomial_exactness():
 def test_laplacian_r_squared():
     g = make_grid(3, 10.0, 500)
     f = Field(g, g.r**2 + 0j)
-    lap = radial_operator(g).apply(f.values).real
+    lap = g.laplacian(f.values).real
     # interior nodes away from the pinned boundary see Delta r^2 = 2N
     assert np.allclose(lap[:-2], 6.0, atol=1e-8)
 
@@ -70,14 +70,14 @@ def test_laplacian_r_squared():
 def test_laplacian_constant_zero():
     g = make_grid(2, 10.0, 400)
     f = Field(g, np.full(401, 3.7))
-    lap = radial_operator(g).apply(f.values).real
+    lap = g.laplacian(f.values).real
     assert np.max(np.abs(lap[:-2])) < 1e-10
 
 
 def test_laplacian_gaussian_1d():
     g = make_grid(1, 15.0, 3000)
     f = Field(g, np.exp(-g.r**2))
-    lap = radial_operator(g).apply(f.values).real
+    lap = g.laplacian(f.values).real
     exact = (4 * g.r**2 - 2) * np.exp(-g.r**2)
     assert np.max(np.abs(lap[:-2] - exact[:-2])) < 10 * g.h**2
 
@@ -87,7 +87,7 @@ def test_laplacian_refinement_second_order():
     for n in (400, 800):
         g = make_grid(3, 10.0, n)
         f = Field(g, np.exp(-g.r**2))
-        lap = radial_operator(g).apply(f.values).real
+        lap = g.laplacian(f.values).real
         exact = (4 * g.r**2 - 2 * 3) * np.exp(-g.r**2)
         errs.append(np.max(np.abs(lap[: n // 2] - exact[: n // 2])))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
@@ -97,11 +97,11 @@ def test_laplacian_refinement_second_order():
 def test_laplacian_self_adjoint_under_radial_measure(N):
     g = make_grid(N, 20.0, 800)
     # rows start at the origin exactly when the origin cell has weight
-    assert (radial_operator(g).first == 0) == (g.w[0] > 0)
+    assert (g.first == 0) == (g.w[0] > 0)
     f = Field(g, np.exp(-g.r**2) * (1 + g.r))
     h = Field(g, np.exp(-((g.r - 2) ** 2)))
-    lhs = np.dot(g.w, (radial_operator(g).apply(f.values) * h.values).real)
-    rhs = np.dot(g.w, (radial_operator(g).apply(h.values) * f.values).real)
+    lhs = np.dot(g.w, (g.laplacian(f.values) * h.values).real)
+    rhs = np.dot(g.w, (g.laplacian(h.values) * f.values).real)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -111,12 +111,11 @@ def test_n3_rows_are_the_centered_stencil():
     rows 1..n-1: (i -+ 1)/(i h^2) off the diagonal, -2/h^2 on it.  The
     bands and this oracle round differently, by at most 3 ulp."""
     g = make_grid(3, 30.0, 1500)
-    op = radial_operator(g)
     h, i = g.h, np.arange(1, g.n, dtype=float)
-    assert op.first == 1
-    for band, oracle in ((op.lap.sub, ((i - 1) / (i * h**2))[1:]),
-                         (op.lap.sup, ((i + 1) / (i * h**2))[:-1]),
-                         (op.lap.diag, np.full(i.size, -2 / h**2))):
+    assert g.first == 1
+    for band, oracle in ((g.lap.sub, ((i - 1) / (i * h**2))[1:]),
+                         (g.lap.sup, ((i + 1) / (i * h**2))[:-1]),
+                         (g.lap.diag, np.full(i.size, -2 / h**2))):
         assert np.all(np.abs(band - oracle) <= 4 * np.spacing(np.abs(oracle)))
 
 
@@ -139,7 +138,7 @@ def test_norms_exponential_1d():
 def test_grad_norm_matches_integration_by_parts():
     g = make_grid(3, 20.0, 2000)
     f = Field(g, np.exp(-g.r**2))
-    ibp = -np.dot(g.w, (np.conj(f.values) * radial_operator(g).apply(f.values)).real)
+    ibp = -np.dot(g.w, (np.conj(f.values) * g.laplacian(f.values)).real)
     assert observables(f, 3.0).grad2 == pytest.approx(ibp, rel=1e-4)
 
 

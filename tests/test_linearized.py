@@ -30,10 +30,17 @@ def smooth(grid, rng, width=2.0):
 def test_symmetrized_matrices_are_symmetric(ops33):
     for sym_op, V in ((ops33.lp, ops33.gp.p * ops33.potential),
                       (ops33.lm, ops33.potential)):
-        op = ops33.op.schrodinger(V)
+        op = ops33.grid.schrodinger(V)
         off = sym_op.sup
         off_from_below = op.sub * ops33.sym[1:] / ops33.sym[:-1]
         assert np.max(np.abs(off - off_from_below)) < 1e-9 * np.max(np.abs(op.diag))
+
+
+def test_each_grid_has_one_laplacian(gp33, ops33):
+    """The ground state, the linearized operators and the stepper share
+    the Laplacian that ``make_grid`` built."""
+    ev = Evolver(gp33.grid, gp33.p, EvolverConfig())
+    assert gp33.grid.lap is ops33.grid.lap is ev.grid.lap
 
 
 def _bits(t):
@@ -42,12 +49,12 @@ def _bits(t):
 
 @pytest.mark.parametrize("case", ["33", "17"])
 def test_schrodinger_is_each_hand_built_matrix_bit_for_bit(case, request):
-    """``RadialOperator.schrodinger`` against the expressions it replaced,
+    """``RadialGrid.schrodinger`` against the expressions it replaced,
     kept here as oracles: Petviashvili's L, the rows of L_+ and L_-, the
     symmetrized H1 form, the Crank-Nicolson lhs at +-dt with the sponge on,
     and one Newton step of the ground solver."""
     gp, ops = request.getfixturevalue(f"gp{case}"), request.getfixturevalue(f"ops{case}")
-    op, lap, s, p = ops.op, ops.op.lap, ops.sym, gp.p
+    op, lap, s, p = ops.grid, ops.grid.lap, ops.sym, gp.p
     W = ops.potential
     assert _bits(op.schrodinger(0.0)) == _bits(Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup))
     lplus = Tridiag(-lap.sub, 1.0 - lap.diag - p * W, -lap.sup)
@@ -263,7 +270,7 @@ def test_banded_spectral_layer_matches_dense_oracle(case, request):
     dense_count = np.count_nonzero(eigh(Z.T @ Lp @ Z, eigvals_only=True) < 0)
     assert spec.negative_directions == dense_count == 1
 
-    lap = ops.op.lap
+    lap = ops.grid.lap
     H = _dense(Tridiag(-lap.sub, 1.0 - lap.diag, -lap.sup).symmetrize(s))
     y1 = ops.restrict(spec.Y1).real
     y2 = ops.restrict(spec.Y2).real
@@ -326,13 +333,11 @@ def test_e0_against_independent_linearized_flow(gp33, spec33):
     reproduces e0 (the growing mode is Y-)."""
     g = make_grid(3, 12.0, 600)  # truncating the box at 12 shifts e0 by ~e^{-24}
     gp = solve_ground(g, 3.0)
-    from nlslab.grid import radial_operator
-    lap = radial_operator(g)
     q = gp.Q.values.real
     p = gp.p
 
     def rhs(v):
-        return 1j * (lap.apply(v) - v
+        return 1j * (g.laplacian(v) - v
                      + p * q ** (p - 1) * v.real + 1j * q ** (p - 1) * v.imag)
 
     rng = np.random.default_rng(0)

@@ -30,7 +30,7 @@ REMOVED = {"integrate", "laplacian_apply", "norms", "Norms", "closed_form_1d",
            "LambdaPoly", "SpecialRunSpec", "NoBracketError", "PHASE_MAX_ITER",
            "PHASE_TOL", "ALIGNED_WINDOW", "OrderedMap", "imap", "WINDOW", "CHUNK",
            "sha256_bytes", "pmap", "META_TIMES", "_phi_cutoff", "_phi_cutoff_prime",
-           "_scatters"}
+           "_scatters", "radial_operator", "RadialOperator", "fill_origin"}
 
 
 def _defined():
